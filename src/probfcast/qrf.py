@@ -6,10 +6,19 @@ numeric covariate is searched over midpoints between consecutive distinct
 in-node values; the categorical covariate is handled by ordering the node's
 labels by mean response and searching that ordering as if numeric, which is
 exactly equivalent to searching all binary label partitions under the
-variance rule.  Leaves keep the in-bag rows that reached them, so a query
-returns a weighted empirical distribution of training errors rather than a
-mean: row weights average, over trees, the indicator of sharing the query's
-leaf divided by the leaf size.
+variance rule.
+
+Leaves keep the in-bag rows that reached them, so a query returns a weighted
+empirical distribution of training errors rather than a mean: row weights
+average, over trees, the indicator of sharing the query's leaf divided by the
+leaf size.  Every prediction takes one path.  Each distinct (lead, label)
+pair is routed through all trees at once; the leaf rows it reaches are
+gathered into one stack sorted by error (ties in tree, then leaf order); and
+one weighted-quantile kernel answers each level with the smallest error whose
+running weight reaches level x number of trees.  Out-of-bag coverage reads
+the same stacks: a row in-bag in no tree takes its pair's full-forest
+quantiles, and a row in-bag in some trees gives their entries weight 0.0,
+which leaves the running sums of the other entries bit-for-bit unchanged.
 
 Determinism: tree t uses ``numpy.random.default_rng(seed + t)``, consuming
 draws in a fixed order (subsample first, then one covariate draw per split
@@ -19,7 +28,7 @@ runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -316,28 +325,157 @@ def train(table: ErrorTable, config: ForestConfig) -> Forest:
 
 
 # ---------------------------------------------------------------------------
-# Prediction
+# Prediction: route -> gather -> weighted quantile
 # ---------------------------------------------------------------------------
 
+# Padded entries one kernel chunk holds; bounds the working set of a call.
+_CHUNK_ENTRIES = 1 << 20
 
-def _route(tree: _Tree, lead_q: np.ndarray, code_q: np.ndarray) -> np.ndarray:
-    """Vectorised descent: leaf node id for each query."""
-    node = np.zeros(lead_q.size, dtype=np.int64)
-    while True:
-        f = tree.feature[node]
-        active = f >= 0
-        if not active.any():
-            return node
-        m = active & (f == 0)
-        if m.any():
-            nid = node[m]
-            go = lead_q[m] <= tree.threshold[nid]
-            node[m] = np.where(go, tree.left[nid], tree.right[nid])
-        m = active & (f == 1)
-        if m.any():
-            nid = node[m]
-            go = tree.cat_left[tree.cat_index[nid], code_q[m]]
-            node[m] = np.where(go, tree.left[nid], tree.right[nid])
+
+@dataclass(eq=False)
+class _Stack:
+    """Every tree's leaf rows for each distinct covariate, sorted by error.
+
+    Covariate c owns entries ``bounds[c]:bounds[c + 1]``; each entry is one
+    leaf row of one tree, weighted by 1 / leaf size.  Equal errors keep tree
+    order, then leaf order.  ``leaf_pos[leaf_bounds[c * T + t] :
+    leaf_bounds[c * T + t + 1]]`` are the positions of tree t's entries for
+    covariate c.
+    """
+
+    n_trees: int
+    bounds: np.ndarray
+    rows: np.ndarray  # table row ids
+    values: np.ndarray  # their errors
+    weights: np.ndarray
+    leaf_bounds: np.ndarray
+    leaf_pos: np.ndarray
+
+
+def _route(forest: Forest, lead_q: np.ndarray, code_q: np.ndarray) -> np.ndarray:
+    """Descend all trees at once; (n_trees, n_queries) ids into their joined nodes."""
+    trees = forest.trees
+    node_off = np.cumsum([0] + [tree.feature.size for tree in trees])[:-1]
+    cat_off = np.cumsum([0] + [tree.cat_left.shape[0] for tree in trees])[:-1]
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    cat_index = np.concatenate([tree.cat_index + off for tree, off in zip(trees, cat_off)])
+    cat_left = np.concatenate([tree.cat_left for tree in trees])
+    left = np.concatenate([tree.left + off for tree, off in zip(trees, node_off)])
+    right = np.concatenate([tree.right + off for tree, off in zip(trees, node_off)])
+    node = np.repeat(node_off, lead_q.size)
+    lead = np.tile(lead_q, len(trees))
+    code = np.tile(code_q, len(trees))
+    active = np.arange(node.size)
+    while active.size:
+        nid = node[active]
+        split = feature[nid] >= 0
+        active, nid = active[split], nid[split]
+        go = lead[active] <= threshold[nid]  # NaN threshold at label splits
+        lab = feature[nid] == 1
+        go[lab] = cat_left[cat_index[nid[lab]], code[active[lab]]]
+        node[active] = np.where(go, left[nid], right[nid])
+    return node.reshape(len(trees), lead_q.size)
+
+
+def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices covering source[starts[i] : starts[i]+counts[i]] per i."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _gather(forest: Forest, lead, code) -> Tuple[_Stack, np.ndarray]:
+    """Stack every tree's leaf rows per distinct (lead, code) pair; and each input's pair."""
+    # np.unique orders complex numbers by real part, then imaginary part.
+    pairs, inverse = np.unique(
+        np.asarray(lead, dtype=float) + 1j * np.asarray(code), return_inverse=True
+    )
+    trees = forest.trees
+    n, T = pairs.size, len(trees)
+    leaf_rows = np.concatenate([tree.leaf_rows for tree in trees])
+    leaf_off = np.cumsum([0] + [tree.leaf_rows.size for tree in trees])
+    leaf_start = np.concatenate([tree.leaf_start + off for tree, off in zip(trees, leaf_off)])
+    leaf_count = np.concatenate([tree.leaf_count for tree in trees]).astype(np.int64)
+    leaf = _route(forest, pairs.real, pairs.imag.astype(np.int64)).T.reshape(-1)
+    counts = leaf_count[leaf]
+    entry = _gather_ranges(leaf_start[leaf], counts)
+    # An entry's rank among all leaf rows by (error, tree, leaf order) is
+    # unique, so one unstable sort of (covariate, rank) orders every stack.
+    rank = np.empty(leaf_rows.size, dtype=np.int64)
+    rank[np.argsort(forest.table.errors[leaf_rows], kind="stable")] = np.arange(leaf_rows.size)
+    leaf_bounds = np.concatenate([[0], np.cumsum(counts)])
+    seg_len = np.diff(leaf_bounds[::T])
+    order = np.argsort(np.repeat(np.arange(n), seg_len) * leaf_rows.size + rank[entry])
+    leaf_pos = np.empty(order.size, dtype=np.int64)
+    leaf_pos[order] = np.arange(order.size)
+    rows = leaf_rows[entry[order]]
+    return _Stack(
+        n_trees=T,
+        bounds=leaf_bounds[::T],
+        rows=rows,
+        values=forest.table.errors[rows],
+        weights=np.repeat(1.0 / counts, counts)[order],
+        leaf_bounds=leaf_bounds,
+        leaf_pos=leaf_pos,
+    ), inverse.reshape(-1)
+
+
+def _searchsorted_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(a[i], v[i])`` for every row of a row-wise sorted ``a``."""
+    n, width = a.shape
+    r = np.arange(n)[:, None]
+    pos = np.zeros(v.shape, dtype=np.int64)
+    step = 1 << (width.bit_length() - 1)
+    while step:  # binary lifting: pos ends as the count of entries below v
+        cand = pos + step
+        below = (cand <= width) & (a[r, np.minimum(cand, width) - 1] < v)
+        pos = np.where(below, cand, pos)
+        step >>= 1
+    return pos
+
+
+def _stack_quantiles(
+    stack: _Stack, seg: np.ndarray, levels: np.ndarray, excluded: np.ndarray | None = None
+) -> np.ndarray:
+    """Weighted quantiles of stack segments; returns (n_requests, n_levels).
+
+    Request i reads segment ``seg[i]`` and answers, per level, the smallest
+    value whose running weight reaches ``level`` times its number of trees.
+    ``excluded[i, t]`` drops tree t from request i by giving its entries
+    weight 0.0: adding 0.0 is exact, so the kept entries' running sums equal
+    those of the kept entries alone.  A target past the total takes the last
+    kept value.  Requests run longest first, in chunks of at most
+    ``_CHUNK_ENTRIES`` padded entries.
+    """
+    start = stack.bounds[seg]
+    length = stack.bounds[seg + 1] - start
+    kept = np.full(seg.size, stack.n_trees)
+    if excluded is not None:
+        kept -= excluded.sum(axis=1)
+    targets = kept[:, None] * levels
+    out = np.empty((seg.size, levels.size))
+    order = np.lexsort((seg, -length))
+    i = 0
+    while i < order.size:
+        width = int(length[order[i]])
+        chunk = order[i : i + max(1, _CHUNK_ENTRIES // width)]
+        i += chunk.size
+        segs, local = np.unique(seg[chunk], return_inverse=True)
+        idx = stack.bounds[segs, None] + np.arange(width)
+        w = stack.weights[np.minimum(idx, stack.weights.size - 1)]
+        w[idx >= stack.bounds[segs + 1, None]] = 0.0
+        w = w[local]
+        if excluded is not None:
+            r, t = np.nonzero(excluded[chunk])
+            g = seg[chunk[r]] * stack.n_trees + t
+            n_g = stack.leaf_bounds[g + 1] - stack.leaf_bounds[g]
+            pos = stack.leaf_pos[_gather_ranges(stack.leaf_bounds[g], n_g)]
+            w[np.repeat(r, n_g), pos - np.repeat(start[chunk[r]], n_g)] = 0.0
+        cw = np.cumsum(w, axis=1)
+        # Running sums rise at every kept entry, so the first position that
+        # reaches the total is the last kept one.
+        pos = _searchsorted_rows(cw, np.column_stack([targets[chunk], cw[:, -1]]))
+        out[chunk] = stack.values[start[chunk, None] + np.minimum(pos[:, :-1], pos[:, -1:])]
+    return out
 
 
 def _check_levels(levels: np.ndarray) -> np.ndarray:
@@ -352,32 +490,10 @@ def _check_levels(levels: np.ndarray) -> np.ndarray:
 def predict_weights(forest: Forest, x: CovariateVector) -> np.ndarray:
     """Per-training-row weights at covariates x; non-negative, summing to 1."""
     code = forest.label_code(x.model_label)
-    lead_q = np.array([float(x.lead_hours)])
-    code_q = np.array([code], dtype=np.int64)
+    stack, _ = _gather(forest, [x.lead_hours], [code])
     w = np.zeros(forest.table.n_rows)
-    for tree in forest.trees:
-        leaf = int(_route(tree, lead_q, code_q)[0])
-        start = tree.leaf_start[leaf]
-        count = tree.leaf_count[leaf]
-        rows = tree.leaf_rows[start : start + count]
-        np.add.at(w, rows, 1.0 / count)
+    np.add.at(w, stack.rows, stack.weights)  # per row: tree order, as in the stack
     return w / forest.num_trees
-
-
-def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat indices covering source[starts[i] : starts[i]+counts[i]] per i."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    reps = np.repeat(np.arange(starts.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return starts[reps] + offsets
-
-
-def _weighted_quantiles(values: np.ndarray, cum_w: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Smallest value whose cumulative weight reaches each target."""
-    idx = np.searchsorted(cum_w, targets, side="left")
-    return values[np.minimum(idx, values.size - 1)]
 
 
 def predict_quantiles(
@@ -385,24 +501,8 @@ def predict_quantiles(
 ) -> QuantileVector:
     """Weighted empirical quantiles of the training errors at covariates x."""
     levels = _check_levels(np.asarray(levels))
-    code = forest.label_code(x.model_label)
-    lead_q = np.array([float(x.lead_hours)])
-    code_q = np.array([code], dtype=np.int64)
-    vals: List[np.ndarray] = []
-    wts: List[np.ndarray] = []
-    for tree in forest.trees:
-        leaf = int(_route(tree, lead_q, code_q)[0])
-        start = tree.leaf_start[leaf]
-        count = int(tree.leaf_count[leaf])
-        rows = tree.leaf_rows[start : start + count]
-        vals.append(forest.table.errors[rows])
-        wts.append(np.full(count, 1.0 / count))
-    v = np.concatenate(vals)
-    w = np.concatenate(wts)
-    order = np.argsort(v, kind="stable")
-    cw = np.cumsum(w[order])
-    out = _weighted_quantiles(v[order], cw, levels * forest.num_trees)
-    return QuantileVector(levels, out)
+    q = predict_quantiles_batch(forest, [x.lead_hours], [x.model_label], levels)
+    return QuantileVector(levels, q[0])
 
 
 def predict_quantiles_batch(
@@ -417,31 +517,8 @@ def predict_quantiles_batch(
     code_q = np.array([forest.label_code(lab) for lab in labels], dtype=np.int64)
     if lead_q.size != code_q.size:
         raise ValueError("lead_hours and labels must have the same length")
-    nq = lead_q.size
-    qi_parts: List[np.ndarray] = []
-    vv_parts: List[np.ndarray] = []
-    ww_parts: List[np.ndarray] = []
-    for tree in forest.trees:
-        leaf = _route(tree, lead_q, code_q)
-        starts = tree.leaf_start[leaf].astype(np.int64)
-        counts = tree.leaf_count[leaf].astype(np.int64)
-        flat = _gather_ranges(starts, counts)
-        qi_parts.append(np.repeat(np.arange(nq), counts))
-        vv_parts.append(forest.table.errors[tree.leaf_rows[flat]])
-        ww_parts.append(np.repeat(1.0 / counts, counts))
-    qi = np.concatenate(qi_parts)
-    vv = np.concatenate(vv_parts)
-    ww = np.concatenate(ww_parts)
-    order = np.lexsort((vv, qi))
-    qi, vv, ww = qi[order], vv[order], ww[order]
-    bounds = np.searchsorted(qi, np.arange(nq + 1))
-    targets = levels * forest.num_trees
-    out = np.empty((nq, levels.size))
-    for i in range(nq):
-        s, e = bounds[i], bounds[i + 1]
-        cw = np.cumsum(ww[s:e])
-        out[i] = _weighted_quantiles(vv[s:e], cw, targets)
-    return out
+    stack, inverse = _gather(forest, lead_q, code_q)
+    return _stack_quantiles(stack, np.arange(stack.bounds.size - 1), levels)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +536,18 @@ def oob_coverage(
     Each training row is predicted using only the trees where it is
     out-of-bag; the row scores a hit for an interval when its error lies
     within [q_(1-w)/2, q_(1+w)/2].  Rows in-bag in every tree are skipped and
-    counted.  Lead hours with no scorable rows are simply absent.
+    counted.  Lead hours with no scorable rows are simply absent.  ``table``
+    must be the forest's training table (or equal to it).
     """
     if table is None:
         table = forest.table
-    if table is not forest.table and table.n_rows != forest.table.n_rows:
+    if table is not forest.table and not (
+        table.label_set == forest.table.label_set
+        and all(
+            np.array_equal(getattr(table, col), getattr(forest.table, col))
+            for col in ("lead_hours", "label_codes", "errors")
+        )
+    ):
         raise ValueError("table does not match the forest's training table")
     intervals = tuple(float(w) for w in intervals)
     for w in intervals:
@@ -471,98 +555,33 @@ def oob_coverage(
             raise ValueError("interval widths must lie in (0, 1)")
     level_list = sorted({(1.0 - w) / 2.0 for w in intervals} | {(1.0 + w) / 2.0 for w in intervals})
     levels = np.array(level_list)
-    pair_idx = [
-        (level_list.index((1.0 - w) / 2.0), level_list.index((1.0 + w) / 2.0))
-        for w in intervals
-    ]
+    lo_idx = np.array([level_list.index((1.0 - w) / 2.0) for w in intervals])
+    hi_idx = np.array([level_list.index((1.0 + w) / 2.0) for w in intervals])
 
-    n_labels = len(table.label_set)
     T = forest.num_trees
-    key = table.lead_hours * n_labels + table.label_codes
-    uniq, combo_of_row = np.unique(key, return_inverse=True)
-    lead_u = (uniq // n_labels).astype(float)
-    code_u = (uniq % n_labels).astype(np.int64)
-    ncombo = uniq.size
-
-    # Stack every tree's leaf contribution for every distinct covariate combo.
-    qi_parts: List[np.ndarray] = []
-    vv_parts: List[np.ndarray] = []
-    ww_parts: List[np.ndarray] = []
-    tt_parts: List[np.ndarray] = []
-    for t, tree in enumerate(forest.trees):
-        leaf = _route(tree, lead_u, code_u)
-        starts = tree.leaf_start[leaf].astype(np.int64)
-        counts = tree.leaf_count[leaf].astype(np.int64)
-        flat = _gather_ranges(starts, counts)
-        qi_parts.append(np.repeat(np.arange(ncombo), counts))
-        vv_parts.append(table.errors[tree.leaf_rows[flat]])
-        ww_parts.append(np.repeat(1.0 / counts, counts))
-        tt_parts.append(np.full(int(counts.sum()), t, dtype=np.int32))
-    qi = np.concatenate(qi_parts)
-    vv = np.concatenate(vv_parts)
-    ww = np.concatenate(ww_parts)
-    tt = np.concatenate(tt_parts)
-    order = np.lexsort((vv, qi))
-    qi, vv, ww, tt = qi[order], vv[order], ww[order], tt[order]
-    combo_bounds = np.searchsorted(qi, np.arange(ncombo + 1))
-
-    # In-bag tree ids per training row (deduplicated for replace=True).
-    pair_rows = np.concatenate([np.unique(tree.inbag) for tree in forest.trees])
-    pair_trees = np.concatenate(
-        [
-            np.full(np.unique(tree.inbag).size, t, dtype=np.int64)
-            for t, tree in enumerate(forest.trees)
-        ]
-    )
-    row_order = np.argsort(pair_rows, kind="stable")
-    pair_rows = pair_rows[row_order]
-    pair_trees = pair_trees[row_order]
-    row_bounds = np.searchsorted(pair_rows, np.arange(table.n_rows + 1))
-
-    full_targets = levels * T
-    lo_idx = np.array([p[0] for p in pair_idx])
-    hi_idx = np.array([p[1] for p in pair_idx])
-    rows_by_combo: List[List[int]] = [[] for _ in range(ncombo)]
-    for r, c in enumerate(combo_of_row):
-        rows_by_combo[c].append(r)
-
-    scored_lead: List[int] = []
-    hit_rows: List[np.ndarray] = []
-    skipped = 0
-    for c in range(ncombo):
-        s, e = combo_bounds[c], combo_bounds[c + 1]
-        c_vals = vv[s:e]
-        c_w = ww[s:e]
-        c_trees = tt[s:e]
-        full_q = None
-        for r in rows_by_combo[c]:
-            rb, re = row_bounds[r], row_bounds[r + 1]
-            k = re - rb
-            if k == T:
-                skipped += 1
-                continue
-            if k == 0:
-                if full_q is None:
-                    full_q = _weighted_quantiles(c_vals, np.cumsum(c_w), full_targets)
-                q = full_q
-            else:
-                excl = pair_trees[rb:re]
-                keep = ~np.isin(c_trees, excl)
-                q = _weighted_quantiles(
-                    c_vals[keep], np.cumsum(c_w[keep]), levels * (T - k)
-                )
-            err = table.errors[r]
-            hit_rows.append((q[lo_idx] <= err) & (err <= q[hi_idx]))
-            scored_lead.append(int(table.lead_hours[r]))
-    if not hit_rows:
+    inbag = [np.unique(tree.inbag) for tree in forest.trees]  # replace=True repeats rows
+    rows, slot = np.unique(np.concatenate(inbag), return_inverse=True)
+    excluded = np.zeros((rows.size, T), dtype=bool)
+    excluded[slot, np.repeat(np.arange(T), [r.size for r in inbag])] = True
+    everywhere = excluded.all(axis=1)
+    scored = np.ones(table.n_rows, dtype=bool)
+    scored[rows[everywhere]] = False
+    if not scored.any():
         raise DataError("no out-of-bag rows to score")
-    hits = np.vstack(hit_rows)
-    leads = np.asarray(scored_lead)
-    uniq_leads = np.unique(leads)
-    n_rows = np.zeros(uniq_leads.size, dtype=np.int64)
+
+    stack, combo = _gather(forest, table.lead_hours, table.label_codes)
+    # Rows in-bag in no tree take their covariate's full-forest quantiles;
+    # the others drop the trees they are in-bag in.
+    q = _stack_quantiles(stack, np.arange(stack.bounds.size - 1), levels)[combo]
+    rows, excluded = rows[~everywhere], excluded[~everywhere]
+    q[rows] = _stack_quantiles(stack, combo[rows], levels, excluded)
+
+    q = q[scored]
+    err = table.errors[scored][:, None]
+    hits = (q[:, lo_idx] <= err) & (err <= q[:, hi_idx])
+    uniq_leads, pos = np.unique(table.lead_hours[scored], return_inverse=True)
+    n_rows = np.bincount(pos, minlength=uniq_leads.size)
     cov = np.zeros((uniq_leads.size, len(intervals)))
-    pos = np.searchsorted(uniq_leads, leads)
-    np.add.at(n_rows, pos, 1)
     np.add.at(cov, pos, hits)
     cov /= n_rows[:, None]
     return OOBCoverage(
@@ -570,7 +589,7 @@ def oob_coverage(
         n_rows=n_rows,
         coverage=cov,
         intervals=intervals,
-        skipped=skipped,
+        skipped=int(table.n_rows - scored.sum()),
     )
 
 
@@ -589,12 +608,6 @@ def save_forest(path: str | Path, forest: Forest) -> Path:
     leafrow_counts = np.array([t.leaf_rows.size for t in trees], dtype=np.int64)
     cat_counts = np.array([t.cat_left.shape[0] for t in trees], dtype=np.int64)
     inbag_counts = np.array([t.inbag.size for t in trees], dtype=np.int64)
-    n_labels = len(forest.table.label_set)
-    cat_left = (
-        np.vstack([t.cat_left for t in trees])
-        if cat_counts.sum()
-        else np.zeros((0, n_labels), dtype=bool)
-    )
     np.savez_compressed(
         path,
         format_version=np.int64(FOREST_FORMAT_VERSION),
@@ -613,23 +626,16 @@ def save_forest(path: str | Path, forest: Forest) -> Path:
         leafrow_counts=leafrow_counts,
         cat_counts=cat_counts,
         inbag_counts=inbag_counts,
-        feature=np.concatenate([t.feature for t in trees]),
-        threshold=np.concatenate([t.threshold for t in trees]),
-        cat_index=np.concatenate([t.cat_index for t in trees]),
-        left=np.concatenate([t.left for t in trees]),
-        right=np.concatenate([t.right for t in trees]),
-        leaf_start=np.concatenate([t.leaf_start for t in trees]),
-        leaf_count=np.concatenate([t.leaf_count for t in trees]),
-        leaf_rows=np.concatenate([t.leaf_rows for t in trees]),
-        cat_left=cat_left,
-        inbag=np.concatenate([t.inbag for t in trees]),
+        **{f.name: np.concatenate([getattr(t, f.name) for t in trees]) for f in fields(_Tree)},
     )
     return path
 
 
 def load_forest(path: str | Path) -> Forest:
     """Load a forest saved by :func:`save_forest`; round-trips bit-exactly."""
-    with np.load(path) as z:
+    with np.load(path) as archive:
+        # Decompress each member once, not once per tree slice.
+        z = {name: archive[name] for name in archive.files}
         version = int(z["format_version"])
         if version != FOREST_FORMAT_VERSION:
             raise DataError(f"unsupported forest format version {version}")
@@ -648,25 +654,12 @@ def load_forest(path: str | Path) -> Forest:
             label_set=tuple(str(s) for s in z["labels"]),
             skipped=int(z["table_skipped"]),
         )
-        node_off = np.concatenate([[0], np.cumsum(z["node_counts"])])
-        leafrow_off = np.concatenate([[0], np.cumsum(z["leafrow_counts"])])
-        cat_off = np.concatenate([[0], np.cumsum(z["cat_counts"])])
-        inbag_off = np.concatenate([[0], np.cumsum(z["inbag_counts"])])
-        trees: List[_Tree] = []
-        for t in range(config.num_trees):
-            ns, ne = node_off[t], node_off[t + 1]
-            trees.append(
-                _Tree(
-                    feature=z["feature"][ns:ne],
-                    threshold=z["threshold"][ns:ne],
-                    cat_index=z["cat_index"][ns:ne],
-                    left=z["left"][ns:ne],
-                    right=z["right"][ns:ne],
-                    leaf_start=z["leaf_start"][ns:ne],
-                    leaf_count=z["leaf_count"][ns:ne],
-                    leaf_rows=z["leaf_rows"][leafrow_off[t] : leafrow_off[t + 1]],
-                    cat_left=z["cat_left"][cat_off[t] : cat_off[t + 1]],
-                    inbag=z["inbag"][inbag_off[t] : inbag_off[t + 1]],
-                )
-            )
+        # Leaf rows, label partitions and in-bag rows have their own counts;
+        # every other field has one entry per node.
+        counts = {"leaf_rows": "leafrow_counts", "cat_left": "cat_counts", "inbag": "inbag_counts"}
+        parts = {
+            f.name: np.split(z[f.name], np.cumsum(z[counts.get(f.name, "node_counts")])[:-1])
+            for f in fields(_Tree)
+        }
+        trees = [_Tree(**{k: p[t] for k, p in parts.items()}) for t in range(config.num_trees)]
     return Forest(config=config, table=table, trees=trees)

@@ -51,3 +51,71 @@ def random_quantile_vector(rng, levels):
     else:
         vals = rng.uniform(-1, 1, levels.size) * rng.uniform(0.5, 8.0) + rng.uniform(-10, 10)
     return np.sort(vals)
+
+
+def _leaf_rows(tree, lead, code):
+    """Training rows of the leaf that (lead, code) reaches, by scalar descent."""
+    node = 0
+    while tree.feature[node] >= 0:
+        if tree.feature[node] == 0:
+            go_left = lead <= tree.threshold[node]
+        else:
+            go_left = tree.cat_left[tree.cat_index[node], code]
+        node = tree.left[node] if go_left else tree.right[node]
+    start = tree.leaf_start[node]
+    return tree.leaf_rows[start : start + tree.leaf_count[node]]
+
+
+def reference_quantiles(forest, lead, code, levels, trees=None):
+    """Per-query loop: weighted quantiles of the training errors over ``trees``.
+
+    Leaf rows are concatenated in tree order, sorted stably by error, and the
+    quantile at level p is the first error whose cumulative weight reaches
+    p * len(trees), clamped to the last error.
+    """
+    trees = range(forest.num_trees) if trees is None else trees
+    vals, wts = [], []
+    for t in trees:
+        rows = _leaf_rows(forest.trees[t], float(lead), code)
+        vals.append(forest.table.errors[rows])
+        wts.append(np.full(rows.size, 1.0 / rows.size))
+    v = np.concatenate(vals)
+    order = np.argsort(v, kind="stable")
+    cw = np.cumsum(np.concatenate(wts)[order])
+    idx = np.searchsorted(cw, np.asarray(levels) * len(trees), side="left")
+    return v[order][np.minimum(idx, v.size - 1)]
+
+
+def reference_oob_coverage(forest, intervals):
+    """Per-row loop: each row predicted from the trees where it is out-of-bag.
+
+    Returns (lead_hours, n_rows, coverage, skipped) with the dtypes and
+    arithmetic of ``probfcast.qrf.oob_coverage``; raises DataError when no
+    row is out-of-bag anywhere.
+    """
+    from probfcast.exceptions import DataError
+
+    table = forest.table
+    level_list = sorted({(1.0 - w) / 2.0 for w in intervals} | {(1.0 + w) / 2.0 for w in intervals})
+    pairs = [
+        (level_list.index((1.0 - w) / 2.0), level_list.index((1.0 + w) / 2.0)) for w in intervals
+    ]
+    inbag = [set(tree.inbag.tolist()) for tree in forest.trees]
+    hits = {}
+    skipped = 0
+    for r in range(table.n_rows):
+        trees = [t for t in range(forest.num_trees) if r not in inbag[t]]
+        if not trees:
+            skipped += 1
+            continue
+        code = int(table.label_codes[r])
+        q = reference_quantiles(forest, table.lead_hours[r], code, level_list, trees)
+        err = table.errors[r]
+        row = [q[lo] <= err <= q[hi] for lo, hi in pairs]
+        hits.setdefault(int(table.lead_hours[r]), []).append(row)
+    if not hits:
+        raise DataError("no out-of-bag rows to score")
+    leads = sorted(hits)
+    n_rows = np.array([len(hits[lead]) for lead in leads], dtype=np.int64)
+    cov = np.array([np.sum(hits[lead], axis=0, dtype=float) for lead in leads]) / n_rows[:, None]
+    return np.array(leads, dtype=np.int64), n_rows, cov, skipped

@@ -1,10 +1,17 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from helpers import reference_oob_coverage, reference_quantiles
+from hypothesis import example, given, strategies as st
 
+from probfcast import qrf
 from probfcast.combine import DEFAULT_LEVELS
 from probfcast.error_model import ErrorSample, ErrorTable
 from probfcast.exceptions import ConfigError, DataError
 from probfcast.qrf import (
+    DEFAULT_OOB_INTERVALS,
     CovariateVector,
     ForestConfig,
     load_forest,
@@ -23,6 +30,27 @@ def make_table(leads, labels, errors):
     return ErrorTable.from_samples(
         ErrorSample(int(t), m, float(e)) for t, m, e in zip(leads, labels, errors)
     )
+
+
+@st.composite
+def forest_cases(draw):
+    """Small tables with tied errors, and forest configs to grow on them."""
+    n = draw(st.integers(2, 24))
+    leads = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    errors = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]), min_size=n, max_size=n))
+    replace = draw(st.booleans())
+    # n - 1 and n leave rows in-bag in every tree (or all of them) without replacement
+    counts = [1, n // 2, n - 1, n] + ([2 * n] if replace else [])
+    config = ForestConfig(
+        num_trees=draw(st.integers(1, 20)),
+        mtry=draw(st.integers(1, 2)),
+        min_node_size=draw(st.sampled_from([1, 3])),
+        sample_count=draw(st.sampled_from(counts)),
+        seed=draw(st.integers(0, 1000)),
+        replace=replace,
+    )
+    return leads, labels, errors, config
 
 
 def random_table(rng, n=400, n_labels=3, lead_max=168):
@@ -246,6 +274,29 @@ class TestOob:
         assert oob.skipped >= 1
         assert oob.n_rows.sum() + oob.skipped == table.n_rows
 
+    def test_mismatched_table_rejected(self):
+        table = random_table(np.random.default_rng(3), n=200)
+        forest = train(table, ForestConfig(num_trees=10, sample_count=50, seed=1))
+        cols = dict(
+            lead_hours=table.lead_hours,
+            label_codes=table.label_codes,
+            errors=table.errors,
+            label_set=table.label_set,
+        )
+        changes = dict(
+            lead_hours=table.lead_hours[::-1],
+            label_codes=table.label_codes[::-1],
+            errors=table.errors[::-1],
+            label_set=("n0", "n1", "n2"),
+        )
+        for col, value in changes.items():
+            with pytest.raises(ValueError, match="does not match"):
+                oob_coverage(forest, ErrorTable(**{**cols, col: value}))
+        equal = ErrorTable(**{k: np.copy(v) if k != "label_set" else v for k, v in cols.items()})
+        np.testing.assert_array_equal(
+            oob_coverage(forest, equal).coverage, oob_coverage(forest).coverage
+        )
+
     def test_all_rows_in_bag_fails_loudly(self):
         table = make_table([1, 2], ["a", "a"], [0.0, 1.0])
         forest = train(table, ForestConfig(num_trees=5, sample_count=2, seed=0))
@@ -253,26 +304,83 @@ class TestOob:
             oob_coverage(forest)
 
 
+class TestKernelAgainstReference:
+    """The vectorised kernel against per-query and per-row reference loops."""
+
+    # The top level lets rounding put a target past a row's total weight.
+    LEVELS = np.append(DEFAULT_LEVELS, np.nextafter(1.0, 0.0))
+    INTERVALS = DEFAULT_OOB_INTERVALS + (1.0 - 2.0**-52,)
+
+    @given(case=forest_cases(), chunk=st.sampled_from([1, 7, 64, qrf._CHUNK_ENTRIES]))
+    @example(case=([0, 1, 2, 3, 4, 5], ["a"] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                   ForestConfig(num_trees=3, sample_count=5, seed=1)), chunk=7)
+    def test_matches_reference_exactly(self, case, chunk):
+        leads, labels, errors, config = case
+        forest = train(make_table(leads, labels, errors), config)
+        table = forest.table
+        # every table row as a query (with repeats), plus a lead beyond the table
+        q_leads = list(table.lead_hours) + [9]
+        q_labels = [table.label_set[c] for c in table.label_codes] + [table.label_set[-1]]
+        with mock.patch.object(qrf, "_CHUNK_ENTRIES", chunk):
+            batch = predict_quantiles_batch(forest, q_leads, q_labels, self.LEVELS)
+            try:
+                expected = reference_oob_coverage(forest, self.INTERVALS)
+            except DataError:
+                with pytest.raises(DataError, match="no out-of-bag rows"):
+                    oob_coverage(forest, intervals=self.INTERVALS)
+                expected = None
+            else:
+                oob = oob_coverage(forest, intervals=self.INTERVALS)
+        ref = [
+            reference_quantiles(forest, lead, forest.label_code(lab), self.LEVELS)
+            for lead, lab in zip(q_leads, q_labels)
+        ]
+        np.testing.assert_array_equal(batch, np.array(ref))
+        if expected is not None:
+            lead_hours, n_rows, coverage, skipped = expected
+            np.testing.assert_array_equal(oob.lead_hours, lead_hours)
+            np.testing.assert_array_equal(oob.n_rows, n_rows)
+            np.testing.assert_array_equal(oob.coverage, coverage)
+            assert oob.skipped == skipped
+
+    def test_rows_in_bag_in_every_tree_are_covered(self):
+        # the explicit example above must exercise skipped rows
+        forest = train(
+            make_table(range(6), ["a"] * 6, np.arange(6.0)),
+            ForestConfig(num_trees=3, sample_count=5, seed=1),
+        )
+        assert reference_oob_coverage(forest, DEFAULT_OOB_INTERVALS)[3] >= 1
+
+
 class TestSerialisation:
     def test_round_trip_identical_predictions(self, tmp_path):
         rng = np.random.default_rng(31)
         table = random_table(rng, n=600)
-        forest = train(table, ForestConfig(num_trees=40, sample_count=64, seed=14))
-        path = save_forest(tmp_path / "forest", forest)
-        loaded = load_forest(path)
-        assert loaded.config == forest.config
-        assert loaded.table.label_set == forest.table.label_set
-        leads = list(range(0, 169, 11))
-        labels = [f"m{i % 3}" for i in range(len(leads))]
-        np.testing.assert_array_equal(
-            predict_quantiles_batch(forest, leads, labels, DEFAULT_LEVELS),
-            predict_quantiles_batch(loaded, leads, labels, DEFAULT_LEVELS),
-        )
-        for t1, t2 in zip(forest.trees, loaded.trees):
-            np.testing.assert_array_equal(t1.feature, t2.feature)
-            np.testing.assert_array_equal(t1.threshold, t2.threshold)
-            np.testing.assert_array_equal(t1.cat_left, t2.cat_left)
-            np.testing.assert_array_equal(t1.leaf_rows, t2.leaf_rows)
+        for replace in (False, True):
+            forest = train(
+                table, ForestConfig(num_trees=40, sample_count=64, seed=14, replace=replace)
+            )
+            path = save_forest(tmp_path / f"forest_{replace}", forest)
+            loaded = load_forest(path)
+            assert loaded.config == forest.config
+            assert loaded.table.label_set == forest.table.label_set
+            assert loaded.table.skipped == forest.table.skipped
+            for col in ("lead_hours", "label_codes", "errors"):
+                a, b = getattr(forest.table, col), getattr(loaded.table, col)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            leads = list(range(0, 169, 11))
+            labels = [f"m{i % 3}" for i in range(len(leads))]
+            np.testing.assert_array_equal(
+                predict_quantiles_batch(forest, leads, labels, DEFAULT_LEVELS),
+                predict_quantiles_batch(loaded, leads, labels, DEFAULT_LEVELS),
+            )
+            assert len(loaded.trees) == len(forest.trees)
+            for t1, t2 in zip(forest.trees, loaded.trees):
+                for f in dataclasses.fields(t1):
+                    a, b = getattr(t1, f.name), getattr(t2, f.name)
+                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                    np.testing.assert_array_equal(a, b)
 
     def test_version_gate(self, tmp_path):
         rng = np.random.default_rng(1)
