@@ -22,7 +22,9 @@ from .exceptions import ConfigError, DataError
 from .ingest import (
     Dataset,
     ForecastRecord,
+    Forecasts,
     ObservationRecord,
+    Observations,
     ScenarioWindow,
     load_forecasts,
     load_observations,

@@ -16,7 +16,6 @@ import os
 import sys
 import time
 import traceback
-from datetime import timedelta
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .ingest import (
     Dataset,
     ScenarioWindow,
     format_hour,
+    hour_time,
     load_forecasts,
     load_observations,
     parse_hour,
@@ -256,8 +256,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_dataset(m)
     if m["origin"]:
         origin = parse_hour(str(m["origin"]))
+    elif len(dataset.observations):
+        origin = hour_time(dataset.observations.hour[-1] + 1)
     else:
-        origin = max(o.valid_time for o in dataset.observations) + timedelta(hours=1)
+        raise DataError("dataset has no observations")
     window = ScenarioWindow(origin, config.train_days, config.horizon_hours)
     train_ds, _ = slice_scenario(dataset, window)
     labelled = rank_label_members(train_ds.forecasts)

@@ -10,15 +10,15 @@ individually learnable error profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
 from .combine import QuantileVector
 from .exceptions import DataError
-from .ingest import Dataset, ForecastRecord
+from .ingest import Dataset, ForecastRecord, Forecasts
 
 __all__ = [
     "ErrorSample",
@@ -92,58 +92,57 @@ class ProbabilisticForecast:
     quantiles: QuantileVector
 
 
-def rank_label_members(records: Sequence[ForecastRecord]) -> List[ForecastRecord]:
+def rank_label_members(forecasts: Forecasts) -> Forecasts:
     """Re-label ensemble members by value rank within each run/valid-time group.
 
     Members of the same (model_id, init_time, valid_time) group get labels
     ``<model_id>_r<k>`` with k the 1-based ascending rank of their value;
-    ties fall back to the original member index.  Relabelled records drop
-    their member index, making the operation idempotent.  Records without a
-    member index pass through unchanged, and output order/cardinality match
-    the input.
+    ties fall back to the original member index.  Relabelled rows drop
+    their member index, making the operation idempotent.  Rows without a
+    member index keep their model, and row order/cardinality match the input.
     """
-    groups: dict[tuple, List[int]] = {}
-    for i, r in enumerate(records):
-        if r.member is not None:
-            groups.setdefault((r.model_id, r.init_time, r.valid_time), []).append(i)
-    out: List[ForecastRecord] = list(records)
-    for idxs in groups.values():
-        ranked = sorted(idxs, key=lambda i: (records[i].value, records[i].member))
-        for k, i in enumerate(ranked, start=1):
-            r = records[i]
-            out[i] = replace(r, model_id=f"{r.model_id}_r{k}", member=None)
-    return out
+    fc = forecasts
+    ens = np.flatnonzero(fc.member >= 0)
+    if ens.size == 0:
+        return fc
+    keys = (fc.member[ens], fc.value[ens], fc.valid[ens], fc.init[ens], fc.model[ens])
+    rows = ens[np.lexsort(keys)]  # by model, init, valid, then value, member
+    model, init, valid = fc.model[rows], fc.init[rows], fc.valid[rows]
+    new_group = np.ones(rows.size, dtype=bool)
+    new_group[1:] = (model[1:] != model[:-1]) | (init[1:] != init[:-1]) | (valid[1:] != valid[:-1])
+    group_start = np.flatnonzero(new_group)
+    rank = np.arange(rows.size) - group_start[np.cumsum(new_group) - 1] + 1
+
+    width = int(rank.max()) + 1
+    keys, key_of_row = np.unique(model * width + rank, return_inverse=True)
+    rank_labels = [f"{fc.models[k // width]}_r{k % width}" for k in keys.tolist()]
+    models = tuple(sorted(set(fc.models) | set(rank_labels)))
+    code = {m: i for i, m in enumerate(models)}
+    relabelled = np.array([code[m] for m in fc.models], dtype=np.int64)[fc.model]
+    relabelled[rows] = np.array([code[m] for m in rank_labels], dtype=np.int64)[key_of_row]
+    return Forecasts(models, relabelled, np.full(len(fc), -1), fc.init, fc.valid, fc.value)
 
 
 def build_error_table(train: Dataset) -> ErrorTable:
     """One row per (forecast, matching observation): error = obs - forecast.
 
     Forecasts whose valid hour has no observation are skipped and counted.
-    Ensemble members must already be rank-labelled.
+    Ensemble members must already be rank-labelled.  Rows keep the
+    forecasts' order.
     """
-    obs_by_time = {o.valid_time: o.value for o in train.observations}
-    leads: List[int] = []
-    labels: List[str] = []
-    errors: List[float] = []
-    skipped = 0
-    for f in train.forecasts:
-        y = obs_by_time.get(f.valid_time)
-        if y is None:
-            skipped += 1
-            continue
-        leads.append(f.lead_hours)
-        labels.append(f.model_id)
-        errors.append(y - f.value)
-    if not errors:
+    fc, obs = train.forecasts, train.observations
+    at = np.searchsorted(obs.hour, fc.valid)
+    hit = at < obs.hour.size
+    hit[hit] = obs.hour[at[hit]] == fc.valid[hit]
+    if not hit.any():
         raise DataError("no overlap between forecasts and observations")
-    label_set = tuple(sorted(set(labels)))
-    code = {lab: i for i, lab in enumerate(label_set)}
+    present, codes = np.unique(fc.model[hit], return_inverse=True)
     return ErrorTable(
-        lead_hours=np.array(leads, dtype=np.int64),
-        label_codes=np.array([code[lab] for lab in labels], dtype=np.int64),
-        errors=np.array(errors, dtype=float),
-        label_set=label_set,
-        skipped=skipped,
+        lead_hours=fc.lead[hit],
+        label_codes=codes.reshape(-1),
+        errors=obs.value[at[hit]] - fc.value[hit],
+        label_set=tuple(fc.models[c] for c in present.tolist()),
+        skipped=int(hit.size - np.count_nonzero(hit)),
     )
 
 

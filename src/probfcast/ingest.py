@@ -1,4 +1,4 @@
-"""Forecast/observation records, CSV interchange, and scenario slicing.
+"""Forecast/observation columns, CSV interchange, and scenario slicing.
 
 The interchange format is plain CSV with hour-aligned ISO-8601 UTC
 timestamps:
@@ -7,17 +7,26 @@ timestamps:
   (``member`` empty for deterministic models)
 * ``observations.csv``: ``valid_time,value_degC``
 
-Sub-hourly timestamps are rejected rather than resampled, and forecast lead
-times must fall within [0, 168] hours.
+Sub-hourly timestamps are rejected rather than resampled, forecast lead
+times must fall within [0, 168] hours, values must be finite, and a
+(model, member, init, valid) key or an observation hour may appear once.
+
+In memory a dataset is struct-of-arrays: times are int64 whole hours since
+the Unix epoch, a forecast's model is an index into the sorted ``models``
+tuple and a missing member is ``-1``.  Loaded forecasts are ordered by model
+name, then member (none first), then init hour, then valid hour; that order
+fixes the error-table row order and with it every seeded result downstream.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .exceptions import DataError
 
@@ -25,8 +34,12 @@ __all__ = [
     "MAX_LEAD_HOURS",
     "ForecastRecord",
     "ObservationRecord",
+    "Forecasts",
+    "Observations",
     "ScenarioWindow",
     "Dataset",
+    "hour_index",
+    "hour_time",
     "load_forecasts",
     "load_observations",
     "write_forecasts",
@@ -38,6 +51,9 @@ MAX_LEAD_HOURS = 168
 
 FORECAST_HEADER = ["model_id", "member", "init_time", "valid_time", "value_degC"]
 OBSERVATION_HEADER = ["valid_time", "value_degC"]
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_HOUR = timedelta(hours=1)
 
 
 def parse_hour(text: str) -> datetime:
@@ -60,6 +76,19 @@ def format_hour(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%MZ")
 
 
+def hour_index(ts: datetime) -> int:
+    """Whole hours since the epoch of a timezone-aware, hour-aligned time."""
+    hours, rest = divmod(ts - EPOCH, _HOUR)
+    if rest:
+        raise ValueError(f"{ts.isoformat()} is not hour-aligned")
+    return hours
+
+
+def hour_time(hour: int) -> datetime:
+    """Inverse of :func:`hour_index`."""
+    return EPOCH + timedelta(hours=int(hour))
+
+
 @dataclass(frozen=True, slots=True)
 class ForecastRecord:
     """One deterministic forecast value from one model run."""
@@ -72,13 +101,128 @@ class ForecastRecord:
 
     @property
     def lead_hours(self) -> int:
-        return int((self.valid_time - self.init_time) // timedelta(hours=1))
+        return int((self.valid_time - self.init_time) // _HOUR)
 
 
 @dataclass(frozen=True, slots=True)
 class ObservationRecord:
     valid_time: datetime
     value: float
+
+
+def _map_distinct(fn, column: np.ndarray) -> list:
+    """``fn`` of each entry of ``column``, calling ``fn`` once per distinct value."""
+    distinct, inverse = np.unique(column, return_inverse=True)
+    return np.array([fn(x) for x in distinct.tolist()], dtype=object)[inverse].tolist()
+
+
+@dataclass(eq=False)
+class Forecasts:
+    """Forecast rows as flat columns.
+
+    ``model`` indexes ``models``, which is sorted, so ordering rows by code
+    orders them by model name.  ``member`` is -1 for deterministic models;
+    ``init`` and ``valid`` are hours since the epoch.
+    """
+
+    models: Tuple[str, ...]
+    model: np.ndarray
+    member: np.ndarray
+    init: np.ndarray
+    valid: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.models = tuple(self.models)
+        if list(self.models) != sorted(set(self.models)):
+            raise ValueError("models must be sorted and distinct")
+        self.model = np.asarray(self.model, dtype=np.int64)
+        self.member = np.asarray(self.member, dtype=np.int64)
+        self.init = np.asarray(self.init, dtype=np.int64)
+        self.valid = np.asarray(self.valid, dtype=np.int64)
+        self.value = np.asarray(self.value, dtype=float)
+        n = self.value.shape
+        if not (self.model.shape == self.member.shape == self.init.shape == self.valid.shape == n):
+            raise ValueError("column lengths differ")
+        if self.model.size and (self.model.min() < 0 or self.model.max() >= len(self.models)):
+            raise ValueError("model code outside models")
+
+    def __len__(self) -> int:
+        return int(self.value.size)
+
+    @property
+    def lead(self) -> np.ndarray:
+        return self.valid - self.init
+
+    def take(self, rows: np.ndarray) -> "Forecasts":
+        """The rows selected by an index or boolean mask, in their order."""
+        return Forecasts(
+            self.models,
+            self.model[rows],
+            self.member[rows],
+            self.init[rows],
+            self.valid[rows],
+            self.value[rows],
+        )
+
+    def records(self) -> List[ForecastRecord]:
+        return [
+            ForecastRecord(m, None if k < 0 else k, i, v, x)
+            for m, k, i, v, x in zip(
+                _map_distinct(self.models.__getitem__, self.model),
+                self.member.tolist(),
+                _map_distinct(hour_time, self.init),
+                _map_distinct(hour_time, self.valid),
+                self.value.tolist(),
+            )
+        ]
+
+    @classmethod
+    def from_records(cls, records: Iterable[ForecastRecord]) -> "Forecasts":
+        """Columns for ``records``, keeping their order."""
+        rows = list(records)
+        models = tuple(sorted({r.model_id for r in rows}))
+        code = {m: i for i, m in enumerate(models)}
+        return cls(
+            models,
+            [code[r.model_id] for r in rows],
+            [-1 if r.member is None else r.member for r in rows],
+            [hour_index(r.init_time) for r in rows],
+            [hour_index(r.valid_time) for r in rows],
+            [r.value for r in rows],
+        )
+
+
+@dataclass(eq=False)
+class Observations:
+    """Observation rows as flat columns, ``hour`` strictly increasing."""
+
+    hour: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.hour = np.asarray(self.hour, dtype=np.int64)
+        self.value = np.asarray(self.value, dtype=float)
+        if self.hour.shape != self.value.shape:
+            raise ValueError("column lengths differ")
+        if np.any(self.hour[1:] <= self.hour[:-1]):
+            raise ValueError("observation hours must be strictly increasing")
+
+    def __len__(self) -> int:
+        return int(self.value.size)
+
+    def take(self, rows: np.ndarray) -> "Observations":
+        return Observations(self.hour[rows], self.value[rows])
+
+    def records(self) -> List[ObservationRecord]:
+        times = _map_distinct(hour_time, self.hour)
+        return [ObservationRecord(t, y) for t, y in zip(times, self.value.tolist())]
+
+    @classmethod
+    def from_records(cls, records: Iterable[ObservationRecord]) -> "Observations":
+        """Columns for ``records``, sorted by valid time."""
+        rows = sorted(records, key=lambda r: r.valid_time)
+        return cls([hour_index(r.valid_time) for r in rows], [r.value for r in rows])
 
 
 @dataclass(frozen=True)
@@ -104,104 +248,200 @@ class ScenarioWindow:
         return self.forecast_origin + timedelta(hours=self.horizon_hours)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    forecasts: List[ForecastRecord] = field(default_factory=list)
-    observations: List[ObservationRecord] = field(default_factory=list)
+    forecasts: Forecasts
+    observations: Observations
     site_id: str = ""
 
+    @classmethod
+    def from_records(
+        cls,
+        forecasts: Iterable[ForecastRecord],
+        observations: Iterable[ObservationRecord],
+        site_id: str = "",
+    ) -> "Dataset":
+        return cls(
+            Forecasts.from_records(forecasts), Observations.from_records(observations), site_id
+        )
 
-def _sort_key(r: ForecastRecord) -> tuple:
-    return (r.model_id, -1 if r.member is None else r.member, r.init_time, r.valid_time)
+
+# ---------------------------------------------------------------------------
+# CSV interchange
+# ---------------------------------------------------------------------------
 
 
-def load_forecasts(path: str | Path) -> List[ForecastRecord]:
-    """Load forecasts.csv; any malformed row fails the whole load."""
-    records: List[ForecastRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FORECAST_HEADER:
-            raise DataError(f"{path}: expected header {','.join(FORECAST_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            model_id, member_s, init_s, valid_s, value_s = row
+def _rows(reader, path, header: List[str]):
+    """(line number, row) for each non-blank row after a checked header."""
+    if next(reader, None) != header:
+        raise DataError(f"{path}: expected header {','.join(header)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        yield lineno, row
+
+
+def _hour_at(path, lineno: int, text: str) -> int:
+    try:
+        return hour_index(parse_hour(text))
+    except DataError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+
+
+def _member_at(path, lineno: int, text: str) -> int:
+    if text.strip() == "":
+        return -1
+    try:
+        member = int(text)
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+    if member < 0:
+        raise DataError(f"{path}:{lineno}: member must be non-negative")
+    return member
+
+
+def _values(path, texts: List[str], lines: List[int]) -> np.ndarray:
+    """Parse value_degC once for all rows; the first bad row names its line."""
+    try:
+        values = np.array(texts, dtype=float)
+    except ValueError:
+        for text, lineno in zip(texts, lines):
             try:
-                member = None if member_s.strip() == "" else int(member_s)
-                if member is not None and member < 0:
-                    raise ValueError("member must be non-negative")
-                init_time = parse_hour(init_s)
-                valid_time = parse_hour(valid_s)
-                value = float(value_s)
-            except (ValueError, DataError) as exc:
+                float(text)
+            except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            if valid_time < init_time:
-                raise DataError(f"{path}:{lineno}: negative lead time")
-            lead = (valid_time - init_time) // timedelta(hours=1)
-            if lead > MAX_LEAD_HOURS:
-                raise DataError(
-                    f"{path}:{lineno}: lead hour {lead} outside [0, {MAX_LEAD_HOURS}]"
-                )
-            records.append(ForecastRecord(model_id, member, init_time, valid_time, value))
-    records.sort(key=_sort_key)
-    return records
+        raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{path}:{lines[i]}: value_degC must be finite, got {texts[i]!r}")
+    return values
 
 
-def load_observations(path: str | Path) -> List[ObservationRecord]:
+def load_forecasts(path: str | Path) -> Forecasts:
+    """Load forecasts.csv in the row order above; any bad row fails the load."""
+    models: Dict[str, int] = {}
+    members: Dict[str, int] = {}
+    hours: Dict[str, int] = {}
+    model, member, init, valid, texts, lines = [], [], [], [], [], []
+    with open(path, newline="") as fh:
+        for lineno, (model_id, member_s, init_s, valid_s, value_s) in _rows(
+            csv.reader(fh), path, FORECAST_HEADER
+        ):
+            code = models.get(model_id)
+            if code is None:
+                code = models[model_id] = len(models)
+            k = members.get(member_s)
+            if k is None:
+                k = members[member_s] = _member_at(path, lineno, member_s)
+            i = hours.get(init_s)
+            if i is None:
+                i = hours[init_s] = _hour_at(path, lineno, init_s)
+            v = hours.get(valid_s)
+            if v is None:
+                v = hours[valid_s] = _hour_at(path, lineno, valid_s)
+            model.append(code)
+            member.append(k)
+            init.append(i)
+            valid.append(v)
+            texts.append(value_s)
+            lines.append(lineno)
+
+    names = sorted(models)
+    rename = np.empty(len(names), dtype=np.int64)
+    rename[[models[m] for m in names]] = np.arange(len(names))
+    model_a = rename[np.array(model, dtype=np.int64)]
+    member_a = np.array(member, dtype=np.int64)
+    init_a = np.array(init, dtype=np.int64)
+    valid_a = np.array(valid, dtype=np.int64)
+    lead = valid_a - init_a
+    bad = np.flatnonzero((lead < 0) | (lead > MAX_LEAD_HOURS))
+    if bad.size:
+        i = int(bad[0])
+        if lead[i] < 0:
+            raise DataError(f"{path}:{lines[i]}: negative lead time")
+        raise DataError(
+            f"{path}:{lines[i]}: lead hour {lead[i]} outside [0, {MAX_LEAD_HOURS}]"
+        )
+    value_a = _values(path, texts, lines)
+
+    order = np.lexsort((valid_a, init_a, member_a, model_a))
+    fc = Forecasts(
+        tuple(names), model_a[order], member_a[order], init_a[order], valid_a[order], value_a[order]
+    )
+    _reject_duplicate_keys(path, fc, np.array(lines, dtype=np.int64)[order])
+    return fc
+
+
+def _reject_duplicate_keys(path, fc: Forecasts, lines: np.ndarray) -> None:
+    """Rows sorted by key: a repeated key sits next to its first occurrence."""
+    same = (
+        (fc.model[1:] == fc.model[:-1])
+        & (fc.member[1:] == fc.member[:-1])
+        & (fc.init[1:] == fc.init[:-1])
+        & (fc.valid[1:] == fc.valid[:-1])
+    )
+    dup = np.flatnonzero(same) + 1
+    if dup.size:
+        i = int(dup[np.argmin(lines[dup])])
+        member = "" if fc.member[i] < 0 else f" member {fc.member[i]}"
+        raise DataError(
+            f"{path}:{lines[i]}: duplicate forecast {fc.models[fc.model[i]]}{member}"
+            f" init {format_hour(hour_time(fc.init[i]))}"
+            f" valid {format_hour(hour_time(fc.valid[i]))}"
+            f" (first seen on line {lines[i - 1]})"
+        )
+
+
+def load_observations(path: str | Path) -> Observations:
     """Load observations.csv; duplicate valid_times are rejected."""
-    records: List[ObservationRecord] = []
-    seen: Dict[datetime, int] = {}
+    seen: Dict[int, int] = {}
+    hours, texts, lines = [], [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != OBSERVATION_HEADER:
-            raise DataError(f"{path}: expected header {','.join(OBSERVATION_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                valid_time = parse_hour(row[0])
-                value = float(row[1])
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if valid_time in seen:
+        for lineno, (valid_s, value_s) in _rows(csv.reader(fh), path, OBSERVATION_HEADER):
+            hour = _hour_at(path, lineno, valid_s)
+            if hour in seen:
                 raise DataError(
-                    f"{path}:{lineno}: duplicate observation at {format_hour(valid_time)}"
-                    f" (first seen on line {seen[valid_time]})"
+                    f"{path}:{lineno}: duplicate observation at {format_hour(hour_time(hour))}"
+                    f" (first seen on line {seen[hour]})"
                 )
-            seen[valid_time] = lineno
-            records.append(ObservationRecord(valid_time, value))
-    records.sort(key=lambda r: r.valid_time)
-    return records
+            seen[hour] = lineno
+            hours.append(hour)
+            texts.append(value_s)
+            lines.append(lineno)
+    values = _values(path, texts, lines)
+    order = np.argsort(hours)
+    return Observations(np.array(hours, dtype=np.int64)[order], values[order])
 
 
-def write_forecasts(path: str | Path, records: Sequence[ForecastRecord]) -> None:
+def _hour_text(hour: int) -> str:
+    return format_hour(hour_time(hour))
+
+
+def write_forecasts(path: str | Path, forecasts: Forecasts) -> None:
+    fc = forecasts
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FORECAST_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.model_id,
-                    "" if r.member is None else r.member,
-                    format_hour(r.init_time),
-                    format_hour(r.valid_time),
-                    repr(r.value),
-                ]
+        writer.writerows(
+            zip(
+                _map_distinct(fc.models.__getitem__, fc.model),
+                _map_distinct(lambda k: "" if k < 0 else str(k), fc.member),
+                _map_distinct(_hour_text, fc.init),
+                _map_distinct(_hour_text, fc.valid),
+                map(repr, fc.value.tolist()),
             )
+        )
 
 
-def write_observations(path: str | Path, records: Sequence[ObservationRecord]) -> None:
+def write_observations(path: str | Path, observations: Observations) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(OBSERVATION_HEADER)
-        for r in records:
-            writer.writerow([format_hour(r.valid_time), repr(r.value)])
+        hours = _map_distinct(_hour_text, observations.hour)
+        writer.writerows(zip(hours, map(repr, observations.value.tolist())))
 
 
 def slice_scenario(dataset: Dataset, window: ScenarioWindow) -> Tuple[Dataset, Dataset]:
@@ -212,45 +452,33 @@ def slice_scenario(dataset: Dataset, window: ScenarioWindow) -> Tuple[Dataset, D
     the lead-time invariant already implies).  Evaluation keeps, per
     model_id, only the run with the latest init_time <= origin, restricted to
     valid times in [origin, origin + horizon], plus the observations there.
+    Both slices keep the dataset's row order.
     """
-    origin = window.forecast_origin
-    if not dataset.observations:
+    origin = hour_index(window.forecast_origin)
+    start = hour_index(window.train_start)
+    end = hour_index(window.eval_end)
+    obs = dataset.observations
+    if not len(obs):
         raise DataError("dataset has no observations")
-    obs_min = min(o.valid_time for o in dataset.observations)
-    obs_max = max(o.valid_time for o in dataset.observations)
-    if obs_min > window.train_start or origin > obs_max + timedelta(hours=1):
+    obs_min, obs_max = int(obs.hour[0]), int(obs.hour[-1])
+    if obs_min > start or origin > obs_max + 1:
         raise DataError(
             f"window not covered by dataset: training needs observations from "
             f"{format_hour(window.train_start)} but data spans "
-            f"{format_hour(obs_min)}..{format_hour(obs_max)}"
+            f"{format_hour(hour_time(obs_min))}..{format_hour(hour_time(obs_max))}"
         )
 
-    train_fc = [
-        f
-        for f in dataset.forecasts
-        if window.train_start <= f.valid_time < origin and f.init_time < origin
-    ]
-    train_obs = [
-        o for o in dataset.observations if window.train_start <= o.valid_time < origin
-    ]
+    fc = dataset.forecasts
+    train_fc = (fc.valid >= start) & (fc.valid < origin) & (fc.init < origin)
+    train_obs = (obs.hour >= start) & (obs.hour < origin)
 
-    latest_init: Dict[str, datetime] = {}
-    for f in dataset.forecasts:
-        if f.init_time <= origin:
-            cur = latest_init.get(f.model_id)
-            if cur is None or f.init_time > cur:
-                latest_init[f.model_id] = f.init_time
-    if not latest_init:
+    runs = fc.init <= origin
+    if not runs.any():
         raise DataError("window not covered by dataset: no model run available at origin")
-    eval_fc = [
-        f
-        for f in dataset.forecasts
-        if latest_init.get(f.model_id) == f.init_time
-        and origin <= f.valid_time <= window.eval_end
-    ]
-    eval_obs = [
-        o for o in dataset.observations if origin <= o.valid_time <= window.eval_end
-    ]
-    train = Dataset(train_fc, train_obs, dataset.site_id)
-    evaluation = Dataset(eval_fc, eval_obs, dataset.site_id)
+    latest = np.full(len(fc.models), np.iinfo(np.int64).min)
+    np.maximum.at(latest, fc.model[runs], fc.init[runs])
+    eval_fc = (fc.init == latest[fc.model]) & (fc.valid >= origin) & (fc.valid <= end)
+    eval_obs = (obs.hour >= origin) & (obs.hour <= end)
+    train = Dataset(fc.take(train_fc), obs.take(train_obs), dataset.site_id)
+    evaluation = Dataset(fc.take(eval_fc), obs.take(eval_obs), dataset.site_id)
     return train, evaluation

@@ -22,7 +22,15 @@ from .combine import DEFAULT_LEVELS, CombinedForecast, QuantileVector, combine_t
 from .dist import PiecewiseCDF, build_cdf
 from .error_model import build_error_table, rank_label_members, to_probabilistic
 from .exceptions import DataError
-from .ingest import Dataset, ForecastRecord, ScenarioWindow, slice_scenario
+from .ingest import (
+    Dataset,
+    ForecastRecord,
+    ScenarioWindow,
+    format_hour,
+    hour_index,
+    hour_time,
+    slice_scenario,
+)
 
 __all__ = [
     "RunConfig",
@@ -106,22 +114,17 @@ def admissible_origins(dataset: Dataset, config: RunConfig) -> List[datetime]:
     hour of the horizon is covered.  A further margin of one horizon after
     the training window keeps the long-lead training rows fully populated.
     """
-    if not dataset.observations or not dataset.forecasts:
+    fc, obs = dataset.forecasts, dataset.observations
+    if not len(obs) or not len(fc):
         raise DataError("dataset is empty")
-    obs_times = sorted(o.valid_time for o in dataset.observations)
-    start, end = obs_times[0], obs_times[-1]
-    max_lead: Dict[str, int] = {}
-    cycle: Dict[str, set] = {}
-    for f in dataset.forecasts:
-        lead = f.lead_hours
-        if lead > max_lead.get(f.model_id, -1):
-            max_lead[f.model_id] = lead
-        cycle.setdefault(f.model_id, set()).add(f.init_time)
-    long_model = max(max_lead, key=lambda m: (max_lead[m], m))
-    inits = sorted(cycle[long_model])
-    earliest = start + timedelta(days=config.train_days, hours=config.horizon_hours)
-    latest = end - timedelta(hours=config.horizon_hours)
-    origins = [t for t in inits if earliest <= t <= latest]
+    max_lead = np.full(len(fc.models), -1)
+    np.maximum.at(max_lead, fc.model, fc.lead)
+    # ties go to the last model name, as max() over (lead, name) would pick
+    long_model = np.flatnonzero(max_lead == max_lead.max())[-1]
+    inits = np.unique(fc.init[fc.model == long_model])
+    earliest = obs.hour[0] + 24 * config.train_days + config.horizon_hours
+    latest = obs.hour[-1] - config.horizon_hours
+    origins = [hour_time(t) for t in inits[(inits >= earliest) & (inits <= latest)].tolist()]
     if not origins:
         raise DataError(
             "dataset too short: no admissible origin leaves room for "
@@ -220,9 +223,16 @@ def run_scenario(
             f"insufficient training data: {table.n_rows} rows < {config.min_training_rows}"
         )
     # Leakage guard: nothing at or after the origin may reach training.
-    latest_obs = max(o.valid_time for o in train_ds.observations)
-    if latest_obs >= origin:
+    if train_ds.observations.hour[-1] >= hour_index(origin):
         raise RuntimeError("internal error: training slice leaked an evaluation observation")
+    eval_fc = rank_label_members(eval_ds.forecasts)
+    eval_labels = {eval_fc.models[c] for c in np.unique(eval_fc.model).tolist()}
+    unseen = sorted(eval_labels - set(table.label_set))
+    if unseen:
+        raise DataError(
+            f"model label(s) {', '.join(unseen)} have a run at origin {format_hour(origin)}"
+            " but no training rows in its window"
+        )
     timings["prepare"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -230,19 +240,20 @@ def run_scenario(
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    eval_fc = rank_label_members(eval_ds.forecasts)
-    by_hour: Dict[datetime, List[ForecastRecord]] = {}
-    for f in eval_fc:
-        by_hour.setdefault(f.valid_time, []).append(f)
-    obs_by_time = {o.valid_time: o.value for o in eval_ds.observations}
-
-    pairs = sorted({(f.lead_hours, f.model_id) for fs in by_hour.values() for f in fs})
+    # (lead, label) pairs in sorted order: codes sort as the labels do
+    n_labels = len(eval_fc.models)
+    pair_keys = np.unique(eval_fc.lead * n_labels + eval_fc.model).tolist()
+    pairs = [(k // n_labels, eval_fc.models[k % n_labels]) for k in pair_keys]
     matrix = qrf.predict_quantiles_batch(
         forest, [p[0] for p in pairs], [p[1] for p in pairs], config.levels
     )
     error_q = {
         pair: QuantileVector(config.levels, matrix[i]) for i, pair in enumerate(pairs)
     }
+    by_hour: Dict[datetime, List[ForecastRecord]] = {}
+    for f in eval_fc.records():
+        by_hour.setdefault(f.valid_time, []).append(f)
+    obs_by_time = {o.valid_time: o.value for o in eval_ds.observations.records()}
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .exceptions import ConfigError
-from .ingest import MAX_LEAD_HOURS, Dataset, ForecastRecord, ObservationRecord
+from .ingest import MAX_LEAD_HOURS, Dataset, Forecasts, Observations, hour_index
 
 __all__ = ["ModelSpec", "SynthConfig", "synthesize_dataset", "load_synth_config", "DEFAULT_ROSTER"]
 
@@ -139,28 +139,35 @@ def synthesize_dataset(config: SynthConfig, seed: int) -> Dataset:
     truth = _climate(hours) + _ar1(rng, n_full, _OBS_AR_COEF, _OBS_AR_SD)
     shared = _ar1(rng, n_full, _SHARED_AR_COEF, 1.0)
 
-    times = [config.start + timedelta(hours=h) for h in range(n_full)]
-    observations = [ObservationRecord(times[h], float(truth[h])) for h in range(n_obs)]
+    start = hour_index(config.start)
+    observations = Observations(start + np.arange(n_obs), truth[:n_obs])
 
-    forecasts: List[ForecastRecord] = []
+    # Rows run model by model in roster order, then init, member and lead;
+    # the draws for one (model, init) follow member by member.
+    models = tuple(sorted(m.model_id for m in config.models))
+    columns: List[Tuple[np.ndarray, ...]] = []
     for spec in config.models:
-        lead = np.arange(spec.max_lead_hours + 1, dtype=float)
-        bias = spec.bias(lead)
-        sd = spec.noise_sd(lead)
-        for init in range(0, n_obs, spec.init_cycle_hours):
-            valid = init + np.arange(spec.max_lead_hours + 1)
-            shared_part = _W_SHARED * shared[valid]
-            init_time = times[init]
-            for k in range(spec.members):
-                eta = rng.standard_normal(lead.size)
-                values = truth[valid] + bias + sd * (shared_part + _W_IDIO * eta)
-                member = k if spec.members > 1 else None
-                forecasts.extend(
-                    ForecastRecord(
-                        spec.model_id, member, init_time, times[v], float(values[j])
-                    )
-                    for j, v in enumerate(valid)
-                )
+        lead = np.arange(spec.max_lead_hours + 1)
+        bias = spec.bias(lead.astype(float))
+        sd = spec.noise_sd(lead.astype(float))
+        inits = np.arange(0, n_obs, spec.init_cycle_hours)
+        valid = inits[:, None, None] + lead  # (init, 1, lead)
+        shared_part = _W_SHARED * shared[valid]
+        eta = rng.standard_normal((inits.size, spec.members, lead.size))
+        values = truth[valid] + bias + sd * (shared_part + _W_IDIO * eta)
+        shape = values.shape
+        member = np.arange(spec.members)[:, None] if spec.members > 1 else -1
+        columns.append(
+            (
+                np.full(values.size, models.index(spec.model_id)),
+                np.broadcast_to(member, shape).reshape(-1),
+                start + np.broadcast_to(inits[:, None, None], shape).reshape(-1),
+                start + np.broadcast_to(valid, shape).reshape(-1),
+                values.reshape(-1),
+            )
+        )
+    model, member, init, valid, value = (np.concatenate(c) for c in zip(*columns))
+    forecasts = Forecasts(models, model, member, init, valid, value)
     return Dataset(forecasts, observations, config.site_id)
 
 

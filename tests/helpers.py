@@ -1,5 +1,7 @@
 """Independent numerical oracles shared across test modules."""
 
+from datetime import timedelta
+
 import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -119,3 +121,78 @@ def reference_oob_coverage(forest, intervals):
     n_rows = np.array([len(hits[lead]) for lead in leads], dtype=np.int64)
     cov = np.array([np.sum(hits[lead], axis=0, dtype=float) for lead in leads]) / n_rows[:, None]
     return np.array(leads, dtype=np.int64), n_rows, cov, skipped
+
+
+def reference_slice(forecasts, observations, window):
+    """Per-record loop: (train forecasts, train obs, eval forecasts, eval obs).
+
+    Training keeps valid times in [origin - train_days, origin) with init
+    before the origin; evaluation keeps each model's latest run at or before
+    the origin over [origin, origin + horizon].  Input order is kept.
+    """
+    from probfcast.exceptions import DataError
+
+    origin, start, end = window.forecast_origin, window.train_start, window.eval_end
+    if not observations:
+        raise DataError("dataset has no observations")
+    times = [o.valid_time for o in observations]
+    if min(times) > start or origin > max(times) + timedelta(hours=1):
+        raise DataError("window not covered by dataset")
+    latest = {}
+    for f in forecasts:
+        cur = latest.get(f.model_id)
+        if f.init_time <= origin and (cur is None or f.init_time > cur):
+            latest[f.model_id] = f.init_time
+    if not latest:
+        raise DataError("window not covered by dataset: no model run available at origin")
+    return (
+        [f for f in forecasts if start <= f.valid_time < origin and f.init_time < origin],
+        [o for o in observations if start <= o.valid_time < origin],
+        [
+            f
+            for f in forecasts
+            if latest.get(f.model_id) == f.init_time and origin <= f.valid_time <= end
+        ],
+        [o for o in observations if origin <= o.valid_time <= end],
+    )
+
+
+def reference_rank_label(records):
+    """Per-record loop: members ranked by (value, member) within each
+    (model, init, valid) group become ``<model>_r<rank>`` with no member."""
+    import dataclasses
+
+    groups = {}
+    for i, r in enumerate(records):
+        if r.member is not None:
+            groups.setdefault((r.model_id, r.init_time, r.valid_time), []).append(i)
+    out = list(records)
+    for idxs in groups.values():
+        ranked = sorted(idxs, key=lambda i: (records[i].value, records[i].member))
+        for k, i in enumerate(ranked, start=1):
+            r = records[i]
+            out[i] = dataclasses.replace(r, model_id=f"{r.model_id}_r{k}", member=None)
+    return out
+
+
+def reference_error_table(forecasts, observations):
+    """Per-record loop: (lead_hours, label_codes, errors, label_set, skipped)
+    with one row per forecast whose valid time has an observation."""
+    from probfcast.exceptions import DataError
+
+    obs = {o.valid_time: o.value for o in observations}
+    rows = [
+        (f.lead_hours, f.model_id, obs[f.valid_time] - f.value)
+        for f in forecasts
+        if f.valid_time in obs
+    ]
+    if not rows:
+        raise DataError("no overlap between forecasts and observations")
+    label_set = tuple(sorted({label for _, label, _ in rows}))
+    return (
+        np.array([lead for lead, _, _ in rows], dtype=np.int64),
+        np.array([label_set.index(label) for _, label, _ in rows], dtype=np.int64),
+        np.array([err for _, _, err in rows], dtype=float),
+        label_set,
+        len(forecasts) - len(rows),
+    )

@@ -267,8 +267,8 @@ def test_criterion_9_no_leakage(dataset, evaluation):
     clean = True
     for origin in origins:
         train_ds, _ = slice_scenario(dataset, ScenarioWindow(origin, EVAL_CONFIG.train_days))
-        latest_obs = max(o.valid_time for o in train_ds.observations)
-        latest_fc = max(f.valid_time for f in train_ds.forecasts)
+        latest_obs = max(o.valid_time for o in train_ds.observations.records())
+        latest_fc = max(f.valid_time for f in train_ds.forecasts.records())
         clean = clean and latest_obs < origin and latest_fc < origin
     report(
         "criterion 9 (no training leakage)",

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestGenerate:
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         fc = load_forecasts(tmp_path / "forecasts.csv")
-        assert {r.model_id for r in fc} == {"glm", "ukv"}
+        assert {r.model_id for r in fc.records()} == {"glm", "ukv"}
 
 
 class TestTrain:
@@ -213,3 +214,77 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "bad_file, text",
+        [
+            (
+                "forecasts.csv",
+                "model_id,member,init_time,valid_time,value_degC\n"
+                "glm,,2020-01-01T00:00Z,2020-01-01T01:00Z,1.5\n"
+                "glm,,2020-01-01T00:00Z,2020-01-01T02:00Z,nan\n",
+            ),
+            (
+                "observations.csv",
+                "valid_time,value_degC\n2020-01-01T01:00Z,2.0\n2020-01-01T02:00Z,inf\n",
+            ),
+        ],
+    )
+    def test_non_finite_value_is_data_error_with_line(
+        self, data_dir, tmp_path, capsys, bad_file, text
+    ):
+        paths = {name: data_dir / name for name in ("forecasts.csv", "observations.csv")}
+        paths[bad_file] = tmp_path / bad_file
+        paths[bad_file].write_text(text)
+        rc = main(
+            [
+                "train",
+                "--forecasts",
+                str(paths["forecasts.csv"]),
+                "--observations",
+                str(paths["observations.csv"]),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert f"{paths[bad_file]}:3: value_degC must be finite" in capsys.readouterr().err
+
+
+# sha256 of the outputs written by generate --seed 55 --span-days 30, and of
+# train and evaluate on that set; any change to a number or to row order
+# shows here.
+GOLDEN = {
+    "data/forecasts.csv": "410ea54e16121577bb42ff987db9a4d8915c55994061eddf78fbdcb7fa0b167f",
+    "data/observations.csv": "fca215a9e2e88d4af5ac4747be5d60d3d3b86dec0dbae6db70ad879a3610e9f5",
+    "train/errors.csv": "eab945fc0ad6300068f599a3ab602066c08a6015f24c5ca6ba07c02f62be1b16",
+    "train/oob_coverage.csv": "485fc5e314b7e5030bbeb1002d52cb404026c086bfec66b3272ce71137caa152",
+    "evaluate/aggregates.csv": "824c82635b1f8018178361d6c02a9a623da52ea89eba188679d6de6e0b88093e",
+    "evaluate/points.csv": "b80dbb1c1eb4deadd686ea6faf62c9b1fbc0c46e3819e19e4a7c4b9b6d40308d",
+    "evaluate/scenarios/scenario_000_raw.csv": "329b12e03b8197d7f9b520259b96d14f4f5f0d2d4e40abb840a03115c3862ada",
+    "evaluate/scenarios/scenario_000_scores.csv": "df62192a6b25f626d66c88c0b7c7f01f6d8ef4c848b405f9e797954426015887",
+    "evaluate/scenarios/scenario_001_raw.csv": "2d7aa81d8586456474f812cffc62ad52ee67dddb82027c31dcc42164d1f3eb5e",
+    "evaluate/scenarios/scenario_001_scores.csv": "ece05ea2940b638f139f43ebb1b51be869fdae9f91db56c2827126de13113944",
+    "evaluate/summary.txt": "a0d9cbcda3eea8d69df1feb9f16ddda517d1a22bb17af02c044db97888b07d8d",
+}
+
+
+def test_golden_outputs(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--seed", "55", "--span-days", "30", "--out", str(data)]) == 0
+    inputs = [
+        "--forecasts",
+        str(data / "forecasts.csv"),
+        "--observations",
+        str(data / "observations.csv"),
+    ]
+    train = ["train", *inputs, "--train-days", "7", "--trees", "20"]
+    train += ["--out", str(tmp_path / "train")]
+    train += ["--dump-errors", str(tmp_path / "train" / "errors.csv")]
+    assert main(train) == 0
+    evaluate = ["evaluate", *inputs, "--scenarios", "2", "--trees", "20", "--train-days", "7"]
+    assert main([*evaluate, "--out", str(tmp_path / "evaluate")]) == 0
+    digests = {
+        rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in GOLDEN
+    }
+    assert digests == GOLDEN

@@ -14,11 +14,15 @@ from probfcast.error_model import (
     to_probabilistic,
 )
 from probfcast.exceptions import DataError
-from probfcast.ingest import Dataset, ForecastRecord, ObservationRecord
+from probfcast.ingest import Dataset, ForecastRecord, Forecasts, ObservationRecord
 from probfcast.synth import SynthConfig, synthesize_dataset
 
 UTC = timezone.utc
 T0 = datetime(2020, 1, 5, tzinfo=UTC)
+
+
+def rank(records):
+    return rank_label_members(Forecasts.from_records(records)).records()
 
 
 def member_records(values, model="enuk", valid=None):
@@ -30,42 +34,42 @@ def member_records(values, model="enuk", valid=None):
 
 class TestRankLabelling:
     def test_ranks_follow_values(self):
-        out = rank_label_members(member_records([2.0, 1.0, 3.0]))
+        out = rank(member_records([2.0, 1.0, 3.0]))
         assert [r.model_id for r in out] == ["enuk_r2", "enuk_r1", "enuk_r3"]
 
     def test_twelve_members_get_twelve_distinct_labels(self):
-        out = rank_label_members(member_records(list(np.random.default_rng(1).normal(size=12))))
+        out = rank(member_records(list(np.random.default_rng(1).normal(size=12))))
         labels = {r.model_id for r in out}
         assert labels == {f"enuk_r{k}" for k in range(1, 13)}
 
     def test_ties_break_by_member_index(self):
-        out = rank_label_members(member_records([1.0, 1.0]))
+        out = rank(member_records([1.0, 1.0]))
         assert [r.model_id for r in out] == ["enuk_r1", "enuk_r2"]
 
     def test_deterministic_records_pass_through(self):
         rec = ForecastRecord("glm", None, T0, T0 + timedelta(hours=3), 5.0)
-        assert rank_label_members([rec]) == [rec]
+        assert rank([rec]) == [rec]
 
     def test_idempotent(self):
-        once = rank_label_members(member_records([3.0, 1.0, 2.0]))
-        twice = rank_label_members(once)
+        once = rank(member_records([3.0, 1.0, 2.0]))
+        twice = rank(once)
         assert once == twice
 
     def test_value_multiset_preserved_and_cardinality(self):
         records = member_records([4.0, -1.0, 4.0, 0.5])
-        out = rank_label_members(records)
+        out = rank(records)
         assert len(out) == len(records)
         assert Counter(r.value for r in out) == Counter(r.value for r in records)
 
     def test_groups_keyed_by_init_and_valid(self):
         a = member_records([5.0, 4.0], valid=T0 + timedelta(hours=1))
         b = member_records([1.0, 2.0], valid=T0 + timedelta(hours=2))
-        out = rank_label_members(a + b)
+        out = rank(a + b)
         assert out[0].model_id == "enuk_r2" and out[1].model_id == "enuk_r1"
         assert out[2].model_id == "enuk_r1" and out[3].model_id == "enuk_r2"
 
     def test_single_member_group_gets_rank_one(self):
-        out = rank_label_members([ForecastRecord("enuk", 7, T0, T0, 1.0)])
+        out = rank([ForecastRecord("enuk", 7, T0, T0, 1.0)])
         assert out[0].model_id == "enuk_r1"
         assert out[0].member is None
 
@@ -77,7 +81,7 @@ class TestBuildErrorTable:
         ]
 
     def test_error_is_observation_minus_forecast(self):
-        ds = Dataset(
+        ds = Dataset.from_records(
             [ForecastRecord("glm", None, T0, T0 + timedelta(hours=2), 5.0)],
             self.obs([2], [3.5]),
         )
@@ -85,7 +89,7 @@ class TestBuildErrorTable:
         assert table.errors[0] == -1.5
 
     def test_zero_error_when_forecast_matches(self):
-        ds = Dataset(
+        ds = Dataset.from_records(
             [ForecastRecord("glm", None, T0, T0 + timedelta(hours=1), 3.5)],
             self.obs([1], [3.5]),
         )
@@ -96,27 +100,27 @@ class TestBuildErrorTable:
             ForecastRecord("glm", None, T0 - timedelta(hours=lead - 3), T0 + timedelta(hours=3), 1.0)
             for lead in (3, 15, 27)
         ]
-        table = build_error_table(Dataset(fcs, self.obs([3], [2.0])))
+        table = build_error_table(Dataset.from_records(fcs, self.obs([3], [2.0])))
         assert table.n_rows == 3
 
     def test_missing_observations_skipped_and_counted(self):
         fcs = [
             ForecastRecord("glm", None, T0, T0 + timedelta(hours=h), 1.0) for h in (1, 2, 3)
         ]
-        table = build_error_table(Dataset(fcs, self.obs([2], [2.0])))
+        table = build_error_table(Dataset.from_records(fcs, self.obs([2], [2.0])))
         assert table.n_rows == 1
         assert table.skipped == 2
 
     def test_no_overlap_is_an_error(self):
         fcs = [ForecastRecord("glm", None, T0, T0 + timedelta(hours=1), 1.0)]
         with pytest.raises(DataError, match="no overlap"):
-            build_error_table(Dataset(fcs, self.obs([5], [2.0])))
+            build_error_table(Dataset.from_records(fcs, self.obs([5], [2.0])))
 
     def test_row_count_matches_matching_records_on_synthetic_data(self):
         ds = synthesize_dataset(SynthConfig(span_days=3), seed=21)
-        obs_times = {o.valid_time for o in ds.observations}
+        obs_times = {o.valid_time for o in ds.observations.records()}
         labelled = rank_label_members(ds.forecasts)
-        expected = sum(1 for f in labelled if f.valid_time in obs_times)
+        expected = sum(1 for f in labelled.records() if f.valid_time in obs_times)
         table = build_error_table(Dataset(labelled, ds.observations))
         assert table.n_rows == expected
         assert table.skipped == len(labelled) - expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from probfcast.exceptions import DataError
-from probfcast.ingest import ScenarioWindow, slice_scenario
+from probfcast.ingest import Dataset, ScenarioWindow, format_hour, hour_index, slice_scenario
 from probfcast.pipeline import (
     RunConfig,
     admissible_origins,
@@ -35,8 +35,8 @@ class TestOrigins:
         assert draw_origins(dataset, SMALL) == draw_origins(dataset, SMALL)
 
     def test_admissible_bounds(self, dataset):
-        start = dataset.observations[0].valid_time
-        end = dataset.observations[-1].valid_time
+        obs = dataset.observations.records()
+        start, end = obs[0].valid_time, obs[-1].valid_time
         for origin in admissible_origins(dataset, SMALL):
             assert origin - timedelta(days=SMALL.train_days, hours=168) >= start
             assert origin + timedelta(hours=168) <= end
@@ -59,7 +59,7 @@ class TestRunScenario:
     def test_no_leakage(self, dataset):
         for origin in admissible_origins(dataset, SMALL)[:5]:
             train, _ = slice_scenario(dataset, ScenarioWindow(origin, SMALL.train_days))
-            assert max(o.valid_time for o in train.observations) < origin
+            assert max(o.valid_time for o in train.observations.records()) < origin
 
     def test_deterministic(self, dataset):
         origin = admissible_origins(dataset, SMALL)[1]
@@ -76,6 +76,15 @@ class TestRunScenario:
         origin = admissible_origins(dataset, strict)[0]
         with pytest.raises(DataError, match="insufficient training data"):
             run_scenario(dataset, origin, strict)
+
+    def test_model_missing_from_training_window_is_data_error(self, dataset):
+        origin = admissible_origins(dataset, SMALL)[0]
+        fc = dataset.forecasts
+        # eur_uk keeps its runs from the origin on but loses every training row
+        gone = (fc.model == fc.models.index("eur_uk")) & (fc.init < hour_index(origin))
+        gapped = Dataset(fc.take(~gone), dataset.observations, dataset.site_id)
+        with pytest.raises(DataError, match=rf"eur_uk .*origin {format_hour(origin)}"):
+            run_scenario(gapped, origin, SMALL)
 
     def test_products_without_scoring(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
