@@ -17,7 +17,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -195,7 +195,7 @@ def _load_dataset(m: Dict[str, object]) -> Dataset:
     )
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -268,14 +268,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         _write_csv(
             Path(str(m["dump_errors"])),
             ["lead_hours", "model_label", "error_degC"],
-            [[int(s.lead_hours), s.model_label, _fmt(s.error)] for s in table.samples()],
+            # Errors are finite, so repr equals _fmt.
+            zip(
+                table.lead_hours.tolist(),
+                np.array(table.label_set, dtype=object)[table.label_codes],
+                map(repr, table.errors.tolist()),
+            ),
         )
     t0 = time.perf_counter()
     forest = qrf.train(table, config.forest_config())
     train_seconds = time.perf_counter() - t0
     save_path = Path(str(m["save"])) if m["save"] else out / "forest.npz"
     save_path = qrf.save_forest(save_path, forest)
-    oob = qrf.oob_coverage(forest, table, config.intervals)
+    oob = qrf.oob_coverage(forest, config.intervals)
     _write_oob(out / "oob_coverage.csv", oob)
     with open(out / "timings.txt", "w") as fh:
         fh.write(f"train_seconds={train_seconds:.3f}\n")

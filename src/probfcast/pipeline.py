@@ -153,17 +153,11 @@ def _score_hour(
         lo = float(d.quantile((1.0 - w) / 2.0))
         hi = float(d.quantile((1.0 + w) / 2.0))
         hits[w] = bool(lo <= y <= hi)
-    if d.is_degenerate:
-        crps_val = scoring.crps(d, y)
-        log_val = float("nan")
-    else:
-        crps_val = scoring.crps(d, y)
-        log_val = scoring.log_score(d, y)
     return scoring.ScoreRecord(
         valid_time=combined.valid_time,
         lead_hours=combined.lead_hours,
-        crps=crps_val,
-        log_score=log_val,
+        crps=scoring.crps(d, y),
+        log_score=float("nan") if d.is_degenerate else scoring.log_score(d, y),
         abs_error_median=abs(y - median),
         interval_hits=hits,
     )

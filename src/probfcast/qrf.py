@@ -1,12 +1,13 @@
 """Quantile regression forest over (lead_hours, model_label).
 
 Each tree grows on its own seeded random subsample of the error table and
-splits by minimising the size-weighted sum of child response variances.  The
-numeric covariate is searched over midpoints between consecutive distinct
-in-node values; the categorical covariate is handled by ordering the node's
-labels by mean response and searching that ordering as if numeric, which is
-exactly equivalent to searching all binary label partitions under the
-variance rule.
+splits by minimising the size-weighted sum of child response variances.  One
+cut kernel serves both covariates: it scans the node's rows in key order and
+cuts between consecutive distinct keys.  For the lead the key is the lead
+itself, and the threshold is the midpoint of the cut.  For the label the key
+is the label's rank by mean response in the node, which is exactly
+equivalent to searching all binary label partitions under the variance rule
+(Breiman et al. 1984); the labels ranked left of the cut go left.
 
 Leaves keep the in-bag rows that reached them, so a query returns a weighted
 empirical distribution of training errors rather than a mean: row weights
@@ -145,156 +146,99 @@ class OOBCoverage:
 # ---------------------------------------------------------------------------
 
 
-def _best_numeric_split(x: np.ndarray, y: np.ndarray, mns: int):
-    order = np.argsort(x)
-    xs = x[order]
+def _best_cut(keys: np.ndarray, y: np.ndarray, mns: int):
+    """Least-variance cut of y scanned in key order; None when no cut qualifies.
+
+    Candidates fall between consecutive distinct keys and keep at least mns
+    rows on each side.  Returns (cost, last key on the left, first key on the
+    right); the first minimum wins ties, so the smallest left side.
+    """
+    order = np.argsort(keys)
+    ks = keys[order]
     ys = y[order]
-    cut = np.flatnonzero(xs[:-1] != xs[1:]) + 1  # candidate left-child sizes
+    cut = np.flatnonzero(ks[:-1] != ks[1:]) + 1  # candidate left-child sizes
     if mns > 1:
-        cut = cut[(cut >= mns) & (xs.size - cut >= mns)]
+        cut = cut[(cut >= mns) & (ks.size - cut >= mns)]
     if cut.size == 0:
         return None
     c1 = np.cumsum(ys)
     c2 = np.cumsum(ys * ys)
     n_left = cut.astype(float)
-    n_right = xs.size - n_left
+    n_right = ks.size - n_left
     s_left = c1[cut - 1]
     q_left = c2[cut - 1]
     cost = (q_left - s_left * s_left / n_left) + (
         (c2[-1] - q_left) - (c1[-1] - s_left) ** 2 / n_right
     )
-    k = int(np.argmin(cost))  # first minimum: smallest threshold wins ties
-    thr = 0.5 * (xs[cut[k] - 1] + xs[cut[k]])
-    return float(cost[k]), thr
-
-
-def _best_label_split(codes: np.ndarray, y: np.ndarray, mns: int, n_labels: int):
-    cats, inv = np.unique(codes, return_inverse=True)
-    if cats.size < 2:
-        return None
-    counts = np.bincount(inv)
-    means = np.bincount(inv, weights=y) / counts
-    cat_order = np.argsort(means, kind="stable")  # ties: lower label code first
-    pos = np.empty(cats.size, dtype=np.int64)
-    pos[cat_order] = np.arange(cats.size)
-    rank = pos[inv]
-    order = np.argsort(rank)
-    rs = rank[order]
-    ys = y[order]
-    cut = np.flatnonzero(rs[:-1] != rs[1:]) + 1
-    if mns > 1:
-        cut = cut[(cut >= mns) & (rs.size - cut >= mns)]
-    if cut.size == 0:
-        return None
-    c1 = np.cumsum(ys)
-    c2 = np.cumsum(ys * ys)
-    n_left = cut.astype(float)
-    n_right = rs.size - n_left
-    s_left = c1[cut - 1]
-    q_left = c2[cut - 1]
-    cost = (q_left - s_left * s_left / n_left) + (
-        (c2[-1] - q_left) - (c1[-1] - s_left) ** 2 / n_right
-    )
-    k = int(np.argmin(cost))  # first minimum: smallest left group wins ties
-    left_mask = np.zeros(n_labels, dtype=bool)
-    left_mask[cats[cat_order[: rs[cut[k] - 1] + 1]]] = True
-    return float(cost[k]), left_mask
+    k = int(np.argmin(cost))
+    return float(cost[k]), ks[cut[k] - 1], ks[cut[k]]
 
 
 def _grow_tree(
-    leads: np.ndarray,
-    codes: np.ndarray,
-    errors: np.ndarray,
-    inbag: np.ndarray,
-    n_labels: int,
-    mtry: int,
-    min_node_size: int,
-    rng: np.random.Generator,
+    table: ErrorTable, inbag: np.ndarray, config: ForestConfig, rng: np.random.Generator
 ) -> _Tree:
-    lead_l = leads[inbag].astype(float)
-    code_l = codes[inbag]
-    y_l = errors[inbag]
-
-    feature: List[int] = []
-    threshold: List[float] = []
-    cat_index: List[int] = []
-    left: List[int] = []
-    right: List[int] = []
-    leaf_start: List[int] = []
-    leaf_count: List[int] = []
+    lead_l = table.lead_hours[inbag].astype(float)
+    code_l = table.label_codes[inbag]
+    y_l = table.errors[inbag]
+    n_labels = len(table.label_set)
+    mns = config.min_node_size
+    nodes: List[tuple] = []  # (feature, threshold, cat_index, left, right, leaf_count)
     cat_masks: List[np.ndarray] = []
     leaf_chunks: List[np.ndarray] = []
-    leaf_offset = 0
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(np.nan)
-        cat_index.append(-1)
-        left.append(-1)
-        right.append(-1)
-        leaf_start.append(-1)
-        leaf_count.append(0)
-        return len(feature) - 1
-
-    def make_leaf(idx: int, rows: np.ndarray) -> None:
-        nonlocal leaf_offset
-        leaf_start[idx] = leaf_offset
-        leaf_count[idx] = rows.size
-        leaf_offset += rows.size
-        leaf_chunks.append(inbag[rows])
 
     def build(rows: np.ndarray) -> int:
-        idx = new_node()
+        idx = len(nodes)
+        nodes.append(())  # preorder id; filled in below
         y = y_l[rows]
-        if rows.size < 2 * min_node_size or y.min() == y.max():
-            make_leaf(idx, rows)
-            return idx
-        feats = rng.choice(_N_COVARIATES, size=mtry, replace=False)
-        best_cost = np.inf
-        best = None
-        for f in sorted(feats):
-            if f == 0:
-                res = _best_numeric_split(lead_l[rows], y, min_node_size)
-            else:
-                res = _best_label_split(code_l[rows], y, min_node_size, n_labels)
-            if res is not None and res[0] < best_cost:
-                best_cost = res[0]
-                best = (int(f), res[1])
+        best_cost, best = np.inf, None
+        if rows.size >= 2 * mns and y.min() != y.max():
+            for f in sorted(rng.choice(_N_COVARIATES, size=config.mtry, replace=False)):
+                if f == 0:
+                    keys = lead_l[rows]
+                else:
+                    # Rank the node's labels by mean error (ties: lower code
+                    # first) and cut that order as if it were numeric.
+                    cats, inv = np.unique(code_l[rows], return_inverse=True)
+                    if cats.size < 2:
+                        continue
+                    means = np.bincount(inv, weights=y) / np.bincount(inv)
+                    rank = np.empty(cats.size, dtype=np.int64)
+                    rank[np.argsort(means, kind="stable")] = np.arange(cats.size)
+                    keys = rank[inv]
+                res = _best_cut(keys, y, mns)
+                if res is not None and res[0] < best_cost:  # lead wins cost ties
+                    best_cost, best = res[0], (int(f), keys, res[1], res[2])
         if best is None:
-            make_leaf(idx, rows)
+            leaf_chunks.append(inbag[rows])
+            nodes[idx] = (-1, np.nan, -1, -1, -1, rows.size)
             return idx
-        f, payload = best
+        f, keys, last_left, first_right = best
+        go_left = keys <= last_left
         if f == 0:
-            feature[idx] = 0
-            threshold[idx] = payload
-            go_left = lead_l[rows] <= payload
+            thr, cat = 0.5 * (last_left + first_right), -1
         else:
-            feature[idx] = 1
-            cat_index[idx] = len(cat_masks)
-            cat_masks.append(payload)
-            go_left = payload[code_l[rows]]
-        left[idx] = build(rows[go_left])
-        right[idx] = build(rows[~go_left])
+            thr, cat = np.nan, len(cat_masks)
+            cat_masks.append(np.bincount(code_l[rows[go_left]], minlength=n_labels) > 0)
+        nodes[idx] = (f, thr, cat, build(rows[go_left]), build(rows[~go_left]), 0)
         return idx
 
     build(np.arange(inbag.size))
-    cat_left = (
-        np.vstack(cat_masks) if cat_masks else np.zeros((0, n_labels), dtype=bool)
+    feature, threshold, cat_index, left, right, leaf_count = (
+        np.array(col, dtype=dt)
+        for col, dt in zip(zip(*nodes), (np.int8, float, np.int32, np.int32, np.int32, np.int32))
     )
+    # Leaf rows were appended in node order, after those of every earlier leaf.
+    leaf_start = np.where(feature < 0, np.cumsum(leaf_count) - leaf_count, -1).astype(np.int32)
     return _Tree(
-        feature=np.array(feature, dtype=np.int8),
-        threshold=np.array(threshold, dtype=float),
-        cat_index=np.array(cat_index, dtype=np.int32),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        leaf_start=np.array(leaf_start, dtype=np.int32),
-        leaf_count=np.array(leaf_count, dtype=np.int32),
-        leaf_rows=(
-            np.concatenate(leaf_chunks).astype(np.int32)
-            if leaf_chunks
-            else np.empty(0, dtype=np.int32)
-        ),
-        cat_left=cat_left,
+        feature=feature,
+        threshold=threshold,
+        cat_index=cat_index,
+        left=left,
+        right=right,
+        leaf_start=leaf_start,
+        leaf_count=leaf_count,
+        leaf_rows=np.concatenate(leaf_chunks).astype(np.int32),
+        cat_left=np.array(cat_masks, dtype=bool).reshape(-1, n_labels),
         inbag=inbag.astype(np.int32),
     )
 
@@ -304,23 +248,11 @@ def train(table: ErrorTable, config: ForestConfig) -> Forest:
     if table.n_rows == 0:
         raise DataError("cannot train on an empty error table")
     config.validate(table.n_rows)
-    n_labels = len(table.label_set)
     trees: List[_Tree] = []
     for t in range(config.num_trees):
         rng = np.random.default_rng(config.seed + t)
         inbag = rng.choice(table.n_rows, size=config.sample_count, replace=config.replace)
-        trees.append(
-            _grow_tree(
-                table.lead_hours,
-                table.label_codes,
-                table.errors,
-                inbag.astype(np.int64),
-                n_labels,
-                config.mtry,
-                config.min_node_size,
-                rng,
-            )
-        )
+        trees.append(_grow_tree(table, inbag, config, rng))
     return Forest(config=config, table=table, trees=trees)
 
 
@@ -500,7 +432,6 @@ def predict_quantiles(
     forest: Forest, x: CovariateVector, levels: Sequence[float]
 ) -> QuantileVector:
     """Weighted empirical quantiles of the training errors at covariates x."""
-    levels = _check_levels(np.asarray(levels))
     q = predict_quantiles_batch(forest, [x.lead_hours], [x.model_label], levels)
     return QuantileVector(levels, q[0])
 
@@ -527,28 +458,16 @@ def predict_quantiles_batch(
 
 
 def oob_coverage(
-    forest: Forest,
-    table: ErrorTable | None = None,
-    intervals: Sequence[float] = DEFAULT_OOB_INTERVALS,
+    forest: Forest, intervals: Sequence[float] = DEFAULT_OOB_INTERVALS
 ) -> OOBCoverage:
     """Central-interval coverage of out-of-bag predictions, per lead hour.
 
-    Each training row is predicted using only the trees where it is
-    out-of-bag; the row scores a hit for an interval when its error lies
-    within [q_(1-w)/2, q_(1+w)/2].  Rows in-bag in every tree are skipped and
-    counted.  Lead hours with no scorable rows are simply absent.  ``table``
-    must be the forest's training table (or equal to it).
+    Each row of the forest's training table is predicted using only the trees
+    where it is out-of-bag; the row scores a hit for an interval when its
+    error lies within [q_(1-w)/2, q_(1+w)/2].  Rows in-bag in every tree are
+    skipped and counted.  Lead hours with no scorable rows are simply absent.
     """
-    if table is None:
-        table = forest.table
-    if table is not forest.table and not (
-        table.label_set == forest.table.label_set
-        and all(
-            np.array_equal(getattr(table, col), getattr(forest.table, col))
-            for col in ("lead_hours", "label_codes", "errors")
-        )
-    ):
-        raise ValueError("table does not match the forest's training table")
+    table = forest.table
     intervals = tuple(float(w) for w in intervals)
     for w in intervals:
         if not 0.0 < w < 1.0:
@@ -608,15 +527,11 @@ def save_forest(path: str | Path, forest: Forest) -> Path:
     leafrow_counts = np.array([t.leaf_rows.size for t in trees], dtype=np.int64)
     cat_counts = np.array([t.cat_left.shape[0] for t in trees], dtype=np.int64)
     inbag_counts = np.array([t.inbag.size for t in trees], dtype=np.int64)
+    cfg = {f.name: getattr(forest.config, f.name) for f in fields(ForestConfig)}
     np.savez_compressed(
         path,
         format_version=np.int64(FOREST_FORMAT_VERSION),
-        cfg_num_trees=np.int64(forest.config.num_trees),
-        cfg_mtry=np.int64(forest.config.mtry),
-        cfg_min_node_size=np.int64(forest.config.min_node_size),
-        cfg_sample_count=np.int64(forest.config.sample_count),
-        cfg_seed=np.int64(forest.config.seed),
-        cfg_replace=np.bool_(forest.config.replace),
+        **{f"cfg_{k}": np.bool_(v) if isinstance(v, bool) else np.int64(v) for k, v in cfg.items()},
         labels=np.array(forest.table.label_set, dtype=np.str_),
         table_lead=forest.table.lead_hours,
         table_code=forest.table.label_codes,
@@ -639,13 +554,9 @@ def load_forest(path: str | Path) -> Forest:
         version = int(z["format_version"])
         if version != FOREST_FORMAT_VERSION:
             raise DataError(f"unsupported forest format version {version}")
+        # Every config field has a bool or int default, and is stored as such.
         config = ForestConfig(
-            num_trees=int(z["cfg_num_trees"]),
-            mtry=int(z["cfg_mtry"]),
-            min_node_size=int(z["cfg_min_node_size"]),
-            sample_count=int(z["cfg_sample_count"]),
-            seed=int(z["cfg_seed"]),
-            replace=bool(z["cfg_replace"]),
+            **{f.name: type(f.default)(z[f"cfg_{f.name}"]) for f in fields(ForestConfig)}
         )
         table = ErrorTable(
             lead_hours=z["table_lead"],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -103,6 +104,88 @@ class TestTraining:
         forest = train(table, ForestConfig(num_trees=10, sample_count=60, replace=True, seed=2))
         out = predict_quantiles(forest, CovariateVector(10, "m0"), LEV)
         assert np.all(np.diff(out.values) >= 0)
+
+    def test_tree_arrays_pinned(self):
+        """Every _Tree array, bit for bit, for configs the CLI golden test does not reach."""
+        table = random_table(np.random.default_rng(43), n=500, n_labels=6)
+        rng = np.random.default_rng(47)
+        tied = make_table(
+            rng.integers(0, 13, size=300),
+            [f"m{int(i)}" for i in rng.integers(0, 6, size=300)],
+            rng.integers(-2, 3, size=300) * 0.5,  # few distinct errors: tied costs and label means
+        )
+        cases = {
+            "mtry2": (table, ForestConfig(num_trees=25, mtry=2, sample_count=128, seed=3)),
+            "min_node_size3": (
+                table, ForestConfig(num_trees=25, min_node_size=3, sample_count=128, seed=4)
+            ),
+            "replace": (table, ForestConfig(num_trees=25, sample_count=256, seed=5, replace=True)),
+            "tied": (tied, ForestConfig(num_trees=25, mtry=2, sample_count=128, seed=6)),
+        }
+        for name, (t, config) in cases.items():
+            trees = train(t, config).trees
+            digests = {}
+            for f in dataclasses.fields(trees[0]):
+                h = hashlib.sha256()
+                for tree in trees:
+                    a = getattr(tree, f.name)
+                    h.update(str(a.shape).encode())
+                    h.update(a.tobytes())
+                digests[f.name] = (getattr(trees[0], f.name).dtype.str, h.hexdigest())
+            assert digests == TREE_DIGESTS[name], name
+
+
+# Per _Tree field: its dtype and the sha256 over every tree's (shape, bytes).
+TREE_DIGESTS = {
+    "mtry2": {
+        "feature": ("|i1", "b7037dee1c169a560be64c8effe293a38bedd315d6fba7fb74b719e32ea66991"),
+        "threshold": ("<f8", "e3825362ca658d04a280fd08cf92eb6cf29c9d2e395983e60fe9f3319b20646a"),
+        "cat_index": ("<i4", "81d090f6f135fb73717bab36ff6763e1815514f164103cb2269aac8a8bc14365"),
+        "left": ("<i4", "15e8c33620e01e98ffe76ec0af4e7276bf1c79ee96b3ba6b3c50ec2ca73938c6"),
+        "right": ("<i4", "f8ccd0111f56e21090db99563312b37a8eb1ce189293c22f8fe12f0d15a4c1ae"),
+        "leaf_start": ("<i4", "2d4194edb570389a1f4b6dcc2dfe732b2d956ea9a0f4333e7368fead09b4083f"),
+        "leaf_count": ("<i4", "670c17ab10143ae50aea10e82138e3eb832bb4f27b25ccf6ef38b7c144c02767"),
+        "leaf_rows": ("<i4", "639746ce4b5a1b46eb59097060e1994e8523d84bbf8b8505dfe94e57e942dc60"),
+        "cat_left": ("|b1", "78846d093d93569201261e08f8f743c40e7eb560e135088689a0e2a7c62d6976"),
+        "inbag": ("<i4", "253c5ebfb796b2ac585e2edf1a7136b5b288dcfc4e98dee3e9dfc7b15ff7f390"),
+    },
+    "min_node_size3": {
+        "feature": ("|i1", "90762d71ec6b0fdd3557dbc3076c4fda4c56a132384957f6f9a57a6b133ff782"),
+        "threshold": ("<f8", "a31e6d84e56f05837d3e4b528b041f2f629ee87b810cecea34de3f34cf712c9e"),
+        "cat_index": ("<i4", "c3958ba3cbfbff866225b4824b767d15b81f4f99aba608f395da244f0569e361"),
+        "left": ("<i4", "dca0b6cfa58bb23e022a6a5a91e85f0803ff676c61df1f7b671e5d0076845bb6"),
+        "right": ("<i4", "b910772988cc1d1786f12c8c9cae87dbfcd06b4023e6b9102631dad699d9bab2"),
+        "leaf_start": ("<i4", "8b78cd4708d6a4374c64c5930d107ffca1c8d4390fd18c06d7cc7d8d2f0f8e6c"),
+        "leaf_count": ("<i4", "7b43aa1bf5eb57f26d4ac163a6792dd86e3c6bc0d618e722006a18c5ece1e051"),
+        "leaf_rows": ("<i4", "9323eaa8ecbdbdcc6feaa549ee3e1079979df821d1ae7410b01663b12fb11afe"),
+        "cat_left": ("|b1", "132cffb57d609fe1ef67969fa93c30bedb8a5494ec2b368d9f2b38bc0a751de1"),
+        "inbag": ("<i4", "944fd1c7e6e91bc6f43fe5f362459d0d65fc15c1fc6311ac0f040638ec9c463a"),
+    },
+    "replace": {
+        "feature": ("|i1", "26534eb597db4958081fc14ec20a619ce295b0962ae10644a4a715a60241594f"),
+        "threshold": ("<f8", "8cff2eba545d81f6f1a41c106be173023cb6b7efbd00d5d6297562c8fcd243e3"),
+        "cat_index": ("<i4", "894edd16349b1c8df60151f96b97eaf8dbef700f6845b69ceccdc54b59297604"),
+        "left": ("<i4", "df9d6a4d96a1ee8f8dffc9bddae84ec690cdf17c5fa73cfd1ad55f88e20b521c"),
+        "right": ("<i4", "61b454431295e64ab919923cd7f9868443d3efecfd525fb0e615c7c586b92071"),
+        "leaf_start": ("<i4", "737bd0d8101beba724f637c6aa7de84881200bf8177ec79c7aabecabbf2661b5"),
+        "leaf_count": ("<i4", "c3934e25ea248d85b69092f2b8b381afb31c826e4807f78b2af2645b1aa667a6"),
+        "leaf_rows": ("<i4", "c1035722f469b4a83acd617f5b91becc5ad302f17e4fefcac44b1d1f15069a07"),
+        "cat_left": ("|b1", "9ceb16f24eae9955d0ee4013fba23d05987777169f0558b1d7b530833f4547f0"),
+        "inbag": ("<i4", "05898dc1cf99998857537bb7ed278990cfc5c4d2277567c6e5e813b50b588895"),
+    },
+    "tied": {
+        "feature": ("|i1", "59459ed23ab98c1c51193a4316949c5719478b6c5ab8c380f17d8f91c7ca6537"),
+        "threshold": ("<f8", "f4989228af84b44c474c0740f487243651253a4776d6ef3abfa68039e4df104d"),
+        "cat_index": ("<i4", "1f4401328dceddc2bc8183c3b39ac17035393f099af4e8c364d43953fb8043c3"),
+        "left": ("<i4", "cfee0403cefda075fedd24a82f10bbbfe9a594777406078e0e961b95435eb7f6"),
+        "right": ("<i4", "3b8c6bdf8374143657787fe6640a71e109666690416dd93ac912f70312035425"),
+        "leaf_start": ("<i4", "a3b624e537693d21b6a4b75133a6ed2b18ee42a23ddca87cca7f8e53160ffff8"),
+        "leaf_count": ("<i4", "cab3c4d740b4ac9f299862c3632b5b29a163bb3b3bd07916f7033ad358088990"),
+        "leaf_rows": ("<i4", "412a2a112cb2e2360e9a0135ffd4dc5452feb51ffc3ef85741ff92a3ac4a6a30"),
+        "cat_left": ("|b1", "4f524c328e5aab138cf34d3149ee1d85e6837d153f0229f52267020ebc5168c8"),
+        "inbag": ("<i4", "8b56a6656626c4e171e81dcf74e2f9ed3a5ead6695ed992ebd1e4ef174136edc"),
+    },
+}
 
 
 class TestWeights:
@@ -273,29 +356,6 @@ class TestOob:
         oob = oob_coverage(forest)
         assert oob.skipped >= 1
         assert oob.n_rows.sum() + oob.skipped == table.n_rows
-
-    def test_mismatched_table_rejected(self):
-        table = random_table(np.random.default_rng(3), n=200)
-        forest = train(table, ForestConfig(num_trees=10, sample_count=50, seed=1))
-        cols = dict(
-            lead_hours=table.lead_hours,
-            label_codes=table.label_codes,
-            errors=table.errors,
-            label_set=table.label_set,
-        )
-        changes = dict(
-            lead_hours=table.lead_hours[::-1],
-            label_codes=table.label_codes[::-1],
-            errors=table.errors[::-1],
-            label_set=("n0", "n1", "n2"),
-        )
-        for col, value in changes.items():
-            with pytest.raises(ValueError, match="does not match"):
-                oob_coverage(forest, ErrorTable(**{**cols, col: value}))
-        equal = ErrorTable(**{k: np.copy(v) if k != "label_set" else v for k, v in cols.items()})
-        np.testing.assert_array_equal(
-            oob_coverage(forest, equal).coverage, oob_coverage(forest).coverage
-        )
 
     def test_all_rows_in_bag_fails_loudly(self):
         table = make_table([1, 2], ["a", "a"], [0.0, 1.0])
