@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
 import time
 import traceback
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -141,6 +143,10 @@ def _merged(args: argparse.Namespace) -> Dict[str, object]:
     return merged
 
 
+# RunConfig fields whose flag has another name.
+_FLAG_FOR_FIELD = {"num_trees": "trees", "n_scenarios": "scenarios", "horizon_hours": "horizon"}
+
+
 def _run_config(m: Dict[str, object]) -> pipeline.RunConfig:
     levels = DEFAULT_LEVELS
     if m["levels"]:
@@ -150,24 +156,15 @@ def _run_config(m: Dict[str, object]) -> pipeline.RunConfig:
             raise ConfigError(f"--levels: {exc}") from None
         if levels.size == 0 or levels[0] <= 0 or levels[-1] >= 1:
             raise ConfigError("--levels must lie strictly within (0, 1)")
+    # Unset keys keep RunConfig's defaults; levels and intervals are not flags.
+    values = {
+        f.name: m[_FLAG_FOR_FIELD.get(f.name, f.name)]
+        for f in fields(pipeline.RunConfig)
+        if f.name not in ("levels", "intervals")
+    }
     try:
         return pipeline.RunConfig(
-            num_trees=m["trees"] if m["trees"] is not None else 250,
-            mtry=m["mtry"] if m["mtry"] is not None else 1,
-            min_node_size=m["min_node_size"] if m["min_node_size"] is not None else 1,
-            sample_count=m["sample_count"] if m["sample_count"] is not None else 128,
-            replace=bool(m["replace"]) if m["replace"] is not None else False,
-            n_scenarios=m["scenarios"] if m["scenarios"] is not None else 200,
-            train_days=m["train_days"] if m["train_days"] is not None else 14,
-            horizon_hours=m["horizon"] if m["horizon"] is not None else 168,
-            seed=m["seed"] if m["seed"] is not None else 0,
-            levels=levels,
-            threshold=m["threshold"] if m["threshold"] is not None else 0.0,
-            draws=m["draws"] if m["draws"] is not None else 1000,
-            min_training_rows=(
-                m["min_training_rows"] if m["min_training_rows"] is not None else 1000
-            ),
-            jobs=m["jobs"] if m["jobs"] is not None else 1,
+            levels=levels, **{k: v for k, v in values.items() if v is not None}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -324,8 +321,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
                 _fmt(d.quantile(0.975)),
             ]
         )
-        for j, v in enumerate(hp.samples):
-            sample_rows.append([ts, j, _fmt(v)])
+        # Draws are finite, so repr equals _fmt.
+        sample_rows.extend(
+            zip(itertools.repeat(ts), range(hp.samples.size), map(repr, hp.samples.tolist()))
+        )
         prob_rows.append([ts, _fmt(hp.prob_below), _fmt(hp.prob_below_sampled)])
     _write_csv(out / "quantiles.csv", ["valid_time", "level", "value_degC"], q_rows)
     _write_csv(

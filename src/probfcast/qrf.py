@@ -2,12 +2,22 @@
 
 Each tree grows on its own seeded random subsample of the error table and
 splits by minimising the size-weighted sum of child response variances.  One
-cut kernel serves both covariates: it scans the node's rows in key order and
+cut search serves both covariates: it scans the node's rows in key order and
 cuts between consecutive distinct keys.  For the lead the key is the lead
 itself, and the threshold is the midpoint of the cut.  For the label the key
-is the label's rank by mean response in the node, which is exactly
-equivalent to searching all binary label partitions under the variance rule
-(Breiman et al. 1984); the labels ranked left of the cut go left.
+is the label's rank by mean response in the node (ties: lower code first),
+which is exactly equivalent to searching all binary label partitions under
+the variance rule (Breiman et al. 1984); the labels ranked left of the cut go
+left.  The first minimum-cost cut wins, and the label replaces the lead only
+at a strictly smaller cost.
+
+All trees grow in lock-step.  Each step pops the next preorder node of every
+unfinished tree and searches the cuts of all of them in one batched pass, so
+training costs a few numpy calls per preorder position rather than a Python
+call per node.  Tree t's in-bag rows fill one buffer range; a node is a
+(lo, hi) range of it, and a split partitions that range stably in place, so
+the leaves come out in preorder with their rows in node order.  The result
+equals, array for array, growing each tree by depth-first recursion.
 
 Leaves keep the in-bag rows that reached them, so a query returns a weighted
 empirical distribution of training errors rather than a mean: row weights
@@ -21,10 +31,18 @@ the same stacks: a row in-bag in no tree takes its pair's full-forest
 quantiles, and a row in-bag in some trees gives their entries weight 0.0,
 which leaves the running sums of the other entries bit-for-bit unchanged.
 
-Determinism: tree t uses ``numpy.random.default_rng(seed + t)``, consuming
-draws in a fixed order (subsample first, then one covariate draw per split
-in depth-first, left-first order), so forests reproduce bit-for-bit across
-runs and platforms.
+Determinism contract: tree t uses ``numpy.random.default_rng(seed + t)``.
+It draws its in-bag rows with ``rng.choice(n_rows, sample_count, replace)``
+and then ``stream = rng.integers(0, 2**32, size=2 * sample_count,
+dtype=np.uint32)``.  With mtry=1, the k-th split-eligible node of the tree in
+preorder (at least 2 * min_node_size rows, not all errors equal) tries
+covariate ``stream[k] >> 31``, which is what ``rng.choice(2, size=1,
+replace=False)`` would return there.  With mtry=2 both covariates are tried
+and the stream goes unused.  The split search sorts stably and sums
+sequentially, so a forest reproduces bit for bit under the same numpy
+version at any x86 SIMD level.  numpy does not freeze the streams of
+``Generator.choice`` and ``Generator.integers`` across versions (NEP 19), so
+another numpy version may grow another forest.
 """
 
 from __future__ import annotations
@@ -142,117 +160,172 @@ class OOBCoverage:
 
 
 # ---------------------------------------------------------------------------
-# Training
+# Training: every tree's preorder in lock-step
 # ---------------------------------------------------------------------------
 
 
-def _best_cut(keys: np.ndarray, y: np.ndarray, mns: int):
-    """Least-variance cut of y scanned in key order; None when no cut qualifies.
+def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices covering source[starts[i] : starts[i]+counts[i]] per i."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
-    Candidates fall between consecutive distinct keys and keep at least mns
-    rows on each side.  Returns (cost, last key on the left, first key on the
-    right); the first minimum wins ties, so the smallest left side.
+
+def _best_cuts(keys: np.ndarray, y: np.ndarray, seg: np.ndarray, size: np.ndarray, mns: int):
+    """Least-variance cut of each request's rows, scanned in key order.
+
+    Request i owns the ``size[i]`` consecutive entries where ``seg == i``;
+    keys are integers.  Candidate cuts fall between consecutive distinct keys
+    and keep at least mns rows on each side.  Prefix sums run along the rows
+    of a zero-padded (requests x width) matrix, so each request adds its own
+    values in the order a 1-D ``np.cumsum`` would.  Returns per request the
+    cost at the first minimum (inf when no cut qualifies), the left size
+    there, and the last key on the left and the first on the right.
     """
-    order = np.argsort(keys)
-    ks = keys[order]
-    ys = y[order]
-    cut = np.flatnonzero(ks[:-1] != ks[1:]) + 1  # candidate left-child sizes
-    if mns > 1:
-        cut = cut[(cut >= mns) & (ks.size - cut >= mns)]
-    if cut.size == 0:
-        return None
-    c1 = np.cumsum(ys)
-    c2 = np.cumsum(ys * ys)
-    n_left = cut.astype(float)
-    n_right = ks.size - n_left
-    s_left = c1[cut - 1]
-    q_left = c2[cut - 1]
-    cost = (q_left - s_left * s_left / n_left) + (
-        (c2[-1] - q_left) - (c1[-1] - s_left) ** 2 / n_right
+    lowest = keys.min(initial=0)
+    span = keys.max(initial=0) - lowest + 1
+    order = np.argsort(seg * span + (keys - lowest), kind="stable")  # equal keys keep row order
+    ks, ys = keys[order], y[order]
+    first = np.cumsum(size) - size
+    col = np.arange(seg.size) - first[seg]
+    r = np.arange(size.size)
+    pad = np.zeros((size.size, int(size.max(initial=2))))
+    pad[seg, col] = ys
+    c1 = np.cumsum(pad, axis=1)
+    tot1 = c1[r, size - 1][seg]
+    c1 = c1[seg, col]
+    pad[seg, col] = ys * ys
+    c2 = np.cumsum(pad, axis=1)
+    tot2 = c2[r, size - 1][seg]
+    c2 = c2[seg, col]
+    # Cut after entry i: a left size of col[i] + 1.
+    n_left = col + 1.0
+    n_right = size[seg] - n_left
+    ok = np.flatnonzero(
+        (ks[:-1] != ks[1:]) & (n_left[:-1] >= mns) & (n_right[:-1] >= mns)
     )
-    k = int(np.argmin(cost))
-    return float(cost[k]), ks[cut[k] - 1], ks[cut[k]]
-
-
-def _grow_tree(
-    table: ErrorTable, inbag: np.ndarray, config: ForestConfig, rng: np.random.Generator
-) -> _Tree:
-    lead_l = table.lead_hours[inbag].astype(float)
-    code_l = table.label_codes[inbag]
-    y_l = table.errors[inbag]
-    n_labels = len(table.label_set)
-    mns = config.min_node_size
-    nodes: List[tuple] = []  # (feature, threshold, cat_index, left, right, leaf_count)
-    cat_masks: List[np.ndarray] = []
-    leaf_chunks: List[np.ndarray] = []
-
-    def build(rows: np.ndarray) -> int:
-        idx = len(nodes)
-        nodes.append(())  # preorder id; filled in below
-        y = y_l[rows]
-        best_cost, best = np.inf, None
-        if rows.size >= 2 * mns and y.min() != y.max():
-            for f in sorted(rng.choice(_N_COVARIATES, size=config.mtry, replace=False)):
-                if f == 0:
-                    keys = lead_l[rows]
-                else:
-                    # Rank the node's labels by mean error (ties: lower code
-                    # first) and cut that order as if it were numeric.
-                    cats, inv = np.unique(code_l[rows], return_inverse=True)
-                    if cats.size < 2:
-                        continue
-                    means = np.bincount(inv, weights=y) / np.bincount(inv)
-                    rank = np.empty(cats.size, dtype=np.int64)
-                    rank[np.argsort(means, kind="stable")] = np.arange(cats.size)
-                    keys = rank[inv]
-                res = _best_cut(keys, y, mns)
-                if res is not None and res[0] < best_cost:  # lead wins cost ties
-                    best_cost, best = res[0], (int(f), keys, res[1], res[2])
-        if best is None:
-            leaf_chunks.append(inbag[rows])
-            nodes[idx] = (-1, np.nan, -1, -1, -1, rows.size)
-            return idx
-        f, keys, last_left, first_right = best
-        go_left = keys <= last_left
-        if f == 0:
-            thr, cat = 0.5 * (last_left + first_right), -1
-        else:
-            thr, cat = np.nan, len(cat_masks)
-            cat_masks.append(np.bincount(code_l[rows[go_left]], minlength=n_labels) > 0)
-        nodes[idx] = (f, thr, cat, build(rows[go_left]), build(rows[~go_left]), 0)
-        return idx
-
-    build(np.arange(inbag.size))
-    feature, threshold, cat_index, left, right, leaf_count = (
-        np.array(col, dtype=dt)
-        for col, dt in zip(zip(*nodes), (np.int8, float, np.int32, np.int32, np.int32, np.int32))
+    s_left, q_left, n_left, n_right = c1[ok], c2[ok], n_left[ok], n_right[ok]
+    cost = np.full(pad.shape, np.inf)
+    cost[seg[ok], col[ok]] = (q_left - s_left * s_left / n_left) + (
+        (tot2[ok] - q_left) - (tot1[ok] - s_left) ** 2 / n_right
     )
-    # Leaf rows were appended in node order, after those of every earlier leaf.
-    leaf_start = np.where(feature < 0, np.cumsum(leaf_count) - leaf_count, -1).astype(np.int32)
-    return _Tree(
-        feature=feature,
-        threshold=threshold,
-        cat_index=cat_index,
-        left=left,
-        right=right,
-        leaf_start=leaf_start,
-        leaf_count=leaf_count,
-        leaf_rows=np.concatenate(leaf_chunks).astype(np.int32),
-        cat_left=np.array(cat_masks, dtype=bool).reshape(-1, n_labels),
-        inbag=inbag.astype(np.int32),
-    )
+    j = np.argmin(cost, axis=1)  # first minimum: the smallest left side
+    return cost[r, j], j + 1, ks[first + j], ks[first + j + 1]
 
 
 def train(table: ErrorTable, config: ForestConfig) -> Forest:
-    """Grow a forest on an error table; deterministic given (table, config)."""
+    """Grow a forest on an error table; deterministic given (table, config).
+
+    Node ids are assigned at pop time, so they run in preorder: a split's
+    left child is the next id, and a right child writes its id into its
+    parent when it is popped.
+    """
     if table.n_rows == 0:
         raise DataError("cannot train on an empty error table")
     config.validate(table.n_rows)
-    trees: List[_Tree] = []
-    for t in range(config.num_trees):
+    T, n, mns, mtry = config.num_trees, config.sample_count, config.min_node_size, config.mtry
+    n_labels = len(table.label_set)
+    inbag = np.empty((T, n), dtype=np.int64)
+    draw = np.empty((T, 2 * n), dtype=np.int64)  # covariate of the k-th eligible node
+    for t in range(T):
         rng = np.random.default_rng(config.seed + t)
-        inbag = rng.choice(table.n_rows, size=config.sample_count, replace=config.replace)
-        trees.append(_grow_tree(table, inbag, config, rng))
+        inbag[t] = rng.choice(table.n_rows, size=n, replace=config.replace)
+        draw[t] = rng.integers(0, 2**32, size=2 * n, dtype=np.uint32) >> 31
+    lead = table.lead_hours[inbag].ravel()
+    code = table.label_codes[inbag].ravel()
+    y = table.errors[inbag].ravel()
+    buf = np.arange(T * n)  # tree t's rows fill buf[t * n : (t + 1) * n]
+
+    cap = 2 * n - 1  # nodes a tree of n rows can have
+    feature = np.full((T, cap), -1, dtype=np.int8)
+    threshold = np.full((T, cap), np.nan)
+    cat_index, left, right, leaf_start = (np.full((T, cap), -1, dtype=np.int32) for _ in range(4))
+    leaf_count = np.zeros((T, cap), dtype=np.int32)
+    cat_left = np.zeros((T, n, n_labels), dtype=bool)  # a tree has at most n - 1 splits
+    n_nodes, n_drawn, n_cats = (np.zeros(T, dtype=np.int64) for _ in range(3))
+    # Pending (lo, hi, parent) ranges per tree; a right child carries its parent.
+    stack = np.empty((T, n + 1, 3), dtype=np.int64)
+    stack[:, 0] = np.column_stack([np.arange(T) * n, np.arange(1, T + 1) * n, np.full(T, -1)])
+    depth = np.ones(T, dtype=np.int64)
+    while depth.any():
+        # Pop the next preorder node of every unfinished tree.
+        tr = np.flatnonzero(depth)
+        depth[tr] -= 1
+        lo, hi, parent = stack[tr, depth[tr]].T
+        nid = n_nodes[tr]
+        n_nodes[tr] += 1
+        is_right = parent >= 0
+        right[tr[is_right], parent[is_right]] = nid[is_right]
+        size = hi - lo
+        start = np.cumsum(size) - size
+        rows = buf[_gather_ranges(lo, size)]
+        ys = y[rows]
+        eligible = np.flatnonzero(
+            (size >= 2 * mns) & (np.minimum.reduceat(ys, start) != np.maximum.reduceat(ys, start))
+        )
+        # Rank each node's labels by mean error; ties go to the lower code.
+        cell = np.repeat(np.arange(tr.size) * n_labels, size) + code[rows]
+        count = np.bincount(cell, minlength=tr.size * n_labels)
+        mean = np.bincount(cell, weights=ys, minlength=count.size) / np.maximum(count, 1)
+        present = np.flatnonzero(count)
+        by_mean = present[np.argsort(mean[present], kind="stable")]
+        rank = np.empty(count.size, dtype=np.int64)
+        rank[by_mean[np.argsort(by_mean // n_labels, kind="stable")]] = np.arange(present.size)
+        # One cut request per (node, covariate) tried, the lead first.
+        if mtry == 1:
+            node, cov = eligible, draw[tr[eligible], n_drawn[tr[eligible]]]
+            n_drawn[tr[eligible]] += 1
+        else:
+            node, cov = np.repeat(eligible, 2), np.tile([0, 1], eligible.size)
+        req_size = size[node]
+        req_idx = _gather_ranges(start[node], req_size)
+        req_seg = np.repeat(np.arange(node.size), req_size)
+        keys = np.where(cov[req_seg] == 0, lead[rows[req_idx]], rank[cell[req_idx]])
+        cost, n_left, last_key, next_key = _best_cuts(keys, ys[req_idx], req_seg, req_size, mns)
+        # The label replaces the lead only at a strictly smaller cost.
+        pick = np.arange(0, node.size, mtry) + np.argmin(cost.reshape(-1, mtry), axis=1)
+        pick = pick[np.isfinite(cost[pick])]
+        s, nl, f = node[pick], n_left[pick], cov[pick]
+        ts, sid, last_left = tr[s], nid[s], last_key[pick]
+        feature[ts, sid] = f
+        left[ts, sid] = sid + 1
+        lead_cut, lab = f == 0, f == 1
+        first_right = next_key[pick].astype(float)
+        threshold[ts[lead_cut], sid[lead_cut]] = 0.5 * (last_left + first_right)[lead_cut]
+        cat_index[ts[lab], sid[lab]] = n_cats[ts[lab]]
+        cat_left[ts[lab], n_cats[ts[lab]]] = (count.reshape(-1, n_labels)[s[lab]] > 0) & (
+            rank.reshape(-1, n_labels)[s[lab]] <= last_left[lab, None]
+        )
+        n_cats[ts[lab]] += 1
+        # Partition each split range stably in place: left rows first.
+        split_idx = _gather_ranges((np.cumsum(req_size) - req_size)[pick], req_size[pick])
+        go_left = keys[split_idx] <= np.repeat(last_left, req_size[pick])
+        at = _gather_ranges(lo[s], size[s])
+        buf[at] = buf[at][np.argsort(2 * req_seg[split_idx] + ~go_left, kind="stable")]
+        leaf = np.ones(tr.size, dtype=bool)
+        leaf[s] = False
+        leaf_start[tr[leaf], nid[leaf]] = lo[leaf] - tr[leaf] * n
+        leaf_count[tr[leaf], nid[leaf]] = size[leaf]
+        # Push the right child, then the left one, which is popped next as sid + 1.
+        d = depth[ts]
+        stack[ts, d] = np.column_stack([lo[s] + nl, hi[s], sid])
+        stack[ts, d + 1] = np.column_stack([lo[s], lo[s] + nl, np.full(s.size, -1)])
+        depth[ts] += 2
+
+    leaf_rows = inbag.ravel()[buf].reshape(T, n).astype(np.int32)
+    trees = [
+        _Tree(
+            feature=feature[t, :k],
+            threshold=threshold[t, :k],
+            cat_index=cat_index[t, :k],
+            left=left[t, :k],
+            right=right[t, :k],
+            leaf_start=leaf_start[t, :k],
+            leaf_count=leaf_count[t, :k],
+            leaf_rows=leaf_rows[t],
+            cat_left=cat_left[t, : n_cats[t]],
+            inbag=inbag[t].astype(np.int32),
+        )
+        for t, k in enumerate(n_nodes)
+    ]
     return Forest(config=config, table=table, trees=trees)
 
 
@@ -308,11 +381,6 @@ def _route(forest: Forest, lead_q: np.ndarray, code_q: np.ndarray) -> np.ndarray
         go[lab] = cat_left[cat_index[nid[lab]], code[active[lab]]]
         node[active] = np.where(go, left[nid], right[nid])
     return node.reshape(len(trees), lead_q.size)
-
-
-def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat indices covering source[starts[i] : starts[i]+counts[i]] per i."""
-    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def _gather(forest: Forest, lead, code) -> Tuple[_Stack, np.ndarray]:

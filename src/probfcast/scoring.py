@@ -67,8 +67,6 @@ class LeadAggregate:
     means: Dict[str, float]
     sds: Dict[str, float]
     counts: Dict[str, int]
-    coverage: Dict[float, float]
-    points: Dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +218,11 @@ _METRICS = ("crps", "log_score", "abs_error_median")
 
 
 def aggregate_by_lead(records: Sequence[ScoreRecord]) -> List[LeadAggregate]:
-    """Group records by lead hour; mean/sd/count per metric plus coverage.
+    """Group records by lead hour; mean/sd/count per metric and interval hit rate.
 
     NaN metric values (absent log scores) are excluded from their own metric
-    but the record still counts elsewhere.  Raw per-record values are kept on
-    the aggregate for scatter output.
+    but the record still counts elsewhere.  ``means["hitNN"]`` is the
+    coverage of the NN % central interval.
     """
     if len(records) == 0:
         raise ValueError("no records")
@@ -237,22 +235,16 @@ def aggregate_by_lead(records: Sequence[ScoreRecord]) -> List[LeadAggregate]:
         means: Dict[str, float] = {}
         sds: Dict[str, float] = {}
         counts: Dict[str, int] = {}
-        points: Dict[str, np.ndarray] = {}
         for name in _METRICS:
             vals = np.array([getattr(r, name) for r in group], dtype=float)
             finite = vals[np.isfinite(vals)]
-            points[name] = vals
             counts[name] = int(finite.size)
             means[name] = float(np.mean(finite)) if finite.size else float("nan")
             sds[name] = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
-        coverage: Dict[float, float] = {}
-        widths = group[0].interval_hits.keys()
-        for w in widths:
+        for w in group[0].interval_hits:
             hits = np.array([float(r.interval_hits[w]) for r in group])
-            coverage[w] = float(np.mean(hits))
             key = f"hit{round(w * 100):d}"
-            points[key] = hits
-            means[key] = coverage[w]
+            means[key] = float(np.mean(hits))
             sds[key] = float(np.std(hits, ddof=1)) if hits.size > 1 else 0.0
             counts[key] = int(hits.size)
         out.append(
@@ -262,8 +254,6 @@ def aggregate_by_lead(records: Sequence[ScoreRecord]) -> List[LeadAggregate]:
                 means=means,
                 sds=sds,
                 counts=counts,
-                coverage=coverage,
-                points=points,
             )
         )
     return out

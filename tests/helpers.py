@@ -55,6 +55,118 @@ def random_quantile_vector(rng, levels):
     return np.sort(vals)
 
 
+def _best_cut(keys, y, mns):
+    """Least-variance cut of y scanned in key order; None when no cut qualifies.
+
+    Candidates fall between consecutive distinct keys and keep at least mns
+    rows on each side.  Returns (cost, last key on the left, first key on the
+    right); the first minimum wins ties, so the smallest left side.
+    """
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    ys = y[order]
+    cut = np.flatnonzero(ks[:-1] != ks[1:]) + 1  # candidate left-child sizes
+    if mns > 1:
+        cut = cut[(cut >= mns) & (ks.size - cut >= mns)]
+    if cut.size == 0:
+        return None
+    c1 = np.cumsum(ys)
+    c2 = np.cumsum(ys * ys)
+    n_left = cut.astype(float)
+    n_right = ks.size - n_left
+    s_left = c1[cut - 1]
+    q_left = c2[cut - 1]
+    cost = (q_left - s_left * s_left / n_left) + (
+        (c2[-1] - q_left) - (c1[-1] - s_left) ** 2 / n_right
+    )
+    k = int(np.argmin(cost))
+    return float(cost[k]), ks[cut[k] - 1], ks[cut[k]]
+
+
+def reference_grow_tree(table, inbag, config, rng):
+    """Per-node recursion: one tree grown depth-first, left child first.
+
+    Each split-eligible node (at least 2 * min_node_size rows, not all errors
+    equal) draws ``rng.choice(2, size=mtry, replace=False)`` and tries those
+    covariates, lead first; the label is cut on its rank by node mean error
+    (ties: lower code first) and wins only a strictly smaller cost.  Children
+    keep their rows in the parent's order.
+    """
+    from probfcast.qrf import _Tree
+
+    lead_l = table.lead_hours[inbag].astype(float)
+    code_l = table.label_codes[inbag]
+    y_l = table.errors[inbag]
+    n_labels = len(table.label_set)
+    mns = config.min_node_size
+    nodes = []  # (feature, threshold, cat_index, left, right, leaf_count)
+    cat_masks = []
+    leaf_chunks = []
+
+    def build(rows):
+        idx = len(nodes)
+        nodes.append(())  # preorder id; filled in below
+        y = y_l[rows]
+        best_cost, best = np.inf, None
+        if rows.size >= 2 * mns and y.min() != y.max():
+            for f in sorted(rng.choice(2, size=config.mtry, replace=False)):
+                if f == 0:
+                    keys = lead_l[rows]
+                else:
+                    cats, inv = np.unique(code_l[rows], return_inverse=True)
+                    if cats.size < 2:
+                        continue
+                    means = np.bincount(inv, weights=y) / np.bincount(inv)
+                    rank = np.empty(cats.size, dtype=np.int64)
+                    rank[np.argsort(means, kind="stable")] = np.arange(cats.size)
+                    keys = rank[inv]
+                res = _best_cut(keys, y, mns)
+                if res is not None and res[0] < best_cost:
+                    best_cost, best = res[0], (int(f), keys, res[1], res[2])
+        if best is None:
+            leaf_chunks.append(inbag[rows])
+            nodes[idx] = (-1, np.nan, -1, -1, -1, rows.size)
+            return idx
+        f, keys, last_left, first_right = best
+        go_left = keys <= last_left
+        if f == 0:
+            thr, cat = 0.5 * (last_left + first_right), -1
+        else:
+            thr, cat = np.nan, len(cat_masks)
+            cat_masks.append(np.bincount(code_l[rows[go_left]], minlength=n_labels) > 0)
+        nodes[idx] = (f, thr, cat, build(rows[go_left]), build(rows[~go_left]), 0)
+        return idx
+
+    build(np.arange(inbag.size))
+    feature, threshold, cat_index, left, right, leaf_count = (
+        np.array(col, dtype=dt)
+        for col, dt in zip(zip(*nodes), (np.int8, float, np.int32, np.int32, np.int32, np.int32))
+    )
+    leaf_start = np.where(feature < 0, np.cumsum(leaf_count) - leaf_count, -1).astype(np.int32)
+    return _Tree(
+        feature=feature,
+        threshold=threshold,
+        cat_index=cat_index,
+        left=left,
+        right=right,
+        leaf_start=leaf_start,
+        leaf_count=leaf_count,
+        leaf_rows=np.concatenate(leaf_chunks).astype(np.int32),
+        cat_left=np.array(cat_masks, dtype=bool).reshape(-1, n_labels),
+        inbag=inbag.astype(np.int32),
+    )
+
+
+def reference_train(table, config):
+    """Every tree of ``probfcast.qrf.train`` from the per-node recursion."""
+    trees = []
+    for t in range(config.num_trees):
+        rng = np.random.default_rng(config.seed + t)
+        inbag = rng.choice(table.n_rows, size=config.sample_count, replace=config.replace)
+        trees.append(reference_grow_tree(table, inbag, config, rng))
+    return trees
+
+
 def _leaf_rows(tree, lead, code):
     """Training rows of the leaf that (lead, code) reaches, by scalar descent."""
     node = 0

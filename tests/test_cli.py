@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import hashlib
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probfcast import qrf
-from probfcast.cli import main
+from probfcast import pipeline, qrf
+from probfcast.cli import _merged, _run_config, build_parser, main
 from probfcast.combine import DEFAULT_LEVELS
 from probfcast.ingest import load_forecasts, load_observations
 
@@ -211,6 +212,15 @@ class TestExitCodes:
         )
         assert summary["n_scenarios"] == "1"
         assert summary["seed"] == "9"
+
+    def test_unset_flags_keep_run_config_defaults(self):
+        m = _merged(build_parser().parse_args(["evaluate"]))
+        got, default = _run_config(m), pipeline.RunConfig()
+        for f in dataclasses.fields(default):
+            assert np.array_equal(getattr(got, f.name), getattr(default, f.name)), f.name
+        m.update(trees=7, scenarios=3, horizon=24, replace=True)
+        got = _run_config(m)
+        assert (got.num_trees, got.n_scenarios, got.horizon_hours, got.replace) == (7, 3, 24, True)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_oob_coverage, reference_quantiles
+from helpers import reference_oob_coverage, reference_quantiles, reference_train
 from hypothesis import example, given, strategies as st
 
 from probfcast import qrf
@@ -54,6 +54,16 @@ def forest_cases(draw):
     return leads, labels, errors, config
 
 
+def assert_same_trees(got, expected):
+    """Every _Tree field equal bit for bit, with its dtype and shape."""
+    assert len(got) == len(expected)
+    for t, (a, b) in enumerate(zip(got, expected)):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), (t, f.name)
+            assert x.tobytes() == y.tobytes(), (t, f.name)
+
+
 def random_table(rng, n=400, n_labels=3, lead_max=168):
     leads = rng.integers(0, lead_max + 1, size=n)
     labels = [f"m{int(i)}" for i in rng.integers(0, n_labels, size=n)]
@@ -79,11 +89,7 @@ class TestTraining:
         a = predict_quantiles_batch(f1, leads, labels, LEV)
         b = predict_quantiles_batch(f2, leads, labels, LEV)
         np.testing.assert_array_equal(a, b)
-        for t1, t2 in zip(f1.trees, f2.trees):
-            np.testing.assert_array_equal(t1.feature, t2.feature)
-            np.testing.assert_array_equal(t1.threshold, t2.threshold)
-            np.testing.assert_array_equal(t1.leaf_rows, t2.leaf_rows)
-            np.testing.assert_array_equal(t1.inbag, t2.inbag)
+        assert_same_trees(f1.trees, f2.trees)
 
     def test_config_validation(self):
         table = random_table(np.random.default_rng(0), n=50)
@@ -124,6 +130,7 @@ class TestTraining:
         }
         for name, (t, config) in cases.items():
             trees = train(t, config).trees
+            assert_same_trees(trees, reference_train(t, config))
             digests = {}
             for f in dataclasses.fields(trees[0]):
                 h = hashlib.sha256()
@@ -134,19 +141,34 @@ class TestTraining:
                 digests[f.name] = (getattr(trees[0], f.name).dtype.str, h.hexdigest())
             assert digests == TREE_DIGESTS[name], name
 
+    @given(case=forest_cases())
+    # Tied costs: catches the label winning ties, the last minimum winning
+    # and an unstable partition.
+    @example(case=(
+        [0, 3, 5, 4, 0, 4, 2, 1],
+        list("bccabcaa"),
+        [-1.5, -1.5, 2.0, -1.5, -1.5, -1.5, -1.5, 2.0],
+        ForestConfig(num_trees=17, mtry=2, min_node_size=3, sample_count=7, seed=764),
+    ))
+    def test_matches_reference_grower(self, case):
+        """The lock-step grower against the per-node recursion, bit for bit."""
+        leads, labels, errors, config = case
+        table = make_table(leads, labels, errors)
+        assert_same_trees(train(table, config).trees, reference_train(table, config))
+
 
 # Per _Tree field: its dtype and the sha256 over every tree's (shape, bytes).
 TREE_DIGESTS = {
     "mtry2": {
-        "feature": ("|i1", "b7037dee1c169a560be64c8effe293a38bedd315d6fba7fb74b719e32ea66991"),
-        "threshold": ("<f8", "e3825362ca658d04a280fd08cf92eb6cf29c9d2e395983e60fe9f3319b20646a"),
-        "cat_index": ("<i4", "81d090f6f135fb73717bab36ff6763e1815514f164103cb2269aac8a8bc14365"),
+        "feature": ("|i1", "1b6d2f95850979d2b2f1c99cd30ae5637b8658f06850a38e687cd07dd7c6aac0"),
+        "threshold": ("<f8", "6287efa12137a43dc94699fead0d34c26c12d87ff78166b22fae09496779879b"),
+        "cat_index": ("<i4", "5f71186e6338a1c104d6610d7bbbdf148dafeac85cc5543b2fb87bb3133eadb7"),
         "left": ("<i4", "15e8c33620e01e98ffe76ec0af4e7276bf1c79ee96b3ba6b3c50ec2ca73938c6"),
         "right": ("<i4", "f8ccd0111f56e21090db99563312b37a8eb1ce189293c22f8fe12f0d15a4c1ae"),
-        "leaf_start": ("<i4", "2d4194edb570389a1f4b6dcc2dfe732b2d956ea9a0f4333e7368fead09b4083f"),
-        "leaf_count": ("<i4", "670c17ab10143ae50aea10e82138e3eb832bb4f27b25ccf6ef38b7c144c02767"),
-        "leaf_rows": ("<i4", "639746ce4b5a1b46eb59097060e1994e8523d84bbf8b8505dfe94e57e942dc60"),
-        "cat_left": ("|b1", "78846d093d93569201261e08f8f743c40e7eb560e135088689a0e2a7c62d6976"),
+        "leaf_start": ("<i4", "21e78cf616d049a6eb53703d88eee9e9ccc7e0e6c3d61518adfb5685ae16be6f"),
+        "leaf_count": ("<i4", "e2069a8ba03ac696a96f5f4e899434557d26361a9fd36afe2db126e53da72478"),
+        "leaf_rows": ("<i4", "90d2d73700a3303ab0d9a26cbafaec6b58a57de4585e83be4a603154ac8700e7"),
+        "cat_left": ("|b1", "e93c68b078c0e0ba5132af44b34d594143abc558bd835e2cfb2311d3935939de"),
         "inbag": ("<i4", "253c5ebfb796b2ac585e2edf1a7136b5b288dcfc4e98dee3e9dfc7b15ff7f390"),
     },
     "min_node_size3": {
@@ -435,12 +457,7 @@ class TestSerialisation:
                 predict_quantiles_batch(forest, leads, labels, DEFAULT_LEVELS),
                 predict_quantiles_batch(loaded, leads, labels, DEFAULT_LEVELS),
             )
-            assert len(loaded.trees) == len(forest.trees)
-            for t1, t2 in zip(forest.trees, loaded.trees):
-                for f in dataclasses.fields(t1):
-                    a, b = getattr(t1, f.name), getattr(t2, f.name)
-                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
-                    np.testing.assert_array_equal(a, b)
+            assert_same_trees(loaded.trees, forest.trees)
 
     def test_version_gate(self, tmp_path):
         rng = np.random.default_rng(1)
