@@ -24,18 +24,15 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import pipeline, qrf, scoring
-from .combine import DEFAULT_LEVELS
-from .error_model import build_error_table, rank_label_members
+from .combine import DEFAULT_LEVELS, check_levels
 from .exceptions import ConfigError, DataError
 from .ingest import (
     Dataset,
-    ScenarioWindow,
     format_hour,
     hour_time,
     load_forecasts,
     load_observations,
     parse_hour,
-    slice_scenario,
     write_forecasts,
     write_observations,
 )
@@ -151,11 +148,9 @@ def _run_config(m: Dict[str, object]) -> pipeline.RunConfig:
     levels = DEFAULT_LEVELS
     if m["levels"]:
         try:
-            levels = np.array(sorted({float(p) for p in str(m["levels"]).split(",")}))
+            levels = check_levels(sorted({float(p) for p in str(m["levels"]).split(",")}))
         except ValueError as exc:
             raise ConfigError(f"--levels: {exc}") from None
-        if levels.size == 0 or levels[0] <= 0 or levels[-1] >= 1:
-            raise ConfigError("--levels must lie strictly within (0, 1)")
     # Unset keys keep RunConfig's defaults; levels and intervals are not flags.
     values = {
         f.name: m[_FLAG_FOR_FIELD.get(f.name, f.name)]
@@ -257,10 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         origin = hour_time(dataset.observations.hour[-1] + 1)
     else:
         raise DataError("dataset has no observations")
-    window = ScenarioWindow(origin, config.train_days, config.horizon_hours)
-    train_ds, _ = slice_scenario(dataset, window)
-    labelled = rank_label_members(train_ds.forecasts)
-    table = build_error_table(Dataset(labelled, train_ds.observations, train_ds.site_id))
+    table, _ = pipeline.prepare_training(dataset, origin, config)
     if m["dump_errors"]:
         _write_csv(
             Path(str(m["dump_errors"])),
@@ -362,17 +354,6 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-_SCORE_HEADER = [
-    "valid_time",
-    "lead_hours",
-    "crps",
-    "log_score",
-    "abs_err_median",
-    "hit50",
-    "hit80",
-    "hit90",
-    "hit95",
-]
 _RAW_HEADER = ["valid_time", "lead_hours", "crps", "log_score", "abs_err_median"]
 
 
@@ -430,7 +411,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for r in results:
         _write_csv(
             scen_dir / f"scenario_{r.index:03d}_scores.csv",
-            _SCORE_HEADER,
+            _RAW_HEADER + [f"hit{round(w * 100):d}" for w in config.intervals],
             _score_rows(r.records, config.intervals),
         )
         _write_csv(

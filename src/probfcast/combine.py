@@ -1,23 +1,24 @@
 """Quantile vectors, the shared probability-level grid, and quantile averaging.
 
 Every stage of the pipeline exchanges predictive distributions as paired
-(level, value) arrays on one shared grid, so combining forecasts for an hour
-reduces to a per-level arithmetic mean.  Averaging quantile functions keeps
-the location, scale, and shape of the result close to the average of the
-inputs, and its calibration does not depend on how many forecasts happen to
-cover the hour.
+(level, value) arrays on one shared grid.  Stage 2 holds one row of shifted
+error quantiles per current model run, so combining the forecasts for an
+hour reduces to a per-level arithmetic mean over that hour's rows.
+Averaging quantile functions keeps the location, scale, and shape of the
+result close to the average of the inputs, and its calibration does not
+depend on how many forecasts happen to cover the hour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_LEVELS",
+    "check_levels",
     "QuantileVector",
     "CombinedForecast",
     "vincentize",
@@ -38,6 +39,17 @@ def _default_levels() -> np.ndarray:
 DEFAULT_LEVELS = _default_levels()
 
 
+def check_levels(levels) -> np.ndarray:
+    """Levels as a float array; raises unless non-empty and strictly increasing within (0, 1)."""
+    levels = np.atleast_1d(np.asarray(levels, dtype=float))
+    if levels.size == 0:
+        raise ValueError("levels must be non-empty")
+    # written so that a NaN level fails too
+    if not (levels[0] > 0.0 and levels[-1] < 1.0 and np.all(np.diff(levels) > 0)):
+        raise ValueError("levels must be strictly increasing within (0, 1)")
+    return levels
+
+
 @dataclass(eq=False)
 class QuantileVector:
     """Paired probability levels and quantile values.
@@ -50,22 +62,14 @@ class QuantileVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.levels = np.atleast_1d(np.asarray(self.levels, dtype=float))
+        self.levels = check_levels(self.levels)
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if self.levels.shape != self.values.shape:
             raise ValueError("levels and values must have the same length")
-        if self.levels.size == 0:
-            raise ValueError("empty quantile vector")
-        if self.levels[0] <= 0.0 or self.levels[-1] >= 1.0 or np.any(np.diff(self.levels) <= 0):
-            raise ValueError("levels must be strictly increasing within (0, 1)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("quantile values must be finite")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("quantile values must be non-decreasing")
-
-    def shifted(self, offset: float) -> "QuantileVector":
-        """Translate every quantile value by a constant."""
-        return QuantileVector(self.levels, self.values + float(offset))
 
     def value_at(self, level: float) -> float:
         """Value at an exact grid level (raises if the level is not on the grid)."""
@@ -89,45 +93,26 @@ class CombinedForecast:
             raise ValueError("contributing_count must be >= 1")
 
 
-def vincentize(inputs: Sequence[QuantileVector]) -> QuantileVector:
-    """Average quantile vectors level-by-level.
+def vincentize(levels, values) -> QuantileVector:
+    """Average quantile vectors level by level.
 
-    All inputs must share an identical level grid.  The mean of non-decreasing
-    sequences is non-decreasing, so the result is a valid quantile vector.
+    ``values`` is a (k x levels) block, one non-decreasing row per input on
+    the grid ``levels``.  The mean of non-decreasing rows is non-decreasing,
+    so the result is a valid quantile vector.
     """
-    if len(inputs) == 0:
-        raise ValueError("vincentize requires at least one input")
-    levels = inputs[0].levels
-    for q in inputs[1:]:
-        if not np.array_equal(q.levels, levels):
-            raise ValueError("all inputs must share identical levels")
-    stacked = np.vstack([q.values for q in inputs])
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] == 0:
+        raise ValueError("vincentize requires a non-empty (inputs x levels) block")
     # Summing each level's values in sorted order makes the mean exactly
-    # invariant to the order the forecasts arrive in.
-    values = np.mean(np.sort(stacked, axis=0), axis=0)
-    return QuantileVector(levels, values)
+    # invariant to the order of the rows.
+    return QuantileVector(levels, np.mean(np.sort(values, axis=0), axis=0))
 
 
-def combine_timestep(forecasts: Sequence, lead_hours: int | None = None) -> CombinedForecast:
-    """Combine the probabilistic forecasts covering one valid time.
-
-    ``forecasts`` is a non-empty list of objects with ``valid_time``,
-    ``lead_hours`` and ``quantiles`` attributes (one per contributing model
-    label).  ``lead_hours`` optionally fixes the lead recorded on the output;
-    by default the smallest input lead (the freshest forecast) is used.
-    """
-    if len(forecasts) == 0:
-        raise ValueError("combine_timestep requires at least one forecast")
-    valid_time = forecasts[0].valid_time
-    for f in forecasts[1:]:
-        if f.valid_time != valid_time:
-            raise ValueError("all forecasts must share the same valid_time")
-    combined = vincentize([f.quantiles for f in forecasts])
-    if lead_hours is None:
-        lead_hours = min(int(f.lead_hours) for f in forecasts)
+def combine_timestep(levels, values, valid_time: datetime, lead_hours: int) -> CombinedForecast:
+    """Combine one valid hour's forecasts, one row of ``values`` per contributing run."""
     return CombinedForecast(
         valid_time=valid_time,
         lead_hours=int(lead_hours),
-        quantiles=combined,
-        contributing_count=len(forecasts),
+        quantiles=vincentize(levels, values),
+        contributing_count=len(values),
     )

@@ -205,10 +205,6 @@ class PiecewiseCDF:
             return 1.0 if threshold > self.values[0] else 0.0
         return float(self.cdf(threshold))
 
-    def prob_below_sampled(self, threshold: float, n: int, seed: int) -> float:
-        """Sample-based estimate of P(X < threshold): fraction of n draws below it."""
-        return float(np.mean(self.sample(n, seed) < threshold))
-
 
 def _match(out: np.ndarray, reference) -> np.ndarray | float:
     """Return a scalar for scalar input, an array otherwise."""

@@ -1,4 +1,4 @@
-"""Forecast-error training tables and deterministic-to-probabilistic conversion.
+"""Forecast-error training tables: rank labelling of ensemble members and error rows.
 
 Errors are plain differences, observation minus forecast, in degC.  Each
 (forecast, matching observation) pair yields one training row, so an hour
@@ -11,30 +11,18 @@ individually learnable error profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
-from typing import Iterable, Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .combine import QuantileVector
 from .exceptions import DataError
-from .ingest import Dataset, ForecastRecord, Forecasts
+from .ingest import Dataset, Forecasts
 
 __all__ = [
-    "ErrorSample",
     "ErrorTable",
-    "ProbabilisticForecast",
     "rank_label_members",
     "build_error_table",
-    "to_probabilistic",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class ErrorSample:
-    lead_hours: int
-    model_label: str
-    error: float
 
 
 @dataclass(eq=False)
@@ -63,33 +51,6 @@ class ErrorTable:
     @property
     def n_rows(self) -> int:
         return int(self.errors.size)
-
-    def samples(self) -> Iterator[ErrorSample]:
-        for lead, code, err in zip(self.lead_hours, self.label_codes, self.errors):
-            yield ErrorSample(int(lead), self.label_set[code], float(err))
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[ErrorSample], skipped: int = 0) -> "ErrorTable":
-        rows = list(samples)
-        labels = tuple(sorted({s.model_label for s in rows}))
-        code = {lab: i for i, lab in enumerate(labels)}
-        return cls(
-            lead_hours=np.array([s.lead_hours for s in rows], dtype=np.int64),
-            label_codes=np.array([code[s.model_label] for s in rows], dtype=np.int64),
-            errors=np.array([s.error for s in rows], dtype=float),
-            label_set=labels,
-            skipped=skipped,
-        )
-
-
-@dataclass(eq=False)
-class ProbabilisticForecast:
-    """A deterministic forecast widened by its conditional error quantiles."""
-
-    model_label: str
-    valid_time: datetime
-    lead_hours: int
-    quantiles: QuantileVector
 
 
 def rank_label_members(forecasts: Forecasts) -> Forecasts:
@@ -143,21 +104,4 @@ def build_error_table(train: Dataset) -> ErrorTable:
         errors=obs.value[at[hit]] - fc.value[hit],
         label_set=tuple(fc.models[c] for c in present.tolist()),
         skipped=int(hit.size - np.count_nonzero(hit)),
-    )
-
-
-def to_probabilistic(
-    forecast: ForecastRecord, error_quantiles: QuantileVector
-) -> ProbabilisticForecast:
-    """Add conditional error quantiles to a deterministic forecast value.
-
-    ``error_quantiles`` must be conditional on the forecast's (lead_hours,
-    model label); the shift preserves levels and monotonicity exactly.
-    Non-monotone inputs are rejected by the QuantileVector type itself.
-    """
-    return ProbabilisticForecast(
-        model_label=forecast.model_id,
-        valid_time=forecast.valid_time,
-        lead_hours=forecast.lead_hours,
-        quantiles=error_quantiles.shifted(forecast.value),
     )

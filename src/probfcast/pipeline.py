@@ -1,9 +1,11 @@
-"""Scenario orchestration: train -> convert -> combine -> distribute -> score.
+"""Scenario orchestration: train -> shift -> combine -> distribute -> score.
 
 One forest is trained per scenario over all model labels jointly (the label
-is a covariate), then every hour of the horizon is forecast by shifting the
-conditional error quantiles of each current model run, quantile-averaging
-across models, and interpolating the result into a full distribution.
+is a covariate).  Stage 2 then works on columns: the forest is queried once
+per distinct (lead, label) pair of the current model runs, each run's row
+of error quantiles is shifted by its forecast value into one (runs x levels)
+matrix, and that matrix is averaged level by level over each valid hour's
+rows.  Each hour's average is interpolated into a full distribution.
 Scored hours run from one hour after the forecast origin out to the horizon;
 hours no current run covers are skipped and counted.
 """
@@ -20,17 +22,9 @@ import numpy as np
 from . import qrf, scoring
 from .combine import DEFAULT_LEVELS, CombinedForecast, QuantileVector, combine_timestep
 from .dist import PiecewiseCDF, build_cdf
-from .error_model import build_error_table, rank_label_members, to_probabilistic
+from .error_model import ErrorTable, build_error_table, rank_label_members
 from .exceptions import DataError
-from .ingest import (
-    Dataset,
-    ForecastRecord,
-    ScenarioWindow,
-    format_hour,
-    hour_index,
-    hour_time,
-    slice_scenario,
-)
+from .ingest import Dataset, ScenarioWindow, format_hour, hour_index, hour_time, slice_scenario
 
 __all__ = [
     "RunConfig",
@@ -38,6 +32,7 @@ __all__ = [
     "ScenarioResult",
     "admissible_origins",
     "draw_origins",
+    "prepare_training",
     "run_scenario",
     "run_scenarios",
 ]
@@ -164,7 +159,7 @@ def _score_hour(
 
 
 def _score_raw_hour(
-    values: Sequence[float],
+    values: np.ndarray,
     valid_time: datetime,
     lead_hours: int,
     y: float,
@@ -192,6 +187,28 @@ def _score_raw_hour(
     )
 
 
+def prepare_training(
+    dataset: Dataset, origin: datetime, config: RunConfig
+) -> Tuple[ErrorTable, Dataset]:
+    """Slice the window at ``origin`` and build the error table from its training half.
+
+    Returns the table and the evaluation slice.  A table with fewer than
+    ``config.min_training_rows`` rows is a data error.
+    """
+    window = ScenarioWindow(origin, config.train_days, config.horizon_hours)
+    train_ds, eval_ds = slice_scenario(dataset, window)
+    labelled = rank_label_members(train_ds.forecasts)
+    table = build_error_table(Dataset(labelled, train_ds.observations, train_ds.site_id))
+    if table.n_rows < config.min_training_rows:
+        raise DataError(
+            f"insufficient training data: {table.n_rows} rows < {config.min_training_rows}"
+        )
+    # Leakage guard: nothing at or after the origin may reach training.
+    if train_ds.observations.hour[-1] >= hour_index(origin):
+        raise RuntimeError("internal error: training slice leaked an evaluation observation")
+    return table, eval_ds
+
+
 def run_scenario(
     dataset: Dataset,
     origin: datetime,
@@ -207,18 +224,7 @@ def run_scenario(
     """
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
-    window = ScenarioWindow(origin, config.train_days, config.horizon_hours)
-    train_ds, eval_ds = slice_scenario(dataset, window)
-
-    labelled = rank_label_members(train_ds.forecasts)
-    table = build_error_table(Dataset(labelled, train_ds.observations, train_ds.site_id))
-    if table.n_rows < config.min_training_rows:
-        raise DataError(
-            f"insufficient training data: {table.n_rows} rows < {config.min_training_rows}"
-        )
-    # Leakage guard: nothing at or after the origin may reach training.
-    if train_ds.observations.hour[-1] >= hour_index(origin):
-        raise RuntimeError("internal error: training slice leaked an evaluation observation")
+    table, eval_ds = prepare_training(dataset, origin, config)
     eval_fc = rank_label_members(eval_ds.forecasts)
     eval_labels = {eval_fc.models[c] for c in np.unique(eval_fc.model).tolist()}
     unseen = sorted(eval_labels - set(table.label_set))
@@ -236,18 +242,24 @@ def run_scenario(
     t0 = time.perf_counter()
     # (lead, label) pairs in sorted order: codes sort as the labels do
     n_labels = len(eval_fc.models)
-    pair_keys = np.unique(eval_fc.lead * n_labels + eval_fc.model).tolist()
-    pairs = [(k // n_labels, eval_fc.models[k % n_labels]) for k in pair_keys]
-    matrix = qrf.predict_quantiles_batch(
-        forest, [p[0] for p in pairs], [p[1] for p in pairs], config.levels
+    pair_keys, pair_of_row = np.unique(
+        eval_fc.lead * n_labels + eval_fc.model, return_inverse=True
     )
-    error_q = {
-        pair: QuantileVector(config.levels, matrix[i]) for i, pair in enumerate(pairs)
-    }
-    by_hour: Dict[datetime, List[ForecastRecord]] = {}
-    for f in eval_fc.records():
-        by_hour.setdefault(f.valid_time, []).append(f)
-    obs_by_time = {o.valid_time: o.value for o in eval_ds.observations.records()}
+    matrix = qrf.predict_quantiles_batch(
+        forest,
+        pair_keys // n_labels,
+        [eval_fc.models[c] for c in (pair_keys % n_labels).tolist()],
+        config.levels,
+    )
+    shifted = matrix[pair_of_row] + eval_fc.value[:, None]
+    # Rows of each horizon hour, in row order: by_valid[first[i]:end[i]] for hours[i]
+    by_valid = np.argsort(eval_fc.valid, kind="stable")
+    hours = hour_index(origin) + np.arange(1, config.horizon_hours + 1)
+    first = np.searchsorted(eval_fc.valid[by_valid], hours, side="left").tolist()
+    end = np.searchsorted(eval_fc.valid[by_valid], hours, side="right").tolist()
+    obs = eval_ds.observations
+    obs_at = np.searchsorted(obs.hour, hours).tolist()
+    observed = np.isin(hours, obs.hour).tolist()
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -257,25 +269,22 @@ def run_scenario(
     unscored = 0
     degenerate = 0
     for h in range(1, config.horizon_hours + 1):
-        valid = origin + timedelta(hours=h)
-        group = by_hour.get(valid)
-        if not group:
+        rows = by_valid[first[h - 1] : end[h - 1]]
+        if not rows.size:
             unscored += 1
             continue
-        prob_forecasts = [
-            to_probabilistic(f, error_q[(f.lead_hours, f.model_id)]) for f in group
-        ]
-        combined = combine_timestep(prob_forecasts, lead_hours=h)
+        valid = origin + timedelta(hours=h)
+        combined = combine_timestep(config.levels, shifted[rows], valid, h)
         d = build_cdf(combined.quantiles)
         if d.is_degenerate:
             degenerate += 1
         if score:
-            y = obs_by_time.get(valid)
-            if y is None:
+            if not observed[h - 1]:
                 raise DataError(f"no observation to score at {valid.isoformat()}")
+            y = float(obs.value[obs_at[h - 1]])
             records.append(_score_hour(d, combined, y, config.intervals))
             raw_records.append(
-                _score_raw_hour([f.value for f in group], valid, h, y, config.levels)
+                _score_raw_hour(eval_fc.value[rows], valid, h, y, config.levels)
             )
         if with_products:
             draws = d.sample(config.draws, seed=config.seed + 7 * h + 1)

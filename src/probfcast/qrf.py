@@ -53,9 +53,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .combine import QuantileVector
+from .combine import QuantileVector, check_levels
 from .error_model import ErrorTable
 from .exceptions import ConfigError, DataError
+from .scoring import DEFAULT_INTERVALS
 
 __all__ = [
     "ForestConfig",
@@ -72,8 +73,6 @@ __all__ = [
 ]
 
 _N_COVARIATES = 2  # lead_hours (0), model_label (1)
-
-DEFAULT_OOB_INTERVALS = (0.5, 0.8, 0.9, 0.95)
 
 FOREST_FORMAT_VERSION = 1
 
@@ -478,15 +477,6 @@ def _stack_quantiles(
     return out
 
 
-def _check_levels(levels: np.ndarray) -> np.ndarray:
-    levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    if levels.size == 0:
-        raise ValueError("levels must be non-empty")
-    if levels[0] <= 0.0 or levels[-1] >= 1.0 or np.any(np.diff(levels) <= 0):
-        raise ValueError("levels must be strictly increasing within (0, 1)")
-    return levels
-
-
 def predict_weights(forest: Forest, x: CovariateVector) -> np.ndarray:
     """Per-training-row weights at covariates x; non-negative, summing to 1."""
     code = forest.label_code(x.model_label)
@@ -511,7 +501,7 @@ def predict_quantiles_batch(
     levels: Sequence[float],
 ) -> np.ndarray:
     """Quantiles for many covariate vectors at once; returns (n_queries, n_levels)."""
-    levels = _check_levels(np.asarray(levels))
+    levels = check_levels(levels)
     lead_q = np.asarray(lead_hours, dtype=float)
     code_q = np.array([forest.label_code(lab) for lab in labels], dtype=np.int64)
     if lead_q.size != code_q.size:
@@ -526,7 +516,7 @@ def predict_quantiles_batch(
 
 
 def oob_coverage(
-    forest: Forest, intervals: Sequence[float] = DEFAULT_OOB_INTERVALS
+    forest: Forest, intervals: Sequence[float] = DEFAULT_INTERVALS
 ) -> OOBCoverage:
     """Central-interval coverage of out-of-bag predictions, per lead hour.
 

@@ -1,5 +1,6 @@
 """Independent numerical oracles shared across test modules."""
 
+from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
@@ -308,3 +309,70 @@ def reference_error_table(forecasts, observations):
         label_set,
         len(forecasts) - len(rows),
     )
+
+
+@dataclass(frozen=True)
+class ErrorSample:
+    """One error-table row as a record."""
+
+    lead_hours: int
+    model_label: str
+    error: float
+
+
+def table_from_samples(samples, skipped=0):
+    """ErrorTable from records; labels get codes in sorted order."""
+    from probfcast.error_model import ErrorTable
+
+    rows = list(samples)
+    labels = tuple(sorted({s.model_label for s in rows}))
+    code = {lab: i for i, lab in enumerate(labels)}
+    return ErrorTable(
+        lead_hours=np.array([s.lead_hours for s in rows], dtype=np.int64),
+        label_codes=np.array([code[s.model_label] for s in rows], dtype=np.int64),
+        errors=np.array([s.error for s in rows], dtype=float),
+        label_set=labels,
+        skipped=skipped,
+    )
+
+
+def table_samples(table):
+    """An ErrorTable's rows as ErrorSample records, in row order."""
+    return [
+        ErrorSample(int(lead), table.label_set[code], float(err))
+        for lead, code, err in zip(table.lead_hours, table.label_codes, table.errors)
+    ]
+
+
+def reference_combined(dataset, origin, config, scenario_index=0):
+    """Per-record stage 2: {lead hour: (combined quantile values, contributor count)}.
+
+    Trains the scenario's forest as run_scenario does, then shifts each
+    evaluation record's error quantiles into its own QuantileVector and
+    averages each covered horizon hour's vectors level by level.
+    """
+    from probfcast import qrf
+    from probfcast.combine import QuantileVector
+    from probfcast.error_model import rank_label_members
+    from probfcast.pipeline import prepare_training
+
+    table, eval_ds = prepare_training(dataset, origin, config)
+    forest = qrf.train(table, config.forest_config(scenario_index))
+    records = rank_label_members(eval_ds.forecasts).records()
+    pairs = sorted({(f.lead_hours, f.model_id) for f in records})
+    matrix = qrf.predict_quantiles_batch(
+        forest, [p[0] for p in pairs], [p[1] for p in pairs], config.levels
+    )
+    error_q = dict(zip(pairs, matrix))
+    by_hour = {}
+    for f in records:
+        by_hour.setdefault(f.valid_time, []).append(
+            QuantileVector(config.levels, error_q[(f.lead_hours, f.model_id)] + f.value)
+        )
+    out = {}
+    for h in range(1, config.horizon_hours + 1):
+        group = by_hour.get(origin + timedelta(hours=h))
+        if group:
+            stacked = np.vstack([q.values for q in group])
+            out[h] = (np.mean(np.sort(stacked, axis=0), axis=0), len(group))
+    return out

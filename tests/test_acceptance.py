@@ -12,10 +12,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import integrate_density, ks_statistic, random_quantile_vector
+from helpers import (
+    ErrorSample,
+    integrate_density,
+    ks_statistic,
+    random_quantile_vector,
+    table_from_samples,
+)
 from probfcast.combine import DEFAULT_LEVELS, QuantileVector, vincentize
 from probfcast.dist import PiecewiseCDF, build_cdf
-from probfcast.error_model import ErrorSample, ErrorTable, build_error_table, rank_label_members
+from probfcast.error_model import build_error_table, rank_label_members
 from probfcast.ingest import Dataset, ScenarioWindow, slice_scenario
 from probfcast.pipeline import RunConfig, admissible_origins, draw_origins, run_scenarios
 from probfcast.qrf import CovariateVector, ForestConfig, predict_quantiles, predict_weights, train
@@ -107,7 +113,7 @@ def test_criterion_3_training_throughput():
     leads = rng.integers(0, 169, size=n)
     labels = [f"m{int(i)}" for i in rng.integers(0, 18, size=n)]
     errors = rng.normal(0.0, 1.0 + leads / 84.0)
-    table = ErrorTable.from_samples(
+    table = table_from_samples(
         ErrorSample(int(t), lab, float(e)) for t, lab, e in zip(leads, labels, errors)
     )
     t0 = time.perf_counter()
@@ -123,7 +129,7 @@ def test_criterion_3_training_throughput():
 def test_criterion_4_vincentization_gaussian_oracle():
     a = QuantileVector(DEFAULT_LEVELS, stats.norm.ppf(DEFAULT_LEVELS, 0.0, 1.0))
     b = QuantileVector(DEFAULT_LEVELS, stats.norm.ppf(DEFAULT_LEVELS, 2.0, 3.0))
-    out = vincentize([a, b]).values
+    out = vincentize(DEFAULT_LEVELS, np.vstack([a.values, b.values])).values
     expected = stats.norm.ppf(DEFAULT_LEVELS, 1.0, 2.0)
     worst = float(np.abs(out - expected).max())
     report(
@@ -193,7 +199,7 @@ def test_criterion_7_qrf_correctness():
     leads = rng.integers(0, 169, size=n)
     labels = [("glm", "ukv", "enuk_r1")[i % 3] for i in range(n)]
     truth = {"glm": 7.0, "ukv": -3.0, "enuk_r1": 0.25}
-    table = ErrorTable.from_samples(
+    table = table_from_samples(
         ErrorSample(int(t), lab, truth[lab]) for t, lab in zip(leads, labels)
     )
     forest = train(table, ForestConfig(num_trees=60, mtry=2, sample_count=n, seed=2))
@@ -206,7 +212,7 @@ def test_criterion_7_qrf_correctness():
         for t in (0, 17, 84, 168)
     )
 
-    noisy = ErrorTable.from_samples(
+    noisy = table_from_samples(
         ErrorSample(int(t), f"m{int(g)}", float(e))
         for t, g, e in zip(
             rng.integers(0, 169, size=3000),

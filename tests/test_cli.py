@@ -75,12 +75,19 @@ class TestTrain:
         assert forest.num_trees == 40
         oob_rows = read_csv(tmp_path / "oob_coverage.csv")
         leads = {int(r["lead_hours"]) for r in oob_rows}
-        observed = {int(s.lead_hours) for s in forest.table.samples()}
+        observed = set(forest.table.lead_hours.tolist())
         assert leads <= observed
         assert set(oob_rows[0].keys()) == {"lead_hours", "n", "cov50", "cov80", "cov90", "cov95"}
         err_rows = read_csv(tmp_path / "err.csv")
         assert set(err_rows[0].keys()) == {"lead_hours", "model_label", "error_degC"}
         assert len(err_rows) == forest.table.n_rows
+
+    def test_min_training_rows_enforced(self, data_dir, tmp_path, capsys):
+        extra = ["--train-days", "7", "--trees", "5", "--min-training-rows", "10000000"]
+        rc = main(["train", *run_args(data_dir, tmp_path, extra)])
+        assert rc == 2
+        assert "insufficient training data" in capsys.readouterr().err
+        assert not (tmp_path / "forest.npz").exists()
 
     def test_saved_forest_reproduces_predictions(self, data_dir, tmp_path):
         rc = main(["train", *run_args(data_dir, tmp_path)])
@@ -186,6 +193,12 @@ class TestExitCodes:
 
     def test_missing_paths_is_config_error(self, tmp_path):
         assert main(["evaluate", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("levels", ["0.5,1.5", "0,0.5", "nan", "0.5,x"])
+    def test_bad_levels_is_config_error(self, data_dir, tmp_path, levels):
+        rc = main(["evaluate", *run_args(data_dir, tmp_path, ["--levels", levels])])
+        assert rc == 1
+        assert not (tmp_path / "summary.txt").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

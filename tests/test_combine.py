@@ -9,10 +9,10 @@ from probfcast.combine import (
     DEFAULT_LEVELS,
     CombinedForecast,
     QuantileVector,
+    check_levels,
     combine_timestep,
     vincentize,
 )
-from probfcast.error_model import ProbabilisticForecast
 
 T0 = datetime(2020, 1, 10, 12, tzinfo=timezone.utc)
 
@@ -21,6 +21,11 @@ LEVELS3 = np.array([0.25, 0.5, 0.75])
 
 def qv(values, levels=LEVELS3):
     return QuantileVector(np.asarray(levels), np.asarray(values, dtype=float))
+
+
+def vz(rows, levels=LEVELS3):
+    """vincentize over a list of value rows on one grid."""
+    return vincentize(levels, np.array(rows, dtype=float))
 
 
 sorted_values = st.lists(
@@ -37,6 +42,13 @@ class TestGrid:
         needed = {0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975}
         assert needed <= set(DEFAULT_LEVELS.tolist())
         assert {i / 100 for i in range(1, 100)} <= set(DEFAULT_LEVELS.tolist())
+
+    @pytest.mark.parametrize(
+        "levels", [[], [0.0, 0.5], [0.5, 1.0], [0.2, 0.2], [0.6, 0.4], [0.5, float("nan")]]
+    )
+    def test_check_levels_rejects(self, levels):
+        with pytest.raises(ValueError):
+            check_levels(levels)
 
 
 class TestQuantileVector:
@@ -57,7 +69,7 @@ class TestQuantileVector:
             QuantileVector(np.array([]), np.array([]))
 
     def test_shift_and_value_at(self):
-        v = qv([1.0, 2.0, 3.0]).shifted(10.0)
+        v = qv(np.array([1.0, 2.0, 3.0]) + 10.0)
         assert v.value_at(0.5) == 12.0
         with pytest.raises(KeyError):
             v.value_at(0.33)
@@ -65,79 +77,73 @@ class TestQuantileVector:
 
 class TestVincentize:
     def test_per_level_mean(self):
-        out = vincentize([qv([1, 2, 3]), qv([3, 4, 5])])
+        out = vz([[1, 2, 3], [3, 4, 5]])
         np.testing.assert_array_equal(out.values, [2.0, 3.0, 4.0])
 
     def test_idempotent_on_copies(self):
-        v = qv([0.5, 1.5, 9.0])
-        out = vincentize([v] * 5)
-        np.testing.assert_allclose(out.values, v.values)
+        v = [0.5, 1.5, 9.0]
+        out = vz([v] * 5)
+        np.testing.assert_allclose(out.values, v)
 
     def test_gaussian_closed_form(self):
         # Averaging the quantile functions of two Gaussians yields the
         # Gaussian with averaged mean and averaged standard deviation.
-        a = QuantileVector(DEFAULT_LEVELS, stats.norm.ppf(DEFAULT_LEVELS, 0.0, 1.0))
-        b = QuantileVector(DEFAULT_LEVELS, stats.norm.ppf(DEFAULT_LEVELS, 2.0, 3.0))
-        out = vincentize([a, b])
+        a = stats.norm.ppf(DEFAULT_LEVELS, 0.0, 1.0)
+        b = stats.norm.ppf(DEFAULT_LEVELS, 2.0, 3.0)
+        out = vincentize(DEFAULT_LEVELS, np.vstack([a, b]))
         expected = stats.norm.ppf(DEFAULT_LEVELS, 1.0, 2.0)
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-9)
 
     def test_empty_and_mismatched_levels(self):
         with pytest.raises(ValueError):
-            vincentize([])
+            vincentize(LEVELS3, np.empty((0, 3)))
         with pytest.raises(ValueError):
-            vincentize([qv([1, 2, 3]), qv([1, 2, 3], levels=[0.2, 0.5, 0.8])])
+            vincentize(LEVELS3, np.array([1.0, 2.0, 3.0]))  # one row, not a block
+        with pytest.raises(ValueError):
+            vz([[1, 2, 3, 4], [1, 2, 3, 4]])
 
     @given(sorted_values, sorted_values, st.floats(-100, 100, allow_nan=False))
     def test_translation_equivariance(self, a, b, c):
-        base = vincentize([qv(a), qv(b)]).values
-        shifted = vincentize([qv(np.array(a) + c), qv(np.array(b) + c)]).values
+        base = vz([a, b]).values
+        shifted = vz([np.array(a) + c, np.array(b) + c]).values
         np.testing.assert_allclose(shifted, base + c, atol=1e-9)
 
     @given(sorted_values, sorted_values, st.floats(0.01, 100, allow_nan=False))
     def test_scale_equivariance(self, a, b, s):
-        base = vincentize([qv(a), qv(b)]).values
-        scaled = vincentize([qv(np.array(a) * s), qv(np.array(b) * s)]).values
+        base = vz([a, b]).values
+        scaled = vz([np.array(a) * s, np.array(b) * s]).values
         np.testing.assert_allclose(scaled, base * s, rtol=1e-12, atol=1e-9)
 
     @given(st.lists(sorted_values, min_size=1, max_size=6))
     def test_bounded_by_inputs_and_permutation_invariant(self, rows):
-        vs = [qv(r) for r in rows]
-        out = vincentize(vs).values
-        stacked = np.vstack([v.values for v in vs])
+        out = vz(rows).values
+        stacked = np.array(rows)
         assert np.all(out >= stacked.min(axis=0) - 1e-12)
         assert np.all(out <= stacked.max(axis=0) + 1e-12)
-        flipped = vincentize(list(reversed(vs))).values
+        flipped = vz(list(reversed(rows))).values
         np.testing.assert_array_equal(out, flipped)
-
-
-def pf(label, values, lead=24, valid=T0):
-    return ProbabilisticForecast(label, valid, lead, qv(values))
 
 
 class TestCombineTimestep:
     def test_single_input_passthrough(self):
-        out = combine_timestep([pf("glm", [1, 2, 3])])
+        out = combine_timestep(LEVELS3, np.array([[1.0, 2.0, 3.0]]), T0, 24)
         np.testing.assert_array_equal(out.quantiles.values, [1.0, 2.0, 3.0])
         assert out.contributing_count == 1
         assert out.lead_hours == 24
+        assert out.valid_time == T0
 
     def test_counts_every_contributor(self):
-        out = combine_timestep([pf(f"m{i}", [i, i + 1, i + 2]) for i in range(7)])
+        block = np.array([[i, i + 1, i + 2] for i in range(7)], dtype=float)
+        out = combine_timestep(LEVELS3, block, T0, 24)
         assert out.contributing_count == 7
 
-    def test_explicit_lead_overrides_minimum(self):
-        out = combine_timestep([pf("a", [0, 1, 2], lead=30), pf("b", [0, 1, 2], lead=12)])
-        assert out.lead_hours == 12
-        out = combine_timestep([pf("a", [0, 1, 2], lead=30)], lead_hours=5)
+    def test_records_given_lead(self):
+        out = combine_timestep(LEVELS3, np.array([[0.0, 1.0, 2.0]] * 2), T0, 5)
         assert out.lead_hours == 5
 
-    def test_rejects_empty_and_mixed_valid_times(self):
+    def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
-            combine_timestep([])
-        other = datetime(2020, 1, 11, tzinfo=timezone.utc)
-        with pytest.raises(ValueError):
-            combine_timestep([pf("a", [1, 2, 3]), pf("b", [1, 2, 3], valid=other)])
+            combine_timestep(LEVELS3, np.empty((0, 3)), T0, 1)
 
     def test_combined_forecast_requires_contributors(self):
         with pytest.raises(ValueError):

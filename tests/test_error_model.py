@@ -3,16 +3,9 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from helpers import ErrorSample, table_from_samples, table_samples
 
-from probfcast.combine import QuantileVector
-from probfcast.error_model import (
-    ErrorSample,
-    ErrorTable,
-    build_error_table,
-    rank_label_members,
-    to_probabilistic,
-)
+from probfcast.error_model import build_error_table, rank_label_members
 from probfcast.exceptions import DataError
 from probfcast.ingest import Dataset, ForecastRecord, Forecasts, ObservationRecord
 from probfcast.synth import SynthConfig, synthesize_dataset
@@ -127,44 +120,7 @@ class TestBuildErrorTable:
 
     def test_samples_round_trip(self):
         samples = [ErrorSample(3, "glm", -1.0), ErrorSample(4, "ukv", 0.5)]
-        table = ErrorTable.from_samples(samples)
-        assert list(table.samples()) == samples
+        table = table_from_samples(samples)
+        assert table_samples(table) == samples
 
 
-LEVELS = np.array([0.25, 0.5, 0.75])
-
-
-class TestToProbabilistic:
-    def fc(self, value=10.0):
-        return ForecastRecord("glm", None, T0, T0 + timedelta(hours=4), value)
-
-    def test_constant_shift(self):
-        out = to_probabilistic(self.fc(10.0), QuantileVector(LEVELS, [-1.0, 0.0, 1.0]))
-        np.testing.assert_array_equal(out.quantiles.values, [9.0, 10.0, 11.0])
-        assert out.model_label == "glm"
-        assert out.lead_hours == 4
-
-    def test_zero_errors_leave_median_at_forecast(self):
-        out = to_probabilistic(self.fc(7.25), QuantileVector(LEVELS, [0.0, 0.0, 0.0]))
-        assert out.quantiles.value_at(0.5) == 7.25
-
-    def test_interval_width_preserved(self):
-        eq = QuantileVector(LEVELS, [-2.0, 0.5, 3.0])
-        out = to_probabilistic(self.fc(), eq)
-        before = eq.values[2] - eq.values[0]
-        after = out.quantiles.values[2] - out.quantiles.values[0]
-        assert after == before
-
-    def test_non_monotone_error_quantiles_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            QuantileVector(LEVELS, [1.0, 0.0, 2.0])
-
-    @given(
-        st.floats(-50, 50, allow_nan=False),
-        st.floats(-50, 50, allow_nan=False),
-    )
-    def test_translation_equivariance(self, value, c):
-        eq = QuantileVector(LEVELS, [-1.5, 0.0, 2.0])
-        base = to_probabilistic(self.fc(value), eq).quantiles.values
-        shifted = to_probabilistic(self.fc(value + c), eq).quantiles.values
-        np.testing.assert_allclose(shifted, base + c, atol=1e-9)

@@ -2,6 +2,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from helpers import reference_combined
 
 from probfcast.exceptions import DataError
 from probfcast.ingest import Dataset, ScenarioWindow, format_hour, hour_index, slice_scenario
@@ -13,7 +14,7 @@ from probfcast.pipeline import (
     run_scenarios,
 )
 from probfcast.scoring import aggregate_by_lead
-from probfcast.synth import SynthConfig, synthesize_dataset
+from probfcast.synth import ModelSpec, SynthConfig, synthesize_dataset
 
 SMALL = RunConfig(
     num_trees=60,
@@ -25,9 +26,22 @@ SMALL = RunConfig(
 )
 
 
+# Beyond the mid-range model's 48 h only one model covers an hour.
+NARROW_ROSTER = (
+    ModelSpec("solo", 12, 168, 0.5, 0.6),
+    ModelSpec("duo", 6, 48, 0.3, 0.5),
+)
+NARROW = RunConfig(num_trees=40, sample_count=64, n_scenarios=1, seed=3, min_training_rows=100)
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return synthesize_dataset(SynthConfig(span_days=45), seed=6)
+
+
+@pytest.fixture(scope="module")
+def narrow_dataset():
+    return synthesize_dataset(SynthConfig(span_days=45, models=NARROW_ROSTER), seed=2)
 
 
 class TestOrigins:
@@ -105,6 +119,32 @@ class TestRunScenario:
         assert counts[168] >= 1
 
 
+class TestStageTwo:
+    """run_scenario's column stage 2 against the per-record reference, bit for bit."""
+
+    @staticmethod
+    def check(ds, cfg, origin):
+        res = run_scenario(ds, origin, cfg, with_products=True, score=False)
+        expected = reference_combined(ds, origin, cfg)
+        assert [hp.lead_hours for hp in res.products] == sorted(expected)
+        for hp in res.products:
+            values, count = expected[hp.lead_hours]
+            np.testing.assert_array_equal(hp.combined.quantiles.values, values)
+            assert hp.combined.contributing_count == count
+            assert hp.combined.valid_time == origin + timedelta(hours=hp.lead_hours)
+        return [hp.combined.contributing_count for hp in res.products]
+
+    def test_matches_per_record_reference(self, dataset):
+        for origin in admissible_origins(dataset, SMALL)[:2]:
+            counts = self.check(dataset, SMALL, origin)
+            assert max(counts) >= 3
+
+    def test_matches_per_record_reference_narrow_roster(self, narrow_dataset):
+        origin = admissible_origins(narrow_dataset, NARROW)[0]
+        counts = self.check(narrow_dataset, NARROW, origin)
+        assert counts[-1] == 1
+
+
 class TestRunScenarios:
     def test_full_lead_axis_aggregates(self, dataset):
         results = run_scenarios(dataset, SMALL)
@@ -133,19 +173,8 @@ class TestRunScenarios:
                 [r.crps for r in a.records], [r.crps for r in b.records]
             )
 
-    def test_raw_log_score_absent_for_single_member_hours(self):
-        # narrow roster: beyond the mid-range model only one model remains
-        from probfcast.synth import ModelSpec
-
-        roster = (
-            ModelSpec("solo", 12, 168, 0.5, 0.6),
-            ModelSpec("duo", 6, 48, 0.3, 0.5),
-        )
-        ds = synthesize_dataset(SynthConfig(span_days=45, models=roster), seed=2)
-        cfg = RunConfig(
-            num_trees=40, sample_count=64, n_scenarios=1, seed=3, min_training_rows=100
-        )
-        res = run_scenarios(ds, cfg)[0]
+    def test_raw_log_score_absent_for_single_member_hours(self, narrow_dataset):
+        res = run_scenarios(narrow_dataset, NARROW)[0]
         far = [r for r in res.raw_records if r.lead_hours > 60]
         assert far and all(np.isnan(r.log_score) for r in far)
         near = [r for r in res.raw_records if 2 <= r.lead_hours <= 40]

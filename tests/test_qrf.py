@@ -4,15 +4,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_oob_coverage, reference_quantiles, reference_train
+from helpers import (
+    ErrorSample,
+    reference_oob_coverage,
+    reference_quantiles,
+    reference_train,
+    table_from_samples,
+)
 from hypothesis import example, given, strategies as st
 
 from probfcast import qrf
 from probfcast.combine import DEFAULT_LEVELS
-from probfcast.error_model import ErrorSample, ErrorTable
+from probfcast.error_model import ErrorTable
 from probfcast.exceptions import ConfigError, DataError
 from probfcast.qrf import (
-    DEFAULT_OOB_INTERVALS,
     CovariateVector,
     ForestConfig,
     load_forest,
@@ -23,12 +28,13 @@ from probfcast.qrf import (
     save_forest,
     train,
 )
+from probfcast.scoring import DEFAULT_INTERVALS
 
 LEV = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
 
 
 def make_table(leads, labels, errors):
-    return ErrorTable.from_samples(
+    return table_from_samples(
         ErrorSample(int(t), m, float(e)) for t, m, e in zip(leads, labels, errors)
     )
 
@@ -391,7 +397,7 @@ class TestKernelAgainstReference:
 
     # The top level lets rounding put a target past a row's total weight.
     LEVELS = np.append(DEFAULT_LEVELS, np.nextafter(1.0, 0.0))
-    INTERVALS = DEFAULT_OOB_INTERVALS + (1.0 - 2.0**-52,)
+    INTERVALS = DEFAULT_INTERVALS + (1.0 - 2.0**-52,)
 
     @given(case=forest_cases(), chunk=st.sampled_from([1, 7, 64, qrf._CHUNK_ENTRIES]))
     @example(case=([0, 1, 2, 3, 4, 5], ["a"] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
@@ -431,7 +437,7 @@ class TestKernelAgainstReference:
             make_table(range(6), ["a"] * 6, np.arange(6.0)),
             ForestConfig(num_trees=3, sample_count=5, seed=1),
         )
-        assert reference_oob_coverage(forest, DEFAULT_OOB_INTERVALS)[3] >= 1
+        assert reference_oob_coverage(forest, DEFAULT_INTERVALS)[3] >= 1
 
 
 class TestSerialisation:
