@@ -1,8 +1,17 @@
 """Command-line entry point: generate, train, forecast, evaluate.
 
-Flags mirror :class:`probfcast.pipeline.RunConfig`; any flag can instead be
-set in a flat ``key=value`` file passed with ``--config`` (flags win).  The
-``PROBFCAST_OUT`` environment variable supplies the default output
+Flags mirror :class:`probfcast.pipeline.RunConfig`.  ``train``, ``forecast``
+and ``evaluate`` can also read their flags from a flat ``key=value`` file
+passed with ``--config``:
+
+- the keys are the command's own flag names written with underscores
+  (``sample_count=64`` for ``--sample-count 64``), and each value is parsed
+  by that flag's declaration;
+- ``replace`` takes ``1``/``true``/``yes``/``on`` or ``0``/``false``/``no``/``off``;
+- flags given on the command line win over file values;
+- a value the flag rejects, or a key the command has no flag for, exits 1.
+
+The ``PROBFCAST_OUT`` environment variable supplies the default output
 directory.  Exit codes: 0 success, 1 usage/config error, 2 data error,
 3 internal numerical failure.
 """
@@ -11,20 +20,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import math
 import os
 import sys
 import time
 import traceback
-from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import pipeline, qrf, scoring
-from .combine import DEFAULT_LEVELS, check_levels
+from .combine import check_levels
 from .exceptions import ConfigError, DataError
 from .ingest import (
     Dataset,
@@ -47,6 +56,45 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# config-file words for the replace key, each mapped to the flag it stands for
+_REPLACE_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), "--replace"),
+    **dict.fromkeys(("0", "false", "no", "off"), "--no-replace"),
+}
+
+
+class _RunConfigFile(argparse.Action):
+    """``--config PATH``: the command's own parser parses each ``key=value``
+    line as ``--key=value``, and fills only the options no flag has set."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        keys = {
+            a.option_strings[0][2:].replace("-", "_")
+            for a in parser._actions
+            if a.option_strings and a.dest not in ("help", self.dest)
+        }
+        tokens = []
+        for key, value in parse_flat_config(path).items():
+            if key not in keys:
+                raise ConfigError(f"{path}: unknown config key {key!r} for {parser.prog}")
+            if key == "replace":
+                token = _REPLACE_WORDS.get(value.lower())
+                if token is None:
+                    words = "/".join(_REPLACE_WORDS)
+                    raise ConfigError(f"{path}: replace={value} is not one of {words}")
+            else:
+                token = f"--{key.replace('_', '-')}={value}"
+            tokens.append(token)
+        try:
+            from_file = parser.parse_args(tokens)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        for dest, value in vars(from_file).items():
+            if getattr(namespace, dest, None) is None:
+                setattr(namespace, dest, value)
+        setattr(namespace, self.dest, path)
+
+
 def _fmt(x: float) -> str:
     if isinstance(x, float) and math.isnan(x):
         return ""
@@ -63,9 +111,11 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value file supplying flag defaults")
+    p.add_argument(
+        "--config", action=_RunConfigFile, help="flat key=value file supplying flag defaults"
+    )
     p.add_argument("--out", help="output directory (default $PROBFCAST_OUT or ./probfcast_out)")
-    p.add_argument("--trees", type=int, help="number of trees (default 250)")
+    p.add_argument("--trees", dest="num_trees", type=int, help="number of trees (default 250)")
     p.add_argument("--mtry", type=int, help="covariates tried per split (default 1)")
     p.add_argument("--min-node-size", type=int, help="smallest splittable node (default 1)")
     p.add_argument("--sample-count", type=int, help="rows subsampled per tree (default 128)")
@@ -75,9 +125,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="bootstrap with replacement instead of subsampling",
     )
-    p.add_argument("--scenarios", type=int, help="number of evaluation scenarios (default 200)")
+    p.add_argument(
+        "--scenarios",
+        dest="n_scenarios",
+        type=int,
+        help="number of evaluation scenarios (default 200)",
+    )
     p.add_argument("--train-days", type=int, help="training window length (default 14)")
-    p.add_argument("--horizon", type=int, help="forecast horizon in hours (default 168)")
+    p.add_argument(
+        "--horizon", dest="horizon_hours", type=int, help="forecast horizon in hours (default 168)"
+    )
     p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--threshold", type=float, help="probability threshold in degC (default 0)")
     p.add_argument("--draws", type=int, help="simulated values per hour (default 1000)")
@@ -88,95 +145,36 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-_CAST = {
-    "forecasts": str,
-    "observations": str,
-    "out": str,
-    "trees": int,
-    "mtry": int,
-    "min_node_size": int,
-    "sample_count": int,
-    "replace": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "scenarios": int,
-    "train_days": int,
-    "horizon": int,
-    "seed": int,
-    "threshold": float,
-    "draws": int,
-    "min_training_rows": int,
-    "jobs": int,
-    "levels": str,
-    "origin": str,
-    "save": str,
-    "dump_errors": str,
-    "dump_cdf_hour": int,
-    "span_days": int,
-}
-
-
-def _merged(args: argparse.Namespace) -> Dict[str, object]:
-    """Resolve each option: explicit flag, then config-file value, then default."""
-    file_kv: Dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_kv = parse_flat_config(args.config)
-        unknown = set(file_kv) - set(_CAST)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def get(key: str, default=None):
-        v = getattr(args, key, None)
-        if v is not None:
-            return v
-        if key in file_kv:
-            try:
-                return _CAST[key](file_kv[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from None
-        return default
-
-    merged = {k: get(k) for k in _CAST}
-    if merged["out"] is None:
-        merged["out"] = _default_out()
-    return merged
-
-
-# RunConfig fields whose flag has another name.
-_FLAG_FOR_FIELD = {"num_trees": "trees", "n_scenarios": "scenarios", "horizon_hours": "horizon"}
-
-
-def _run_config(m: Dict[str, object]) -> pipeline.RunConfig:
-    levels = DEFAULT_LEVELS
-    if m["levels"]:
+def _run_config(args: argparse.Namespace) -> pipeline.RunConfig:
+    # Options left unset keep RunConfig's defaults; intervals has no flag.
+    values = {
+        f.name: getattr(args, f.name, None) for f in dataclasses.fields(pipeline.RunConfig)
+    }
+    if args.levels:
         try:
-            levels = check_levels(sorted({float(p) for p in str(m["levels"]).split(",")}))
+            values["levels"] = check_levels(sorted({float(p) for p in args.levels.split(",")}))
         except ValueError as exc:
             raise ConfigError(f"--levels: {exc}") from None
-    # Unset keys keep RunConfig's defaults; levels and intervals are not flags.
-    values = {
-        f.name: m[_FLAG_FOR_FIELD.get(f.name, f.name)]
-        for f in fields(pipeline.RunConfig)
-        if f.name not in ("levels", "intervals")
-    }
+    else:
+        values["levels"] = None
     try:
-        return pipeline.RunConfig(
-            levels=levels, **{k: v for k, v in values.items() if v is not None}
-        )
+        return pipeline.RunConfig(**{k: v for k, v in values.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _out_dir(m: Dict[str, object]) -> Path:
-    out = Path(str(m["out"]))
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(_default_out() if args.out is None else args.out)
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
         raise ConfigError(f"output directory {out} is not writable")
     return out
 
 
-def _load_dataset(m: Dict[str, object]) -> Dataset:
-    if not m["forecasts"] or not m["observations"]:
+def _load_dataset(args: argparse.Namespace) -> Dataset:
+    if not args.forecasts or not args.observations:
         raise ConfigError("--forecasts and --observations are required")
-    fpath, opath = Path(str(m["forecasts"])), Path(str(m["observations"]))
+    fpath, opath = Path(args.forecasts), Path(args.observations)
     for p in (fpath, opath):
         if not p.exists():
             raise DataError(f"input file {p} does not exist")
@@ -210,12 +208,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         config = SynthConfig()
     if args.span_days is not None:
-        config = SynthConfig(
-            span_days=args.span_days,
-            start=config.start,
-            site_id=config.site_id,
-            models=config.models,
-        )
+        config = dataclasses.replace(config, span_days=args.span_days)
     if args.seed is not None:
         seed = args.seed
     dataset = synthesize_dataset(config, seed)
@@ -242,20 +235,19 @@ def _write_oob(path: Path, oob: qrf.OOBCoverage) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    m = _merged(args)
-    config = _run_config(m)
-    out = _out_dir(m)
-    dataset = _load_dataset(m)
-    if m["origin"]:
-        origin = parse_hour(str(m["origin"]))
+    config = _run_config(args)
+    out = _out_dir(args)
+    dataset = _load_dataset(args)
+    if args.origin:
+        origin = parse_hour(args.origin)
     elif len(dataset.observations):
         origin = hour_time(dataset.observations.hour[-1] + 1)
     else:
         raise DataError("dataset has no observations")
     table, _ = pipeline.prepare_training(dataset, origin, config)
-    if m["dump_errors"]:
+    if args.dump_errors:
         _write_csv(
-            Path(str(m["dump_errors"])),
+            Path(args.dump_errors),
             ["lead_hours", "model_label", "error_degC"],
             # Errors are finite, so repr equals _fmt.
             zip(
@@ -267,7 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     forest = qrf.train(table, config.forest_config())
     train_seconds = time.perf_counter() - t0
-    save_path = Path(str(m["save"])) if m["save"] else out / "forest.npz"
+    save_path = Path(args.save) if args.save else out / "forest.npz"
     save_path = qrf.save_forest(save_path, forest)
     oob = qrf.oob_coverage(forest, config.intervals)
     _write_oob(out / "oob_coverage.csv", oob)
@@ -287,16 +279,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    m = _merged(args)
-    config = _run_config(m)
-    out = _out_dir(m)
-    dataset = _load_dataset(m)
-    if not m["origin"]:
+    config = _run_config(args)
+    out = _out_dir(args)
+    dataset = _load_dataset(args)
+    if not args.origin:
         raise ConfigError("--origin is required for forecast")
-    origin = parse_hour(str(m["origin"]))
-    result = pipeline.run_scenario(
-        dataset, origin, config, with_products=True, score=False
-    )
+    origin = parse_hour(args.origin)
+    result = pipeline.run_scenario(dataset, origin, config, products_only=True)
     q_rows, int_rows, sample_rows, prob_rows = [], [], [], []
     for hp in result.products:
         ts = format_hour(hp.valid_time)
@@ -330,8 +319,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         ["valid_time", "prob_below", "prob_below_sampled"],
         prob_rows,
     )
-    if m["dump_cdf_hour"] is not None:
-        h = int(m["dump_cdf_hour"])
+    if args.dump_cdf_hour is not None:
+        h = args.dump_cdf_hour
         match = [hp for hp in result.products if hp.lead_hours == h]
         if not match:
             raise DataError(f"no forecast product at lead hour {h}")
@@ -396,10 +385,9 @@ def _aggregate_rows(aggs: List[scoring.LeadAggregate], prefix: str = "") -> List
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    m = _merged(args)
-    config = _run_config(m)
-    out = _out_dir(m)
-    dataset = _load_dataset(m)
+    config = _run_config(args)
+    out = _out_dir(args)
+    dataset = _load_dataset(args)
     t0 = time.perf_counter()
     results = pipeline.run_scenarios(dataset, config)
     wall = time.perf_counter() - t0

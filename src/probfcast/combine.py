@@ -71,13 +71,6 @@ class QuantileVector:
         if np.any(np.diff(self.values) < 0):
             raise ValueError("quantile values must be non-decreasing")
 
-    def value_at(self, level: float) -> float:
-        """Value at an exact grid level (raises if the level is not on the grid)."""
-        idx = int(np.searchsorted(self.levels, level))
-        if idx >= self.levels.size or self.levels[idx] != level:
-            raise KeyError(f"level {level} is not on the grid")
-        return float(self.values[idx])
-
 
 @dataclass(eq=False)
 class CombinedForecast:

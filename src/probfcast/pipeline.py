@@ -59,8 +59,9 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_scenarios < 1:
-            raise ValueError("n_scenarios must be >= 1")
+        for name in ("n_scenarios", "train_days", "horizon_hours", "draws"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def forest_config(self, scenario_index: int = 0) -> qrf.ForestConfig:
         # Wide per-scenario seed stride keeps per-tree streams disjoint.
@@ -214,13 +215,13 @@ def run_scenario(
     origin: datetime,
     config: RunConfig,
     scenario_index: int = 0,
-    with_products: bool = False,
-    score: bool = True,
+    products_only: bool = False,
 ) -> ScenarioResult:
     """Run the full pipeline for one forecast origin.
 
-    With ``score=True`` every covered hour needs an observation; with
-    ``score=False`` (operational forecasting) only products are built.
+    By default every covered hour is scored and needs an observation.  With
+    ``products_only=True`` (operational forecasting) each covered hour's
+    products are built and nothing is scored.
     """
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
@@ -278,15 +279,7 @@ def run_scenario(
         d = build_cdf(combined.quantiles)
         if d.is_degenerate:
             degenerate += 1
-        if score:
-            if not observed[h - 1]:
-                raise DataError(f"no observation to score at {valid.isoformat()}")
-            y = float(obs.value[obs_at[h - 1]])
-            records.append(_score_hour(d, combined, y, config.intervals))
-            raw_records.append(
-                _score_raw_hour(eval_fc.value[rows], valid, h, y, config.levels)
-            )
-        if with_products:
+        if products_only:
             draws = d.sample(config.draws, seed=config.seed + 7 * h + 1)
             products.append(
                 HourProducts(
@@ -299,6 +292,12 @@ def run_scenario(
                     samples=draws,
                 )
             )
+            continue
+        if not observed[h - 1]:
+            raise DataError(f"no observation to score at {valid.isoformat()}")
+        y = float(obs.value[obs_at[h - 1]])
+        records.append(_score_hour(d, combined, y, config.intervals))
+        raw_records.append(_score_raw_hour(eval_fc.value[rows], valid, h, y, config.levels))
     timings["score"] = time.perf_counter() - t0
 
     return ScenarioResult(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from probfcast import pipeline, qrf
-from probfcast.cli import _merged, _run_config, build_parser, main
+from probfcast.cli import _run_config, build_parser, main
 from probfcast.combine import DEFAULT_LEVELS
 from probfcast.ingest import load_forecasts, load_observations
 
@@ -227,13 +227,26 @@ class TestExitCodes:
         assert summary["seed"] == "9"
 
     def test_unset_flags_keep_run_config_defaults(self):
-        m = _merged(build_parser().parse_args(["evaluate"]))
-        got, default = _run_config(m), pipeline.RunConfig()
+        got, default = _run_config(build_parser().parse_args(["evaluate"])), pipeline.RunConfig()
         for f in dataclasses.fields(default):
             assert np.array_equal(getattr(got, f.name), getattr(default, f.name)), f.name
-        m.update(trees=7, scenarios=3, horizon=24, replace=True)
-        got = _run_config(m)
+        flags = ["--trees", "7", "--scenarios", "3", "--horizon", "24", "--replace"]
+        got = _run_config(build_parser().parse_args(["evaluate", *flags]))
         assert (got.num_trees, got.n_scenarios, got.horizon_hours, got.replace) == (7, 3, 24, True)
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("forecast", ["--origin", "2020-02-05T00:00Z", "--draws", "0"]),
+            ("forecast", ["--origin", "2020-02-05T00:00Z", "--horizon", "0"]),
+            ("evaluate", ["--scenarios", "1", "--train-days", "0"]),
+            ("train", ["--train-days", "0"]),
+        ],
+    )
+    def test_out_of_range_run_option_is_config_error(self, data_dir, tmp_path, command, flags):
+        out = tmp_path / "out"
+        assert main([command, *run_args(data_dir, out, flags)]) == 1
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -272,6 +285,82 @@ class TestExitCodes:
         )
         assert rc == 2
         assert f"{paths[bad_file]}:3: value_degC must be finite" in capsys.readouterr().err
+
+
+# RunConfig field -> (config key, value); every field with a flag is here.
+RUN_OPTIONS = {
+    "num_trees": ("trees", "7"),
+    "mtry": ("mtry", "2"),
+    "min_node_size": ("min_node_size", "3"),
+    "sample_count": ("sample_count", "32"),
+    "replace": ("replace", "yes"),
+    "n_scenarios": ("scenarios", "3"),
+    "train_days": ("train_days", "9"),
+    "horizon_hours": ("horizon", "24"),
+    "seed": ("seed", "11"),
+    "levels": ("levels", "0.9,0.1,0.5"),
+    "threshold": ("threshold", "-1.5"),
+    "draws": ("draws", "50"),
+    "min_training_rows": ("min_training_rows", "700"),
+    "jobs": ("jobs", "2"),
+}
+
+
+class TestRunConfigFile:
+    def test_every_flagged_field_is_listed(self):
+        fields = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
+        assert set(RUN_OPTIONS) == fields - {"intervals"}
+
+    @pytest.mark.parametrize("field", sorted(RUN_OPTIONS))
+    def test_file_value_equals_flag(self, tmp_path, field):
+        key, value = RUN_OPTIONS[field]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        flag = ["--replace"] if key == "replace" else [f"--{key.replace('_', '-')}", value]
+        by_flag = _run_config(build_parser().parse_args(["evaluate", *flag]))
+        by_file = _run_config(build_parser().parse_args(["evaluate", "--config", str(cfg)]))
+        default = pipeline.RunConfig()
+        assert not np.array_equal(getattr(by_flag, field), getattr(default, field))
+        for f in dataclasses.fields(default):
+            assert np.array_equal(getattr(by_file, f.name), getattr(by_flag, f.name)), f.name
+
+    @pytest.mark.parametrize("word, expected", [("On", True), ("1", True), ("off", False)])
+    def test_replace_words(self, tmp_path, word, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"replace={word}\n")
+        args = build_parser().parse_args(["train", "--config", str(cfg)])
+        assert _run_config(args).replace is expected
+
+    def test_flag_wins_in_either_order(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trees=9\nreplace=yes\nseed=3\n")
+        for argv in (
+            ["--config", str(cfg), "--trees", "5", "--no-replace"],
+            ["--trees", "5", "--no-replace", "--config", str(cfg)],
+        ):
+            got = _run_config(build_parser().parse_args(["train", *argv]))
+            assert (got.num_trees, got.replace, got.seed) == (5, False, 3)
+
+    @pytest.mark.parametrize(
+        "command, text, flags",
+        [
+            ("train", "replace=ture\n", []),
+            ("evaluate", "save=x.npz\n", ["--scenarios", "1"]),
+            ("train", "span_days=3\n", []),
+            ("train", "trees=abc\n", ["--trees", "5"]),
+            ("train", "config=other.cfg\n", []),
+            ("train", "train-days=7\n", []),
+        ],
+    )
+    def test_bad_file_is_config_error(self, data_dir, tmp_path, capsys, command, text, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), *run_args(data_dir, out, flags)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and text.split("=")[0] in err
+        assert not out.exists()
 
 
 # sha256 of the outputs written by generate --seed 55 --span-days 30, and of

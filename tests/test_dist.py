@@ -46,6 +46,20 @@ class TestBuildCdf:
         np.testing.assert_array_equal(d.values, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(d.probs, [0.2, 0.6, 0.8])
 
+    def test_tied_knots_interpolate_to_the_highest_level(self):
+        # Values at 0.025 and 0.03 are equal; only the 0.03 knot is kept.
+        values = np.linspace(-5.0, 5.0, DEFAULT_LEVELS.size)
+        i = int(np.flatnonzero(DEFAULT_LEVELS == 0.025)[0])
+        assert DEFAULT_LEVELS[i + 1] == 0.03
+        values[i] = values[i + 1]
+        d = build_cdf(QuantileVector(DEFAULT_LEVELS, values))
+        threshold = values[i] - 0.01
+        kept = np.arange(values.size) != i
+        expected = np.interp(threshold, values[kept], DEFAULT_LEVELS[kept])
+        assert d.prob_below(threshold) == pytest.approx(expected, rel=1e-12)
+        raw = np.interp(threshold, values, DEFAULT_LEVELS)
+        assert d.prob_below(threshold) != pytest.approx(raw, rel=1e-3)
+
     def test_unit_mass(self):
         rng = np.random.default_rng(5)
         for _ in range(5):

@@ -102,7 +102,7 @@ class TestRunScenario:
 
     def test_products_without_scoring(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
-        res = run_scenario(dataset, origin, SMALL, with_products=True, score=False)
+        res = run_scenario(dataset, origin, SMALL, products_only=True)
         assert res.records == []
         assert len(res.products) == 168
         for hp in res.products:
@@ -113,7 +113,7 @@ class TestRunScenario:
 
     def test_contributor_counts_fall_with_lead(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
-        res = run_scenario(dataset, origin, SMALL, with_products=True, score=False)
+        res = run_scenario(dataset, origin, SMALL, products_only=True)
         counts = {hp.lead_hours: hp.combined.contributing_count for hp in res.products}
         assert counts[3] > counts[100]
         assert counts[168] >= 1
@@ -124,7 +124,7 @@ class TestStageTwo:
 
     @staticmethod
     def check(ds, cfg, origin):
-        res = run_scenario(ds, origin, cfg, with_products=True, score=False)
+        res = run_scenario(ds, origin, cfg, products_only=True)
         expected = reference_combined(ds, origin, cfg)
         assert [hp.lead_hours for hp in res.products] == sorted(expected)
         for hp in res.products:
