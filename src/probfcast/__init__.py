@@ -14,9 +14,7 @@ from .error_model import ErrorTable, build_error_table, rank_label_members
 from .exceptions import ConfigError, DataError
 from .ingest import (
     Dataset,
-    ForecastRecord,
     Forecasts,
-    ObservationRecord,
     Observations,
     ScenarioWindow,
     load_forecasts,

@@ -11,6 +11,13 @@ Sub-hourly timestamps are rejected rather than resampled, forecast lead
 times must fall within [0, 168] hours, values must be finite, and a
 (model, member, init, valid) key or an observation hour may appear once.
 
+``load_forecasts`` parses a file in the shape :func:`write_forecasts`
+writes (CRLF lines, or all LF lines; unquoted fields; ``YYYY-MM-DDTHH:00Z``
+times; see :func:`_forecast_columns`) with numpy over its raw bytes, in
+bounded blocks.  Any other valid CSV loads through the ``csv`` row parser
+to the same columns, and so does any file with a bad row, so a load error
+always names ``file:line``.
+
 In memory a dataset is struct-of-arrays: times are int64 whole hours since
 the Unix epoch, a forecast's model is an index into the sorted ``models``
 tuple and a missing member is ``-1``.  Loaded forecasts are ordered by model
@@ -21,10 +28,11 @@ fixes the error-table row order and with it every seeded result downstream.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,8 +40,6 @@ from .exceptions import DataError
 
 __all__ = [
     "MAX_LEAD_HOURS",
-    "ForecastRecord",
-    "ObservationRecord",
     "Forecasts",
     "Observations",
     "ScenarioWindow",
@@ -87,27 +93,6 @@ def hour_index(ts: datetime) -> int:
 def hour_time(hour: int) -> datetime:
     """Inverse of :func:`hour_index`."""
     return EPOCH + timedelta(hours=int(hour))
-
-
-@dataclass(frozen=True, slots=True)
-class ForecastRecord:
-    """One deterministic forecast value from one model run."""
-
-    model_id: str
-    member: Optional[int]
-    init_time: datetime
-    valid_time: datetime
-    value: float
-
-    @property
-    def lead_hours(self) -> int:
-        return int((self.valid_time - self.init_time) // _HOUR)
-
-
-@dataclass(frozen=True, slots=True)
-class ObservationRecord:
-    valid_time: datetime
-    value: float
 
 
 def _map_distinct(fn, column: np.ndarray) -> list:
@@ -165,33 +150,6 @@ class Forecasts:
             self.value[rows],
         )
 
-    def records(self) -> List[ForecastRecord]:
-        return [
-            ForecastRecord(m, None if k < 0 else k, i, v, x)
-            for m, k, i, v, x in zip(
-                _map_distinct(self.models.__getitem__, self.model),
-                self.member.tolist(),
-                _map_distinct(hour_time, self.init),
-                _map_distinct(hour_time, self.valid),
-                self.value.tolist(),
-            )
-        ]
-
-    @classmethod
-    def from_records(cls, records: Iterable[ForecastRecord]) -> "Forecasts":
-        """Columns for ``records``, keeping their order."""
-        rows = list(records)
-        models = tuple(sorted({r.model_id for r in rows}))
-        code = {m: i for i, m in enumerate(models)}
-        return cls(
-            models,
-            [code[r.model_id] for r in rows],
-            [-1 if r.member is None else r.member for r in rows],
-            [hour_index(r.init_time) for r in rows],
-            [hour_index(r.valid_time) for r in rows],
-            [r.value for r in rows],
-        )
-
 
 @dataclass(eq=False)
 class Observations:
@@ -213,16 +171,6 @@ class Observations:
 
     def take(self, rows: np.ndarray) -> "Observations":
         return Observations(self.hour[rows], self.value[rows])
-
-    def records(self) -> List[ObservationRecord]:
-        times = _map_distinct(hour_time, self.hour)
-        return [ObservationRecord(t, y) for t, y in zip(times, self.value.tolist())]
-
-    @classmethod
-    def from_records(cls, records: Iterable[ObservationRecord]) -> "Observations":
-        """Columns for ``records``, sorted by valid time."""
-        rows = sorted(records, key=lambda r: r.valid_time)
-        return cls([hour_index(r.valid_time) for r in rows], [r.value for r in rows])
 
 
 @dataclass(frozen=True)
@@ -253,17 +201,6 @@ class Dataset:
     forecasts: Forecasts
     observations: Observations
     site_id: str = ""
-
-    @classmethod
-    def from_records(
-        cls,
-        forecasts: Iterable[ForecastRecord],
-        observations: Iterable[ObservationRecord],
-        site_id: str = "",
-    ) -> "Dataset":
-        return cls(
-            Forecasts.from_records(forecasts), Observations.from_records(observations), site_id
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +258,23 @@ def _values(path, texts: List[str], lines: List[int]) -> np.ndarray:
 
 
 def load_forecasts(path: str | Path) -> Forecasts:
-    """Load forecasts.csv in the row order above; any bad row fails the load."""
+    """Load forecasts.csv in the row order above; any bad row fails the load.
+
+    A file in the canonical shape is parsed by :func:`_forecast_columns`;
+    every other file, and every file with a bad row, by the row parser
+    :func:`_load_forecast_rows`, which names the first bad line.
+    """
+    columns = _forecast_columns(path)
+    if columns is None:
+        return _load_forecast_rows(path)
+    models, model, member, init, valid, value = columns
+    return _sorted_forecasts(
+        path, models, model, member, init, valid, value, np.arange(2, value.size + 2)
+    )
+
+
+def _load_forecast_rows(path: str | Path) -> Forecasts:
+    """Parse forecasts.csv row by row with :mod:`csv`; any valid CSV loads."""
     models: Dict[str, int] = {}
     members: Dict[str, int] = {}
     hours: Dict[str, int] = {}
@@ -349,11 +302,6 @@ def load_forecasts(path: str | Path) -> Forecasts:
             texts.append(value_s)
             lines.append(lineno)
 
-    names = sorted(models)
-    rename = np.empty(len(names), dtype=np.int64)
-    rename[[models[m] for m in names]] = np.arange(len(names))
-    model_a = rename[np.array(model, dtype=np.int64)]
-    member_a = np.array(member, dtype=np.int64)
     init_a = np.array(init, dtype=np.int64)
     valid_a = np.array(valid, dtype=np.int64)
     lead = valid_a - init_a
@@ -366,13 +314,196 @@ def load_forecasts(path: str | Path) -> Forecasts:
             f"{path}:{lines[i]}: lead hour {lead[i]} outside [0, {MAX_LEAD_HOURS}]"
         )
     value_a = _values(path, texts, lines)
-
-    order = np.lexsort((valid_a, init_a, member_a, model_a))
-    fc = Forecasts(
-        tuple(names), model_a[order], member_a[order], init_a[order], valid_a[order], value_a[order]
+    return _sorted_forecasts(
+        path,
+        models,
+        np.array(model, dtype=np.int64),
+        np.array(member, dtype=np.int64),
+        init_a,
+        valid_a,
+        value_a,
+        np.array(lines, dtype=np.int64),
     )
-    _reject_duplicate_keys(path, fc, np.array(lines, dtype=np.int64)[order])
+
+
+def _sorted_forecasts(path, models: Dict[str, int], model, member, init, valid, value, lines):
+    """Rows in canonical order, model codes renumbered by name; ``models``
+    maps each name to the code ``model`` uses, ``lines`` each row's line."""
+    names = sorted(models)
+    rename = np.empty(len(names), dtype=np.int64)
+    rename[[models[m] for m in names]] = np.arange(len(names))
+    model = rename[model]
+    order = np.lexsort((valid, init, member, model))
+    fc = Forecasts(
+        tuple(names), model[order], member[order], init[order], valid[order], value[order]
+    )
+    _reject_duplicate_keys(path, fc, lines[order])
     return fc
+
+
+# The fast path reads the shape write_forecasts writes: the header, then rows
+# of exactly five unquoted fields, every line ending in the same terminator.
+_FORECAST_HEADER_BYTES = ",".join(FORECAST_HEADER).encode()
+_SCAN_BYTES = 1 << 22  # newline scan block
+_BLOCK_LINES = 1 << 15  # field parse block
+_MAX_MODEL_BYTES = 64
+_MAX_VALUE_BYTES = 32
+_PAD_BYTES = _MAX_MODEL_BYTES  # a field's window may run past the last line
+_VALUE_BYTE = np.zeros(256, dtype=bool)
+_VALUE_BYTE[list(b"0123456789.eE+-\0")] = True  # NUL: padding, as the file has none
+# YYYY-MM-DDTHH:00Z
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12]
+_STAMP_FIXED = [4, 7, 10, 13, 14, 15, 16]
+_STAMP_TEMPLATE = np.frombuffer(b"--T:00Z", dtype=np.uint8)
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _read_padded(path) -> Tuple[np.ndarray, int]:
+    """The file's bytes in one buffer with zeroed padding after them."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.zeros(size + _PAD_BYTES, dtype=np.uint8)
+        view = memoryview(buf)
+        n = 0
+        while n < size:
+            got = fh.readinto(view[n:size])
+            if not got:
+                break
+            n += got
+    return buf, n
+
+
+def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """(len(starts), width) copy of the bytes from each start on."""
+    return np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+
+
+def _field_strings(buf, starts, lengths) -> np.ndarray:
+    """Fields as NUL-padded byte strings (the file holds no NUL)."""
+    g = _windows(buf, starts, max(int(lengths.max()), 1))
+    g[np.arange(g.shape[1]) >= lengths[:, None]] = 0
+    return g.view(f"S{g.shape[1]}").ravel()
+
+
+def _stamp_hours(buf, starts) -> Optional[np.ndarray]:
+    """Hours since the epoch of the ``YYYY-MM-DDTHH:00Z`` stamps at
+    ``starts``; None unless every one is a real calendar hour."""
+    g = _windows(buf, starts, 17)
+    if not (g[:, _STAMP_FIXED] == _STAMP_TEMPLATE).all():
+        return None
+    d = g[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
+    if not ((d >= 0) & (d <= 9)).all():
+        return None
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month = d[:, 4] * 10 + d[:, 5]
+    day = d[:, 6] * 10 + d[:, 7]
+    hour = d[:, 8] * 10 + d[:, 9]
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not (day <= _DAYS_IN_MONTH[month - 1] + ((month == 2) & leap)).all():
+        return None
+    # Days from 1970-01-01 in the proleptic Gregorian calendar, counting
+    # years from March so that a leap day ends its year.
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    return days * 24 + hour
+
+
+def _forecast_columns(path):
+    """(models, model, member, init, valid, value) of a canonically shaped
+    forecasts.csv whose every row is valid, else None.
+
+    The shape: the header; every line ending in ``\\r\\n``, or every one in
+    ``\\n``; no ``"``, NUL or blank line; four commas per line; an ASCII
+    model id of at most 64 bytes; a member empty or of 1-9 digits; both
+    times as ``YYYY-MM-DDTHH:00Z``; a value of at most 32 bytes from
+    ``[0-9.eE+-]``.  Lines are found in 4 MiB scans and fields parsed 32,768
+    lines at a time, so no per-file matrix is built.  ``models`` maps model
+    ids to the codes of ``model``, as :func:`_sorted_forecasts` takes them.
+    """
+    buf, size = _read_padded(path)
+    data = buf[:size]
+    head = len(_FORECAST_HEADER_BYTES)
+    if data[:head].tobytes() != _FORECAST_HEADER_BYTES:
+        return None
+    crlf = data[head : head + 2].tobytes() == b"\r\n"
+    cr_count = 0
+    newlines = []
+    for a in range(0, size, _SCAN_BYTES):
+        block = data[a : a + _SCAN_BYTES]
+        if (block == ord('"')).any() or (block == 0).any():
+            return None
+        cr_count += int(np.count_nonzero(block == ord("\r")))
+        newlines.append(np.flatnonzero(block == ord("\n")) + a)
+    nl = np.concatenate(newlines)
+    n = nl.size - 1
+    if n < 1 or nl[0] != head + crlf or nl[-1] != size - 1:
+        return None
+    # A CR stands only before each LF, or nowhere.
+    if cr_count != (nl.size if crlf else 0) or (crlf and not (data[nl - 1] == ord("\r")).all()):
+        return None
+
+    models: Dict[str, int] = {}
+    model, member, init, valid = (np.empty(n, dtype=np.int64) for _ in range(4))
+    value = np.empty(n)
+    for b in range(0, n, _BLOCK_LINES):
+        rows = slice(b, min(b + _BLOCK_LINES, n))
+        starts = nl[:-1][rows] + 1
+        ends = nl[1:][rows] - crlf
+        commas = np.flatnonzero(data[starts[0] : ends[-1]] == ord(",")) + starts[0]
+        if commas.size != 4 * starts.size:
+            return None
+        c = commas.reshape(-1, 4)
+        if not ((c[:, 0] >= starts) & (c[:, 3] < ends)).all():
+            return None
+
+        if not ((c[:, 2] - c[:, 1] == 18) & (c[:, 3] - c[:, 2] == 18)).all():
+            return None
+        init_b, valid_b = _stamp_hours(buf, c[:, 1] + 1), _stamp_hours(buf, c[:, 2] + 1)
+        if init_b is None or valid_b is None:
+            return None
+        lead = valid_b - init_b
+        if not ((lead >= 0) & (lead <= MAX_LEAD_HOURS)).all():
+            return None
+        init[rows], valid[rows] = init_b, valid_b
+
+        width = c[:, 1] - c[:, 0] - 1
+        if width.max() > 9:
+            return None
+        d = _windows(buf, c[:, 0] + 1, 9).astype(np.int64) - ord("0")
+        place = width[:, None] - 1 - np.arange(9)  # power of ten of each digit
+        d[place < 0] = 0
+        if not ((d >= 0) & (d <= 9)).all():
+            return None
+        member[rows] = np.where(width > 0, (d * 10 ** np.maximum(place, 0)).sum(axis=1), -1)
+
+        width = c[:, 0] - starts
+        if width.max() > _MAX_MODEL_BYTES:
+            return None
+        names, inverse = np.unique(_field_strings(buf, starts, width), return_inverse=True)
+        try:
+            codes = [models.setdefault(x.decode("ascii"), len(models)) for x in names.tolist()]
+        except UnicodeDecodeError:
+            return None
+        model[rows] = np.array(codes, dtype=np.int64)[inverse]
+
+        width = ends - c[:, 3] - 1
+        if width.min() < 1 or width.max() > _MAX_VALUE_BYTES:
+            return None
+        texts = _field_strings(buf, c[:, 3] + 1, width)
+        if not _VALUE_BYTE[texts.view(np.uint8)].all():
+            return None
+        try:
+            value[rows] = np.fromiter(map(float, texts.tolist()), dtype=float, count=starts.size)
+        except ValueError:
+            return None
+        if not np.isfinite(value[rows]).all():
+            return None
+    return models, model, member, init, valid, value
 
 
 def _reject_duplicate_keys(path, fc: Forecasts, lines: np.ndarray) -> None:

@@ -558,9 +558,11 @@ def oob_coverage(
     hits = (q[:, lo_idx] <= err) & (err <= q[:, hi_idx])
     uniq_leads, pos = np.unique(table.lead_hours[scored], return_inverse=True)
     n_rows = np.bincount(pos, minlength=uniq_leads.size)
-    cov = np.zeros((uniq_leads.size, len(intervals)))
-    np.add.at(cov, pos, hits)
-    cov /= n_rows[:, None]
+    # One count per (lead, interval) cell; sums of 0.0 and 1.0 are exact in any order.
+    k = len(intervals)
+    cells = (pos[:, None] * k + np.arange(k)).ravel()
+    cov = np.bincount(cells, weights=hits.ravel(), minlength=uniq_leads.size * k)
+    cov = cov.reshape(uniq_leads.size, k) / n_rows[:, None]
     return OOBCoverage(
         lead_hours=uniq_leads,
         n_rows=n_rows,
@@ -576,7 +578,7 @@ def oob_coverage(
 
 
 def save_forest(path: str | Path, forest: Forest) -> Path:
-    """Serialise a forest to a self-describing .npz archive."""
+    """Serialise a forest to a self-describing, uncompressed .npz archive."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
@@ -586,7 +588,7 @@ def save_forest(path: str | Path, forest: Forest) -> Path:
     cat_counts = np.array([t.cat_left.shape[0] for t in trees], dtype=np.int64)
     inbag_counts = np.array([t.inbag.size for t in trees], dtype=np.int64)
     cfg = {f.name: getattr(forest.config, f.name) for f in fields(ForestConfig)}
-    np.savez_compressed(
+    np.savez(
         path,
         format_version=np.int64(FOREST_FORMAT_VERSION),
         **{f"cfg_{k}": np.bool_(v) if isinstance(v, bool) else np.int64(v) for k, v in cfg.items()},
@@ -607,7 +609,8 @@ def save_forest(path: str | Path, forest: Forest) -> Path:
 def load_forest(path: str | Path) -> Forest:
     """Load a forest saved by :func:`save_forest`; round-trips bit-exactly."""
     with np.load(path) as archive:
-        # Decompress each member once, not once per tree slice.
+        # Read each member once, not once per tree slice.  Archives written
+        # with np.savez_compressed load the same way.
         z = {name: archive[name] for name in archive.files}
         version = int(z["format_version"])
         if version != FOREST_FORMAT_VERSION:

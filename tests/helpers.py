@@ -1,9 +1,12 @@
 """Independent numerical oracles shared across test modules."""
 
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
+from typing import Optional
 
 import numpy as np
+
+from probfcast.ingest import Dataset, Forecasts, Observations, hour_index, hour_time
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -54,6 +57,81 @@ def random_quantile_vector(rng, levels):
     else:
         vals = rng.uniform(-1, 1, levels.size) * rng.uniform(0.5, 8.0) + rng.uniform(-10, 10)
     return np.sort(vals)
+
+
+@dataclass(frozen=True, slots=True)
+class ForecastRecord:
+    """One forecast row as a record."""
+
+    model_id: str
+    member: Optional[int]
+    init_time: datetime
+    valid_time: datetime
+    value: float
+
+    @property
+    def lead_hours(self) -> int:
+        return int((self.valid_time - self.init_time) // timedelta(hours=1))
+
+
+@dataclass(frozen=True, slots=True)
+class ObservationRecord:
+    """One observation row as a record."""
+
+    valid_time: datetime
+    value: float
+
+
+def _times(hours):
+    """hour_time of each entry, converting each distinct hour once."""
+    distinct, inverse = np.unique(hours, return_inverse=True)
+    return np.array([hour_time(h) for h in distinct.tolist()], dtype=object)[inverse].tolist()
+
+
+def forecast_records(fc):
+    """A Forecasts' rows as ForecastRecords, in row order."""
+    return [
+        ForecastRecord(fc.models[m], None if k < 0 else k, i, v, x)
+        for m, k, i, v, x in zip(
+            fc.model.tolist(),
+            fc.member.tolist(),
+            _times(fc.init),
+            _times(fc.valid),
+            fc.value.tolist(),
+        )
+    ]
+
+
+def observation_records(obs):
+    """An Observations' rows as ObservationRecords, in row order."""
+    return [ObservationRecord(t, y) for t, y in zip(_times(obs.hour), obs.value.tolist())]
+
+
+def forecasts_from_records(records):
+    """Forecasts columns for ``records``, keeping their order."""
+    rows = list(records)
+    models = tuple(sorted({r.model_id for r in rows}))
+    code = {m: i for i, m in enumerate(models)}
+    return Forecasts(
+        models,
+        [code[r.model_id] for r in rows],
+        [-1 if r.member is None else r.member for r in rows],
+        [hour_index(r.init_time) for r in rows],
+        [hour_index(r.valid_time) for r in rows],
+        [r.value for r in rows],
+    )
+
+
+def observations_from_records(records):
+    """Observations columns for ``records``, sorted by valid time."""
+    rows = sorted(records, key=lambda r: r.valid_time)
+    return Observations([hour_index(r.valid_time) for r in rows], [r.value for r in rows])
+
+
+def dataset_from_records(forecasts, observations, site_id=""):
+    return Dataset(
+        forecasts_from_records(forecasts), observations_from_records(observations), site_id
+    )
 
 
 def _best_cut(keys, y, mns):
@@ -358,7 +436,7 @@ def reference_combined(dataset, origin, config, scenario_index=0):
 
     table, eval_ds = prepare_training(dataset, origin, config)
     forest = qrf.train(table, config.forest_config(scenario_index))
-    records = rank_label_members(eval_ds.forecasts).records()
+    records = forecast_records(rank_label_members(eval_ds.forecasts))
     pairs = sorted({(f.lead_hours, f.model_id) for f in records})
     matrix = qrf.predict_quantiles_batch(
         forest, [p[0] for p in pairs], [p[1] for p in pairs], config.levels

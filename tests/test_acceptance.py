@@ -14,8 +14,10 @@ from scipy import stats
 
 from helpers import (
     ErrorSample,
+    forecast_records,
     integrate_density,
     ks_statistic,
+    observation_records,
     random_quantile_vector,
     table_from_samples,
 )
@@ -273,8 +275,8 @@ def test_criterion_9_no_leakage(dataset, evaluation):
     clean = True
     for origin in origins:
         train_ds, _ = slice_scenario(dataset, ScenarioWindow(origin, EVAL_CONFIG.train_days))
-        latest_obs = max(o.valid_time for o in train_ds.observations.records())
-        latest_fc = max(f.valid_time for f in train_ds.forecasts.records())
+        latest_obs = max(o.valid_time for o in observation_records(train_ds.observations))
+        latest_fc = max(f.valid_time for f in forecast_records(train_ds.forecasts))
         clean = clean and latest_obs < origin and latest_fc < origin
     report(
         "criterion 9 (no training leakage)",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import forecast_records
 
 from probfcast import pipeline, qrf
 from probfcast.cli import _run_config, build_parser, main
@@ -62,7 +63,7 @@ class TestGenerate:
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         fc = load_forecasts(tmp_path / "forecasts.csv")
-        assert {r.model_id for r in fc.records()} == {"glm", "ukv"}
+        assert {r.model_id for r in forecast_records(fc)} == {"glm", "ukv"}
 
 
 class TestTrain:

@@ -3,11 +3,21 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from helpers import ErrorSample, table_from_samples, table_samples
+from helpers import (
+    ErrorSample,
+    ForecastRecord,
+    ObservationRecord,
+    dataset_from_records,
+    forecast_records,
+    forecasts_from_records,
+    observation_records,
+    table_from_samples,
+    table_samples,
+)
 
 from probfcast.error_model import build_error_table, rank_label_members
 from probfcast.exceptions import DataError
-from probfcast.ingest import Dataset, ForecastRecord, Forecasts, ObservationRecord
+from probfcast.ingest import Dataset
 from probfcast.synth import SynthConfig, synthesize_dataset
 
 UTC = timezone.utc
@@ -15,7 +25,7 @@ T0 = datetime(2020, 1, 5, tzinfo=UTC)
 
 
 def rank(records):
-    return rank_label_members(Forecasts.from_records(records)).records()
+    return forecast_records(rank_label_members(forecasts_from_records(records)))
 
 
 def member_records(values, model="enuk", valid=None):
@@ -74,7 +84,7 @@ class TestBuildErrorTable:
         ]
 
     def test_error_is_observation_minus_forecast(self):
-        ds = Dataset.from_records(
+        ds = dataset_from_records(
             [ForecastRecord("glm", None, T0, T0 + timedelta(hours=2), 5.0)],
             self.obs([2], [3.5]),
         )
@@ -82,7 +92,7 @@ class TestBuildErrorTable:
         assert table.errors[0] == -1.5
 
     def test_zero_error_when_forecast_matches(self):
-        ds = Dataset.from_records(
+        ds = dataset_from_records(
             [ForecastRecord("glm", None, T0, T0 + timedelta(hours=1), 3.5)],
             self.obs([1], [3.5]),
         )
@@ -93,27 +103,27 @@ class TestBuildErrorTable:
             ForecastRecord("glm", None, T0 - timedelta(hours=lead - 3), T0 + timedelta(hours=3), 1.0)
             for lead in (3, 15, 27)
         ]
-        table = build_error_table(Dataset.from_records(fcs, self.obs([3], [2.0])))
+        table = build_error_table(dataset_from_records(fcs, self.obs([3], [2.0])))
         assert table.n_rows == 3
 
     def test_missing_observations_skipped_and_counted(self):
         fcs = [
             ForecastRecord("glm", None, T0, T0 + timedelta(hours=h), 1.0) for h in (1, 2, 3)
         ]
-        table = build_error_table(Dataset.from_records(fcs, self.obs([2], [2.0])))
+        table = build_error_table(dataset_from_records(fcs, self.obs([2], [2.0])))
         assert table.n_rows == 1
         assert table.skipped == 2
 
     def test_no_overlap_is_an_error(self):
         fcs = [ForecastRecord("glm", None, T0, T0 + timedelta(hours=1), 1.0)]
         with pytest.raises(DataError, match="no overlap"):
-            build_error_table(Dataset.from_records(fcs, self.obs([5], [2.0])))
+            build_error_table(dataset_from_records(fcs, self.obs([5], [2.0])))
 
     def test_row_count_matches_matching_records_on_synthetic_data(self):
         ds = synthesize_dataset(SynthConfig(span_days=3), seed=21)
-        obs_times = {o.valid_time for o in ds.observations.records()}
+        obs_times = {o.valid_time for o in observation_records(ds.observations)}
         labelled = rank_label_members(ds.forecasts)
-        expected = sum(1 for f in labelled.records() if f.valid_time in obs_times)
+        expected = sum(1 for f in forecast_records(labelled) if f.valid_time in obs_times)
         table = build_error_table(Dataset(labelled, ds.observations))
         assert table.n_rows == expected
         assert table.skipped == len(labelled) - expected

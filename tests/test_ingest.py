@@ -2,15 +2,23 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from helpers import reference_error_table, reference_rank_label, reference_slice
-from hypothesis import given, strategies as st
+from helpers import (
+    ForecastRecord,
+    ObservationRecord,
+    dataset_from_records,
+    forecast_records,
+    observation_records,
+    reference_error_table,
+    reference_rank_label,
+    reference_slice,
+)
+from hypothesis import given, settings, strategies as st
 
+from probfcast import ingest
 from probfcast.error_model import build_error_table, rank_label_members
 from probfcast.exceptions import DataError
 from probfcast.ingest import (
     Dataset,
-    ForecastRecord,
-    ObservationRecord,
     ScenarioWindow,
     load_forecasts,
     load_observations,
@@ -45,7 +53,7 @@ class TestLoadForecasts:
             "f.csv",
             FC_HEADER + "glm,,2020-01-01T00:00Z,2020-01-01T12:00Z,4.5\n",
         )
-        (rec,) = load_forecasts(p).records()
+        (rec,) = forecast_records(load_forecasts(p))
         assert rec.model_id == "glm"
         assert rec.member is None
         assert rec.lead_hours == 12
@@ -69,7 +77,7 @@ class TestLoadForecasts:
             + "glm,,2020-01-01T00:00Z,2020-01-01T02:00Z,2.0\n"
             + "glm,,2020-01-01T00:00Z,2020-01-01T01:00Z,3.0\n",
         )
-        recs = load_forecasts(p).records()
+        recs = forecast_records(load_forecasts(p))
         assert len(recs) == 3
         assert [r.model_id for r in recs] == ["glm", "glm", "ukv"]
         assert recs[0].valid_time < recs[1].valid_time
@@ -157,7 +165,7 @@ class TestLoadObservations:
 
     def test_parses_value(self, tmp_path):
         p = write(tmp_path, "o.csv", OBS_HEADER + "2020-01-01T00:00Z,2.5\n")
-        (rec,) = load_observations(p).records()
+        (rec,) = observation_records(load_observations(p))
         assert rec.value == 2.5
         assert rec.valid_time == ts(1)
 
@@ -169,8 +177,9 @@ class TestRoundTrip:
         write_observations(tmp_path / "o.csv", ds.observations)
         fc = load_forecasts(tmp_path / "f.csv")
         obs = load_observations(tmp_path / "o.csv")
-        assert sorted(fc.records(), key=repr) == sorted(ds.forecasts.records(), key=repr)
-        assert obs.records() == ds.observations.records()
+        expected = sorted(forecast_records(ds.forecasts), key=repr)
+        assert sorted(forecast_records(fc), key=repr) == expected
+        assert observation_records(obs) == observation_records(ds.observations)
 
 
 def tiny_dataset():
@@ -185,7 +194,7 @@ def tiny_dataset():
                     fcs.append(
                         ForecastRecord(model, None, init, init + timedelta(hours=lead), 1.0)
                     )
-    return Dataset.from_records(fcs, obs, "tiny")
+    return dataset_from_records(fcs, obs, "tiny")
 
 
 class TestSliceScenario:
@@ -193,16 +202,17 @@ class TestSliceScenario:
         ds = tiny_dataset()
         origin = ts(3, 12)
         train, evaluation = slice_scenario(ds, ScenarioWindow(origin, 2, 24))
-        assert all(o.valid_time >= origin for o in evaluation.observations.records())
-        assert all(o.valid_time < origin for o in train.observations.records())
-        assert all(f.valid_time < origin for f in train.forecasts.records())
-        assert all(f.init_time < origin for f in train.forecasts.records())
+        assert all(o.valid_time >= origin for o in observation_records(evaluation.observations))
+        assert all(o.valid_time < origin for o in observation_records(train.observations))
+        assert all(f.valid_time < origin for f in forecast_records(train.forecasts))
+        assert all(f.init_time < origin for f in forecast_records(train.forecasts))
 
     def test_latest_run_selected(self):
         ds = tiny_dataset()
         origin = ts(3, 13)  # runs exist at 00:00 and 12:00; 13:00 keeps the 12:00 one
         _, evaluation = slice_scenario(ds, ScenarioWindow(origin, 2, 24))
-        inits = {f.init_time for f in evaluation.forecasts.records() if f.model_id == "glm"}
+        rows = forecast_records(evaluation.forecasts)
+        inits = {f.init_time for f in rows if f.model_id == "glm"}
         assert inits == {ts(3, 12)}
 
     def test_window_not_covered(self):
@@ -213,12 +223,12 @@ class TestSliceScenario:
     def test_no_leakage_over_random_origins(self):
         ds = synthesize_dataset(SynthConfig(span_days=20), seed=9)
         rng = np.random.default_rng(0)
-        start = ds.observations.records()[0].valid_time
+        start = observation_records(ds.observations)[0].valid_time
         for _ in range(100):
             origin = start + timedelta(hours=int(rng.integers(3 * 24, 18 * 24)))
             train, _ = slice_scenario(ds, ScenarioWindow(origin, 3, 24))
-            assert max(o.valid_time for o in train.observations.records()) < origin
-            assert max(f.valid_time for f in train.forecasts.records()) < origin
+            assert max(o.valid_time for o in observation_records(train.observations)) < origin
+            assert max(f.valid_time for f in forecast_records(train.forecasts)) < origin
 
     def test_default_window_yields_desk_scale_error_rows(self):
         ds = synthesize_dataset(SynthConfig(span_days=40), seed=1)
@@ -275,8 +285,8 @@ class TestColumnsMatchRecordLoops:
     @given(record_datasets())
     def test_slice_rank_and_table_equal_reference(self, drawn):
         fcs, obs, window = drawn
-        ds = Dataset.from_records(fcs, obs)
-        assert rank_label_members(ds.forecasts).records() == reference_rank_label(fcs)
+        ds = dataset_from_records(fcs, obs)
+        assert forecast_records(rank_label_members(ds.forecasts)) == reference_rank_label(fcs)
         try:
             ref = reference_slice(fcs, obs, window)
         except DataError:
@@ -284,15 +294,16 @@ class TestColumnsMatchRecordLoops:
                 slice_scenario(ds, window)
             return
         train, evaluation = slice_scenario(ds, window)
-        assert train.forecasts.records() == ref[0]
-        assert train.observations.records() == ref[1]
-        assert evaluation.forecasts.records() == ref[2]
-        assert evaluation.observations.records() == ref[3]
-        assert rank_label_members(evaluation.forecasts).records() == reference_rank_label(ref[2])
+        assert forecast_records(train.forecasts) == ref[0]
+        assert observation_records(train.observations) == ref[1]
+        assert forecast_records(evaluation.forecasts) == ref[2]
+        assert observation_records(evaluation.observations) == ref[3]
+        ranked = forecast_records(rank_label_members(evaluation.forecasts))
+        assert ranked == reference_rank_label(ref[2])
 
         ranked = rank_label_members(train.forecasts)
         ref_ranked = reference_rank_label(ref[0])
-        assert ranked.records() == ref_ranked
+        assert forecast_records(ranked) == ref_ranked
         try:
             lead, code, err, label_set, skipped = reference_error_table(ref_ranked, ref[1])
         except DataError:
@@ -310,7 +321,7 @@ class TestColumnsMatchRecordLoops:
 class TestLeadHours:
     def test_lead_hours_exact_over_synthetic_slices(self):
         ds = synthesize_dataset(SynthConfig(span_days=3), seed=8)
-        for f in ds.forecasts.records()[:5000]:
+        for f in forecast_records(ds.forecasts)[:5000]:
             assert f.valid_time == f.init_time + timedelta(hours=f.lead_hours)
 
 
@@ -325,3 +336,200 @@ class TestScenarioWindow:
         w = ScenarioWindow(ts(5), 2, 24)
         assert w.train_start == ts(3)
         assert w.eval_end == ts(6)
+
+
+# Faults injected into canonically shaped forecasts.csv files.  Each but a
+# duplicate key hands the file to the row parser: to be rejected with the
+# parser's message or, for a space or an offset in a time or a quoted model
+# id, to load.
+BAD_STAMPS = (
+    "not-a-time",
+    "2020-13-01T00:00Z",
+    "2020-01-01T24:00Z",
+    "2020-01-01 06:00Z",
+    "2020-01-01T06:00+01:00",
+    "0000-01-01T00:00Z",
+    "2020-1-01T00:00Z",
+    "2020-01-01T06:00:00Z",
+)
+SUB_HOURLY_STAMPS = ("2020-01-01T06:30Z", "2020-01-01T06:01Z")
+IMPOSSIBLE_DATES = (
+    "2021-02-29T00:00Z",
+    "1900-02-29T06:00Z",
+    "2020-04-31T00:00Z",
+    "2020-02-30T12:00Z",
+    "2020-00-10T00:00Z",
+    "2020-06-00T00:00Z",
+)
+BAD_MEMBERS = ("+3", "-0", " 2", "1_0", "-1", "-12")
+BAD_LEADS = (-1, -30, 169, 200)
+NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999")
+FAULTS = (
+    "bad timestamp",
+    "sub-hourly timestamp",
+    "impossible date",
+    "bad member",
+    "lead outside range",
+    "non-finite value",
+    "duplicate key",
+    "quoted model id",
+    "blank line",
+    "four fields",
+    "six fields",
+)
+VALUE_TEXTS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["0", "-0", "+1.5", "1.", ".5", "1e3", "1E-3", "-2.50", "007"]
+)
+MODEL_IDS = st.sampled_from(["glu", "ukv", "enuk", "a b", "m-1", ""])
+# Hours since 2000-01-01: around the 2000 leap day and the end of 2000.
+INIT_HOURS = st.sampled_from([0, 1404, 1416, 8772, 8778]) | st.integers(0, 9000)
+EPOCH_2000 = datetime(2000, 1, 1, tzinfo=UTC)
+
+
+def stamp(hour):
+    return (EPOCH_2000 + timedelta(hours=hour)).strftime("%Y-%m-%dT%H:%MZ")
+
+
+def csv_text(rows, end, blank_at=None):
+    lines = [FC_HEADER.strip()] + [",".join(r) for r in rows]
+    if blank_at is not None:
+        lines.insert(blank_at, "")
+    return end.join(lines) + end
+
+
+@st.composite
+def forecast_files(draw):
+    """(text of a forecasts.csv, fault or None), rows in shuffled order."""
+    rows = []
+    for model in draw(st.lists(MODEL_IDS, min_size=1, max_size=3, unique=True)):
+        members = [""]
+        if model == "enuk":
+            member_ids = st.integers(0, 40).map(str)
+            members = draw(st.lists(member_ids, min_size=1, max_size=3, unique=True))
+        for init in draw(st.lists(INIT_HOURS, min_size=1, max_size=3, unique=True)):
+            for lead in draw(st.lists(st.integers(0, 168), min_size=1, max_size=4, unique=True)):
+                for m in members:
+                    rows.append([model, m, stamp(init), stamp(init + lead), draw(VALUE_TEXTS)])
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    fault = draw(st.none() | st.sampled_from(FAULTS))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    times = draw(st.sampled_from([slice(2, 3), slice(3, 4), slice(2, 4)]))
+    if fault == "bad timestamp":
+        row[times] = [draw(st.sampled_from(BAD_STAMPS))] * len(row[times])
+    elif fault == "sub-hourly timestamp":
+        row[3] = row[3].replace(":00Z", draw(st.sampled_from([":30Z", ":01Z"])))
+    elif fault == "impossible date":
+        row[times] = [draw(st.sampled_from(IMPOSSIBLE_DATES))] * len(row[times])
+    elif fault == "bad member":
+        row[1] = draw(st.sampled_from(BAD_MEMBERS))
+    elif fault == "lead outside range":
+        init = (datetime.fromisoformat(row[2].replace("Z", "+00:00")) - EPOCH_2000) // HOUR
+        row[3] = stamp(init + draw(st.sampled_from(BAD_LEADS)))
+    elif fault == "non-finite value":
+        row[4] = draw(st.sampled_from(NON_FINITE))
+    elif fault == "duplicate key":
+        rows.insert(draw(st.integers(0, len(rows))), row[:4] + [draw(VALUE_TEXTS)])
+    elif fault == "quoted model id":
+        row[0] = f'"{row[0]}"'
+    elif fault == "four fields":
+        del row[draw(st.integers(0, 4))]
+    elif fault == "six fields":
+        row.insert(draw(st.integers(0, 5)), "1")
+    blank_at = draw(st.integers(1, len(rows) + 1)) if fault == "blank line" else None
+    return csv_text(rows, draw(st.sampled_from(["\r\n", "\n"])), blank_at), fault
+
+
+GOOD_ROWS = [
+    ["enuk", "3", "2000-02-28T18:00Z", "2000-02-29T06:00Z", "1.5"],
+    ["glu", "", "2000-12-31T12:00Z", "2001-01-01T00:00Z", "-0.25"],
+]
+
+
+def faulty_rows():
+    """Rows each with one listed fault."""
+    for t in (*BAD_STAMPS, *SUB_HOURLY_STAMPS, *IMPOSSIBLE_DATES):
+        yield ["glu", "", t, "2020-01-02T00:00Z", "1"]
+        yield ["glu", "", "2020-01-01T00:00Z", t, "1"]
+        yield ["glu", "", t, t, "1"]  # lead 0: only the time itself is wrong
+    for k in BAD_MEMBERS:
+        yield ["enuk", k, "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1"]
+    for lead in BAD_LEADS:
+        yield ["glu", "", stamp(100), stamp(100 + lead), "1"]
+    for x in NON_FINITE:
+        yield ["glu", "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", x]
+    yield GOOD_ROWS[0][:4] + ["2.5"]
+    yield ['"glu"', "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1"]
+    yield ["glu", "", "2020-01-01T00:00Z", "2020-01-01T03:00Z"]
+    yield ["glu", "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1", "2"]
+
+
+def load_outcome(load, path):
+    """Columns as (dtype, bytes) pairs, or the DataError text."""
+    try:
+        fc = load(path)
+    except DataError as exc:
+        return str(exc)
+    cols = (fc.model, fc.member, fc.init, fc.valid, fc.value)
+    return fc.models, [(c.dtype.str, c.tobytes()) for c in cols]
+
+
+def assert_loads_as_row_parser(path):
+    got = load_outcome(load_forecasts, path)
+    assert got == load_outcome(ingest._load_forecast_rows, path)
+    return got
+
+
+class TestFastPathMatchesRowParser:
+    """load_forecasts gives the row parser's columns, bit for bit, or its
+    DataError text, whichever path it takes."""
+
+    @given(forecast_files())
+    @settings(max_examples=200)
+    def test_same_columns_or_same_error(self, tmp_path_factory, drawn):
+        text, fault = drawn
+        path = tmp_path_factory.mktemp("fast") / "forecasts.csv"
+        path.write_bytes(text.encode())
+        got = assert_loads_as_row_parser(path)
+        if fault in (None, "duplicate key"):
+            assert ingest._forecast_columns(path) is not None
+        if fault is None:
+            assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"])
+    def test_each_listed_fault(self, tmp_path, end):
+        good = GOOD_ROWS
+        path = tmp_path / "f.csv"
+        path.write_text(csv_text(good, end), newline="")
+        assert ingest._forecast_columns(path) is not None
+        assert not isinstance(assert_loads_as_row_parser(path), str)
+        for row in faulty_rows():
+            for at in range(3):
+                path.write_text(csv_text(good[:at] + [row] + good[at:], end), newline="")
+                assert_loads_as_row_parser(path)
+        path.write_text(csv_text(good, end, blank_at=2), newline="")
+        assert_loads_as_row_parser(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"])
+    def test_synthetic_set_takes_the_fast_path(self, tmp_path, end):
+        ds = synthesize_dataset(SynthConfig(span_days=3), seed=4)
+        path = tmp_path / "f.csv"
+        write_forecasts(path, ds.forecasts)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", end.encode()))
+        assert ingest._forecast_columns(path) is not None
+        assert_loads_as_row_parser(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FC_HEADER + "glm,,2020-01-01T00:00Z,2020-01-01T01:00Z,1.0",  # no final newline
+            FC_HEADER + "glm,,2020-01-01T00:00Z,2020-01-01T01:00Z,1.0\r\n",  # mixed endings
+            FC_HEADER + "g\rm,,2020-01-01T00:00Z,2020-01-01T01:00Z,1.0\n",  # lone CR
+            FC_HEADER + "glü,,2020-01-01T00:00Z,2020-01-01T01:00Z,1.0\n",  # not ASCII
+            FC_HEADER,  # no rows
+        ],
+    )
+    def test_other_shapes_take_the_row_parser(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        assert ingest._forecast_columns(path) is None
+        assert_loads_as_row_parser(path)

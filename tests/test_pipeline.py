@@ -2,7 +2,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from helpers import reference_combined
+from helpers import observation_records, reference_combined
 
 from probfcast.exceptions import DataError
 from probfcast.ingest import Dataset, ScenarioWindow, format_hour, hour_index, slice_scenario
@@ -49,7 +49,7 @@ class TestOrigins:
         assert draw_origins(dataset, SMALL) == draw_origins(dataset, SMALL)
 
     def test_admissible_bounds(self, dataset):
-        obs = dataset.observations.records()
+        obs = observation_records(dataset.observations)
         start, end = obs[0].valid_time, obs[-1].valid_time
         for origin in admissible_origins(dataset, SMALL):
             assert origin - timedelta(days=SMALL.train_days, hours=168) >= start
@@ -73,7 +73,7 @@ class TestRunScenario:
     def test_no_leakage(self, dataset):
         for origin in admissible_origins(dataset, SMALL)[:5]:
             train, _ = slice_scenario(dataset, ScenarioWindow(origin, SMALL.train_days))
-            assert max(o.valid_time for o in train.observations.records()) < origin
+            assert max(o.valid_time for o in observation_records(train.observations)) < origin
 
     def test_deterministic(self, dataset):
         origin = admissible_origins(dataset, SMALL)[1]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -475,3 +476,28 @@ class TestSerialisation:
         np.savez(path, **data)
         with pytest.raises(DataError, match="version"):
             load_forest(path)
+
+    def test_compressed_archives_still_load(self, tmp_path):
+        """Forests used to be saved with np.savez_compressed; the same members
+        deflated must load bit-exactly, still as format version 1."""
+        rng = np.random.default_rng(7)
+        config = ForestConfig(num_trees=12, sample_count=40, seed=3)
+        forest = train(random_table(rng, n=300), config)
+        path = save_forest(tmp_path / "stored", forest)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        assert int(members["format_version"]) == qrf.FOREST_FORMAT_VERSION == 1
+        np.savez_compressed(tmp_path / "deflated.npz", **members)
+        with zipfile.ZipFile(tmp_path / "deflated.npz") as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        new, old = load_forest(path), load_forest(tmp_path / "deflated.npz")
+        assert old.config == new.config == forest.config
+        assert old.table.label_set == new.table.label_set
+        assert old.table.skipped == new.table.skipped
+        for col in ("lead_hours", "label_codes", "errors"):
+            a, b = getattr(old.table, col), getattr(new.table, col)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+        assert_same_trees(old.trees, new.trees)
+        assert_same_trees(new.trees, forest.trees)

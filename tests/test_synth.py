@@ -2,6 +2,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from helpers import forecast_records, observation_records
 
 from probfcast.exceptions import ConfigError
 from probfcast.ingest import write_forecasts, write_observations
@@ -38,9 +39,9 @@ class TestDegenerateConfig:
             for m in DEFAULT_ROSTER
         )
         ds = synthesize_dataset(SynthConfig(span_days=4, models=roster), seed=7)
-        obs = {o.valid_time: o.value for o in ds.observations.records()}
+        obs = {o.valid_time: o.value for o in observation_records(ds.observations)}
         checked = 0
-        for f in ds.forecasts.records():
+        for f in forecast_records(ds.forecasts):
             y = obs.get(f.valid_time)
             if y is not None:
                 assert f.value == y
@@ -51,10 +52,10 @@ class TestDegenerateConfig:
 class TestStatisticalShape:
     def test_error_variance_grows_with_lead(self):
         ds = synthesize_dataset(SynthConfig(span_days=30), seed=5)
-        obs = {o.valid_time: o.value for o in ds.observations.records()}
+        obs = {o.valid_time: o.value for o in observation_records(ds.observations)}
         short, long_ = [], []
         longest = max(DEFAULT_ROSTER, key=lambda m: m.max_lead_hours).model_id
-        for f in ds.forecasts.records():
+        for f in forecast_records(ds.forecasts):
             if f.model_id != longest:
                 continue
             y = obs.get(f.valid_time)
@@ -68,7 +69,7 @@ class TestStatisticalShape:
 
     def test_ensemble_members_present_and_exchangeable_shape(self):
         ds = synthesize_dataset(SynthConfig(span_days=2), seed=3)
-        members = {f.member for f in ds.forecasts.records() if f.model_id == "enuk"}
+        members = {f.member for f in forecast_records(ds.forecasts) if f.model_id == "enuk"}
         assert members == set(range(12))
 
 
@@ -77,7 +78,7 @@ class TestScheduleCoverage:
         ds = synthesize_dataset(SynthConfig(span_days=40), seed=2)
         cfg = RunConfig()
         by_model = {}
-        for f in ds.forecasts.records():
+        for f in forecast_records(ds.forecasts):
             by_model.setdefault(f.model_id, []).append(f)
         for origin in admissible_origins(ds, cfg)[:5]:
             covered = set()
