@@ -44,7 +44,6 @@ from .scoring import (
     interval_score,
     log_score,
     mae_median,
-    quantile_score,
 )
 from .synth import ModelSpec, SynthConfig, synthesize_dataset
 

@@ -47,6 +47,7 @@ another numpy version may grow another forest.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -112,7 +113,7 @@ class CovariateVector:
 
 @dataclass(eq=False)
 class _Tree:
-    """Array-encoded tree: feature -1 marks a leaf, 0 a lead split, 1 a label split."""
+    """One array-encoded tree, or joined trees: feature -1 leaf, 0 lead split, 1 label split."""
 
     feature: np.ndarray  # int8 per node
     threshold: np.ndarray  # float64: lead midpoint for feature==0
@@ -128,9 +129,19 @@ class _Tree:
 
 @dataclass(eq=False)
 class Forest:
+    """A trained forest in its archive layout: ``arrays`` joins every tree's arrays in tree order.
+
+    Tree t holds ``node_counts[t]`` entries of each per-node field (``feature``
+    to ``leaf_count``), ``cat_counts[t]`` rows of ``cat_left`` and
+    ``config.sample_count`` entries of ``leaf_rows`` and ``inbag``.  Child,
+    ``cat_index`` and ``leaf_start`` ids are local to their tree.
+    """
+
     config: ForestConfig
     table: ErrorTable
-    trees: List[_Tree]
+    arrays: _Tree
+    node_counts: np.ndarray  # int64, one entry per tree
+    cat_counts: np.ndarray  # int64, one entry per tree
     _code: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -138,7 +149,18 @@ class Forest:
 
     @property
     def num_trees(self) -> int:
-        return len(self.trees)
+        return self.node_counts.size
+
+    @property
+    def trees(self) -> List[_Tree]:
+        """Per-tree views of ``arrays``, computed on each access."""
+        n = np.full(self.num_trees, self.config.sample_count)
+        counts = {"cat_left": self.cat_counts, "leaf_rows": n, "inbag": n}
+        columns = [
+            np.split(a, np.cumsum(counts.get(name, self.node_counts))[:-1])
+            for name, a in vars(self.arrays).items()
+        ]
+        return [_Tree(*tree) for tree in zip(*columns)]
 
     def label_code(self, label: str) -> int:
         try:
@@ -309,23 +331,14 @@ def train(table: ErrorTable, config: ForestConfig) -> Forest:
         stack[ts, d + 1] = np.column_stack([lo[s], lo[s] + nl, np.full(s.size, -1)])
         depth[ts] += 2
 
-    leaf_rows = inbag.ravel()[buf].reshape(T, n).astype(np.int32)
-    trees = [
-        _Tree(
-            feature=feature[t, :k],
-            threshold=threshold[t, :k],
-            cat_index=cat_index[t, :k],
-            left=left[t, :k],
-            right=right[t, :k],
-            leaf_start=leaf_start[t, :k],
-            leaf_count=leaf_count[t, :k],
-            leaf_rows=leaf_rows[t],
-            cat_left=cat_left[t, : n_cats[t]],
-            inbag=inbag[t].astype(np.int32),
-        )
-        for t, k in enumerate(n_nodes)
-    ]
-    return Forest(config=config, table=table, trees=trees)
+    node = np.arange(cap) < n_nodes[:, None]
+    arrays = _Tree(
+        *(a[node] for a in (feature, threshold, cat_index, left, right, leaf_start, leaf_count)),
+        leaf_rows=inbag.ravel()[buf].astype(np.int32),
+        cat_left=cat_left[np.arange(n) < n_cats[:, None]],
+        inbag=inbag.ravel().astype(np.int32),
+    )
+    return Forest(config, table, arrays, n_nodes, n_cats)
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +370,25 @@ class _Stack:
 
 
 def _route(forest: Forest, lead_q: np.ndarray, code_q: np.ndarray) -> np.ndarray:
-    """Descend all trees at once; (n_trees, n_queries) ids into their joined nodes."""
-    trees = forest.trees
-    node_off = np.cumsum([0] + [tree.feature.size for tree in trees])[:-1]
-    cat_off = np.cumsum([0] + [tree.cat_left.shape[0] for tree in trees])[:-1]
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    cat_index = np.concatenate([tree.cat_index + off for tree, off in zip(trees, cat_off)])
-    cat_left = np.concatenate([tree.cat_left for tree in trees])
-    left = np.concatenate([tree.left + off for tree, off in zip(trees, node_off)])
-    right = np.concatenate([tree.right + off for tree, off in zip(trees, node_off)])
+    """Descend all trees at once; (n_trees, n_queries) ids into the joined nodes."""
+    a, counts, T = forest.arrays, forest.node_counts, forest.num_trees
+    node_off = np.cumsum(counts) - counts
+    cat_index = a.cat_index + np.repeat(np.cumsum(forest.cat_counts) - forest.cat_counts, counts)
+    left = a.left + np.repeat(node_off, counts)
+    right = a.right + np.repeat(node_off, counts)
     node = np.repeat(node_off, lead_q.size)
-    lead = np.tile(lead_q, len(trees))
-    code = np.tile(code_q, len(trees))
+    lead = np.tile(lead_q, T)
+    code = np.tile(code_q, T)
     active = np.arange(node.size)
     while active.size:
         nid = node[active]
-        split = feature[nid] >= 0
+        split = a.feature[nid] >= 0
         active, nid = active[split], nid[split]
-        go = lead[active] <= threshold[nid]  # NaN threshold at label splits
-        lab = feature[nid] == 1
-        go[lab] = cat_left[cat_index[nid[lab]], code[active[lab]]]
+        go = lead[active] <= a.threshold[nid]  # NaN threshold at label splits
+        lab = a.feature[nid] == 1
+        go[lab] = a.cat_left[cat_index[nid[lab]], code[active[lab]]]
         node[active] = np.where(go, left[nid], right[nid])
-    return node.reshape(len(trees), lead_q.size)
+    return node.reshape(T, lead_q.size)
 
 
 def _gather(forest: Forest, lead, code) -> Tuple[_Stack, np.ndarray]:
@@ -388,12 +397,11 @@ def _gather(forest: Forest, lead, code) -> Tuple[_Stack, np.ndarray]:
     pairs, inverse = np.unique(
         np.asarray(lead, dtype=float) + 1j * np.asarray(code), return_inverse=True
     )
-    trees = forest.trees
-    n, T = pairs.size, len(trees)
-    leaf_rows = np.concatenate([tree.leaf_rows for tree in trees])
-    leaf_off = np.cumsum([0] + [tree.leaf_rows.size for tree in trees])
-    leaf_start = np.concatenate([tree.leaf_start + off for tree, off in zip(trees, leaf_off)])
-    leaf_count = np.concatenate([tree.leaf_count for tree in trees]).astype(np.int64)
+    a, n, T = forest.arrays, pairs.size, forest.num_trees
+    leaf_rows = a.leaf_rows
+    leaf_off = np.repeat(np.arange(T) * forest.config.sample_count, forest.node_counts)
+    leaf_start = a.leaf_start + leaf_off
+    leaf_count = a.leaf_count.astype(np.int64)
     leaf = _route(forest, pairs.real, pairs.imag.astype(np.int64)).T.reshape(-1)
     counts = leaf_count[leaf]
     entry = _gather_ranges(leaf_start[leaf], counts)
@@ -536,10 +544,9 @@ def oob_coverage(
     hi_idx = np.array([level_list.index((1.0 + w) / 2.0) for w in intervals])
 
     T = forest.num_trees
-    inbag = [np.unique(tree.inbag) for tree in forest.trees]  # replace=True repeats rows
-    rows, slot = np.unique(np.concatenate(inbag), return_inverse=True)
+    rows, slot = np.unique(forest.arrays.inbag, return_inverse=True)
     excluded = np.zeros((rows.size, T), dtype=bool)
-    excluded[slot, np.repeat(np.arange(T), [r.size for r in inbag])] = True
+    excluded[slot, np.arange(slot.size) // forest.config.sample_count] = True
     everywhere = excluded.all(axis=1)
     scored = np.ones(table.n_rows, dtype=bool)
     scored[rows[everywhere]] = False
@@ -582,11 +589,7 @@ def save_forest(path: str | Path, forest: Forest) -> Path:
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
-    trees = forest.trees
-    node_counts = np.array([t.feature.size for t in trees], dtype=np.int64)
-    leafrow_counts = np.array([t.leaf_rows.size for t in trees], dtype=np.int64)
-    cat_counts = np.array([t.cat_left.shape[0] for t in trees], dtype=np.int64)
-    inbag_counts = np.array([t.inbag.size for t in trees], dtype=np.int64)
+    per_tree = np.full(forest.num_trees, forest.config.sample_count, dtype=np.int64)
     cfg = {f.name: getattr(forest.config, f.name) for f in fields(ForestConfig)}
     np.savez(
         path,
@@ -597,41 +600,96 @@ def save_forest(path: str | Path, forest: Forest) -> Path:
         table_code=forest.table.label_codes,
         table_error=forest.table.errors,
         table_skipped=np.int64(forest.table.skipped),
-        node_counts=node_counts,
-        leafrow_counts=leafrow_counts,
-        cat_counts=cat_counts,
-        inbag_counts=inbag_counts,
-        **{f.name: np.concatenate([getattr(t, f.name) for t in trees]) for f in fields(_Tree)},
+        node_counts=forest.node_counts,
+        leafrow_counts=per_tree,
+        cat_counts=forest.cat_counts,
+        inbag_counts=per_tree,
+        **vars(forest.arrays),
     )
     return path
 
 
 def load_forest(path: str | Path) -> Forest:
-    """Load a forest saved by :func:`save_forest`; round-trips bit-exactly."""
-    with np.load(path) as archive:
-        # Read each member once, not once per tree slice.  Archives written
-        # with np.savez_compressed load the same way.
-        z = {name: archive[name] for name in archive.files}
-        version = int(z["format_version"])
-        if version != FOREST_FORMAT_VERSION:
-            raise DataError(f"unsupported forest format version {version}")
-        # Every config field has a bool or int default, and is stored as such.
-        config = ForestConfig(
-            **{f.name: type(f.default)(z[f"cfg_{f.name}"]) for f in fields(ForestConfig)}
-        )
-        table = ErrorTable(
-            lead_hours=z["table_lead"],
-            label_codes=z["table_code"],
-            errors=z["table_error"],
-            label_set=tuple(str(s) for s in z["labels"]),
-            skipped=int(z["table_skipped"]),
-        )
-        # Leaf rows, label partitions and in-bag rows have their own counts;
-        # every other field has one entry per node.
-        counts = {"leaf_rows": "leafrow_counts", "cat_left": "cat_counts", "inbag": "inbag_counts"}
-        parts = {
-            f.name: np.split(z[f.name], np.cumsum(z[counts.get(f.name, "node_counts")])[:-1])
-            for f in fields(_Tree)
-        }
-        trees = [_Tree(**{k: p[t] for k, p in parts.items()}) for t in range(config.num_trees)]
-    return Forest(config=config, table=table, trees=trees)
+    """Load a forest saved by :func:`save_forest`; round-trips bit-exactly.
+
+    A file that is not an .npz archive is a DataError naming the path; a
+    missing member, or one that does not fit the counts and the tree
+    structure, is a DataError naming the path and the member.
+    """
+    try:
+        with np.load(path) as archive:
+            # Archives written with np.savez_compressed load the same way.
+            z = {name: archive[name] for name in archive.files}
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a forest archive: {exc}") from None
+
+    def member(name: str) -> np.ndarray:
+        if name not in z:
+            raise DataError(f"{path}: forest archive has no member {name!r}")
+        return z[name]
+
+    version = int(member("format_version"))
+    if version != FOREST_FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported forest format version {version}")
+    # Every config field has a bool or int default, and is stored as such.
+    config = ForestConfig(
+        **{f.name: type(f.default)(member(f"cfg_{f.name}")) for f in fields(ForestConfig)}
+    )
+    names = ("table_lead", "table_code", "table_error", "labels", "table_skipped")
+    lead, code, errors, labels, skipped = (member(name) for name in names)
+    try:
+        table = ErrorTable(lead, code, errors, tuple(str(s) for s in labels), int(skipped))
+    except ValueError as exc:
+        raise DataError(f"{path}: forest archive members {names[:4]}: {exc}") from None
+    arrays = _Tree(**{f.name: member(f.name) for f in fields(_Tree)})
+    counts = {k: member(k) for k in ("node_counts", "cat_counts", "leafrow_counts", "inbag_counts")}
+    _check_trees(path, config, table, arrays, counts)
+    return Forest(config, table, arrays, counts["node_counts"], counts["cat_counts"])
+
+
+def _check_trees(
+    path: str | Path,
+    config: ForestConfig,
+    table: ErrorTable,
+    a: _Tree,
+    counts: Dict[str, np.ndarray],
+) -> None:
+    """Raise DataError unless the joined arrays fit their counts and form preorder trees."""
+
+    def require(ok: object, name: str, what: str) -> None:
+        if not np.all(ok):
+            raise DataError(f"{path}: forest archive member {name!r} {what}")
+
+    T, n = config.num_trees, config.sample_count
+    for name, c in counts.items():
+        require(np.issubdtype(c.dtype, np.integer) and c.shape == (T,), name, f"must hold {T} ints")
+    nodes, cats = counts["node_counts"], counts["cat_counts"]
+    require(T >= 1 and (nodes >= 1).all(), "node_counts", "must be positive, for >= 1 tree")
+    require(cats >= 0, "cat_counts", "must be non-negative")
+    for name in ("leafrow_counts", "inbag_counts"):
+        require(counts[name] == n, name, f"must equal sample_count {n}")
+    n_labels = len(table.label_set)
+    shapes = {"cat_left": (int(cats.sum()), n_labels), "leaf_rows": (T * n,), "inbag": (T * n,)}
+    for f in fields(_Tree):
+        x, shape = getattr(a, f.name), shapes.get(f.name, (int(nodes.sum()),))
+        want = {"cat_left": np.bool_, "threshold": np.floating}.get(f.name, np.integer)
+        ok = np.issubdtype(x.dtype, want) and x.shape == shape
+        require(ok, f.name, f"must be a {want.__name__} array of shape {shape}")
+    # Preorder: a split's left child is the next node and its right child a
+    # later node of its tree; the leaves' row ranges tile [0, sample_count).
+    local = np.arange(nodes.sum()) - np.repeat(np.cumsum(nodes) - nodes, nodes)
+    split = a.feature >= 0
+    require((a.feature >= -1) & (a.feature <= 1), "feature", "must be -1, 0 or 1")
+    require(a.left[split] == local[split] + 1, "left", "must hold each split's next node")
+    right_ok = (a.right > local + 1) & (a.right < np.repeat(nodes, nodes))
+    require(right_ok[split], "right", "must hold a later node of the split's tree")
+    cat_ok = (a.cat_index >= 0) & (a.cat_index < np.repeat(cats, nodes))
+    require(cat_ok[a.feature == 1], "cat_index", "must hold a row of its tree's label partitions")
+    count = np.where(split, 0, a.leaf_count).astype(np.int64)
+    end = np.cumsum(count) - np.repeat(np.arange(T) * n, nodes)
+    require(count[~split] >= 1, "leaf_count", "must be positive at leaves")
+    require(end[np.cumsum(nodes) - 1] == n, "leaf_count", f"must sum to {n} per tree")
+    require((a.leaf_start == end - count)[~split], "leaf_start", "must follow the previous leaf")
+    for name in ("leaf_rows", "inbag"):
+        rows = getattr(a, name)
+        require((rows >= 0) & (rows < table.n_rows), name, "must hold table row ids")

@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from .combine import QuantileVector
 from .dist import DegenerateDistributionError, PiecewiseCDF
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "crps_mc",
     "crps_ensemble",
     "log_score",
-    "quantile_score",
     "interval_score",
     "interval_coverage",
     "mae_median",
@@ -171,12 +169,6 @@ def log_score(d: PiecewiseCDF, y: float) -> float:
     if d.is_degenerate:
         raise DegenerateDistributionError("log score undefined for a point mass")
     return float(-d.log_density(y))
-
-
-def quantile_score(q: QuantileVector, y: float) -> np.ndarray:
-    """Pinball loss of each quantile in the vector against observation y."""
-    diff = float(y) - q.values
-    return np.where(diff >= 0.0, q.levels * diff, (q.levels - 1.0) * diff)
 
 
 def interval_score(d: PiecewiseCDF, y: float, width: float) -> float:

@@ -267,9 +267,10 @@ def reference_quantiles(forest, lead, code, levels, trees=None):
     p * len(trees), clamped to the last error.
     """
     trees = range(forest.num_trees) if trees is None else trees
+    per_tree = forest.trees
     vals, wts = [], []
     for t in trees:
-        rows = _leaf_rows(forest.trees[t], float(lead), code)
+        rows = _leaf_rows(per_tree[t], float(lead), code)
         vals.append(forest.table.errors[rows])
         wts.append(np.full(rows.size, 1.0 / rows.size))
     v = np.concatenate(vals)

@@ -235,12 +235,14 @@ def test_criterion_7_qrf_correctness():
         weight_err = max(weight_err, abs(float(w.sum()) - 1.0))
 
     twin = train(noisy, ForestConfig(seed=3))
-    identical = all(
-        np.array_equal(a.feature, b.feature)
-        and np.array_equal(a.threshold, b.threshold, equal_nan=True)  # leaves are NaN
-        and np.array_equal(a.leaf_rows, b.leaf_rows)
-        and np.array_equal(a.inbag, b.inbag)
-        for a, b in zip(noisy_forest.trees, twin.trees)
+    # Every joined forest array and both per-tree count arrays, bit for bit.
+    a, b = (
+        {**vars(f.arrays), "node_counts": f.node_counts, "cat_counts": f.cat_counts}
+        for f in (noisy_forest, twin)
+    )
+    identical = a.keys() == b.keys() and all(
+        (a[k].dtype, a[k].shape, a[k].tobytes()) == (b[k].dtype, b[k].shape, b[k].tobytes())
+        for k in a
     )
 
     ok = recovered and weight_err <= 1e-12 and monotone and identical

@@ -477,6 +477,74 @@ class TestSerialisation:
         with pytest.raises(DataError, match="version"):
             load_forest(path)
 
+    @pytest.mark.parametrize(
+        "key, change, member",
+        [
+            ("left", None, "left"),
+            ("node_counts", lambda c: c + [-1, 1, 0], "left"),
+            ("node_counts", lambda c: c + [1, -1, 0], "left"),
+            ("feature", lambda a: a[:-3], "feature"),
+            ("node_counts", lambda c: np.append(c, 1), "node_counts"),
+            ("leafrow_counts", lambda c: c + [1, -1, 0], "leafrow_counts"),
+            ("inbag_counts", lambda c: c - 1, "inbag_counts"),
+            ("cat_counts", lambda c: c + 1, "cat_left"),
+            ("leaf_count", lambda a: np.where(a > 0, a + 1, a), "leaf_count"),
+            ("leaf_rows", lambda a: a + 40, "leaf_rows"),
+            ("table_error", lambda a: a[:-1], "table_error"),
+        ],
+        ids=[
+            "missing_member", "node_to_next_tree", "node_to_previous_tree", "feature_cut",
+            "extra_tree_count", "leafrow_counts", "inbag_counts", "cat_counts", "leaf_sizes",
+            "row_id_past_table", "table_lengths",
+        ],
+    )
+    def test_malformed_archive_is_data_error(self, tmp_path, key, change, member):
+        """A malformed archive fails at the boundary, naming the path and the member."""
+        forest = train(
+            random_table(np.random.default_rng(1), n=40),
+            ForestConfig(num_trees=3, mtry=2, sample_count=10, seed=0),
+        )
+        path = save_forest(tmp_path / "f", forest)
+        data = dict(np.load(path))
+        if change is None:
+            del data[key]
+        else:
+            data[key] = change(data[key])
+        np.savez(path, **data)
+        with pytest.raises(DataError) as info:
+            load_forest(path)
+        assert str(path) in str(info.value) and repr(member) in str(info.value)
+
+    def test_unreadable_archive_is_data_error(self, tmp_path):
+        table = random_table(np.random.default_rng(1), n=40)
+        forest = train(table, ForestConfig(num_trees=2, sample_count=10))
+        whole = save_forest(tmp_path / "whole", forest).read_bytes()
+        truncated, text = tmp_path / "truncated.npz", tmp_path / "errors.csv"
+        truncated.write_bytes(whole[: len(whole) // 2])
+        text.write_text("lead_hours,model_label,error_degC\n0,glm,0.5\n")
+        for path in (truncated, text):
+            with pytest.raises(DataError, match="not a forest archive") as info:
+                load_forest(path)
+            assert str(path) in str(info.value)
+
+    def test_archive_members_pinned(self, tmp_path):
+        """Every archive member's name, dtype, shape and bytes for one fixed forest."""
+        forest = train(
+            random_table(np.random.default_rng(59), n=80, n_labels=4),
+            ForestConfig(num_trees=5, mtry=2, sample_count=24, seed=17),
+        )
+        digests = {}
+        with np.load(save_forest(tmp_path / "f", forest)) as archive:
+            for name in archive.files:
+                a = archive[name]
+                h = hashlib.sha256()
+                for part in (name, a.dtype.str, str(a.shape)):
+                    h.update(part.encode())
+                h.update(a.tobytes())
+                digests[name] = h.hexdigest()
+        assert list(digests) == list(ARCHIVE_DIGESTS)  # member order fixes the file bytes
+        assert digests == ARCHIVE_DIGESTS
+
     def test_compressed_archives_still_load(self, tmp_path):
         """Forests used to be saved with np.savez_compressed; the same members
         deflated must load bit-exactly, still as format version 1."""
@@ -501,3 +569,35 @@ class TestSerialisation:
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
         assert_same_trees(old.trees, new.trees)
         assert_same_trees(new.trees, forest.trees)
+
+
+# Per member of the version-1 archive of the forest in test_archive_members_pinned:
+# the sha256 of its name, dtype string, shape and bytes.
+ARCHIVE_DIGESTS = {
+    "format_version": "3f8e82d7d04fed202265f03258d9b437f1b30f07f74c052cd54aa0aac0755d7c",
+    "cfg_num_trees": "5d3f0c4cee2407e2a0961a512749508988493fd11663e86c0aef1ca9506172c5",
+    "cfg_mtry": "f931f8ca6db95a1567e5ac787f88ea3f16de8f4d8c4f1b3d1b910a0a1a07dd05",
+    "cfg_min_node_size": "5cbc5b0717c9f6e2cc50c5ae9d52a21569ffc638c57a6398ebece4081a30d253",
+    "cfg_sample_count": "df85fd7b88decad3546cf516b623bc2f262cd299e5532a29990d2edd3dfd9438",
+    "cfg_seed": "32927e6e5db51e66a14e534d59c60753043d59ef2d79bdf2cc9faa719ad5f36a",
+    "cfg_replace": "1654b8daa70dc12baf8603557046dcff8e9212e153f01cca1ba32525ed5cf0ba",
+    "labels": "12a50e6d093305359019a82606a970328c36b4bd0d040bbb6ce7a5ce33e1fefb",
+    "table_lead": "eb05e982f48e1279a22e0a70d7608aa5bfccd9a7ab2049c4e8ea45dd4523f3fd",
+    "table_code": "7de6768489f5876cbbe98f09402f4a0baef94e9881b5492f66f2efcf2be74e5c",
+    "table_error": "ab1df11c840363e842672b89d2362337f07b0795045092e4120f29648c05a32d",
+    "table_skipped": "3f42677ead0c5f3bc2074e7227c0f20d5df0144db10cd98a3309a5a11afcee53",
+    "node_counts": "a4ef069b2be6f1a7af71c11753581289b7ff93f6fda632faebda2dcde8af7aa1",
+    "leafrow_counts": "dcb3f2dcce61873699a2d39def4b321deed3da4802de79e2117339ac0d6b5327",
+    "cat_counts": "401c45cedcd80721d52c9360bcc95dd81feb3875ac8fbebfff7bf48e38bdd7cf",
+    "inbag_counts": "a28e85361b2983db400fd1c01d88f137296c98534ba5a156d973a743b647e3fe",
+    "feature": "84e30aa38052333ffbc0485522d009b1c11517e53d24e955478318fadff9c41f",
+    "threshold": "a5f34583b37f753c4f46dae71fc1c5a11d3db04e2857826c240c6f515d72f5a3",
+    "cat_index": "ff853b09c5752b0ebae17f6c616002a1c294799216eb31b14ed8c9d5f35cdb09",
+    "left": "640b0a3df765e422e84b9ec416d6d3563770bacaf7c2406a906772b6b63f122e",
+    "right": "03c0a57eb54530d958d252c0f392687d14aaf8a64bf28478ebd7c84f83a1921e",
+    "leaf_start": "ee4219471c329bca2925cf7300d1bfd6faa2c351b1403eb5f9ce2d198570fb5a",
+    "leaf_count": "6bbc8db41f5051f27e49b7ce722c9333871700236cda8a2dd269b0f0c1c794b1",
+    "leaf_rows": "707fa5cf7ac0cbb6b0858782b86a34fad6ffe1a7c3d343633d0db0292cdadc06",
+    "cat_left": "3f98f9e85030c95cc7091669326da5ef759dd64f40edad23c57eb317667cad27",
+    "inbag": "bf89b52a1d8e059688bb08d1edefdfe319af688945882e073502917f26db9df8",
+}

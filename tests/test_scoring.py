@@ -2,7 +2,6 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from helpers import random_quantile_vector
 from probfcast.combine import DEFAULT_LEVELS, QuantileVector
@@ -17,7 +16,6 @@ from probfcast.scoring import (
     interval_score,
     log_score,
     mae_median,
-    quantile_score,
 )
 
 T0 = datetime(2020, 2, 1, tzinfo=timezone.utc)
@@ -127,17 +125,6 @@ class TestLogScore:
 
 
 class TestQuantileAndIntervalScores:
-    def test_pinball_zero_at_matching_quantile(self):
-        q = QuantileVector(np.array([0.25, 0.5, 0.75]), np.array([1.0, 2.0, 3.0]))
-        losses = quantile_score(q, 2.0)
-        assert losses[1] == 0.0
-        assert np.all(losses >= 0.0)
-
-    @given(st.floats(-20, 20, allow_nan=False))
-    def test_pinball_median_is_half_absolute_error(self, y):
-        q = QuantileVector(np.array([0.5]), np.array([1.5]))
-        assert quantile_score(q, y)[0] == pytest.approx(0.5 * abs(y - 1.5), rel=1e-12, abs=1e-12)
-
     def test_interval_score_inside_equals_width(self):
         d = uniform01()
         lo, hi = d.quantile(0.1), d.quantile(0.9)
