@@ -1,6 +1,9 @@
 """Command-line entry point: generate, train, forecast, evaluate.
 
-Flags mirror :class:`probfcast.pipeline.RunConfig`.  ``train``, ``forecast``
+Flags mirror :class:`probfcast.pipeline.RunConfig`, and each command takes
+only the ones it uses: ``--scenarios`` is ``evaluate``'s alone,
+``--threshold`` and ``--draws`` are ``forecast``'s, and ``train`` takes
+neither these nor ``--horizon`` or ``--levels``.  ``train``, ``forecast``
 and ``evaluate`` can also read their flags from a flat ``key=value`` file
 passed with ``--config``:
 
@@ -110,7 +113,18 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--observations", help="observations.csv path")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+# run flags only some commands take; build_parser names each command's
+_EXTRA_RUN_FLAGS = {
+    "--scenarios": dict(dest="n_scenarios", type=int, help="evaluation scenarios (default 200)"),
+    "--horizon": dict(dest="horizon_hours", type=int, help="horizon in hours (default 168)"),
+    "--levels": dict(help="comma-separated quantile levels overriding the built-in grid"),
+    "--threshold": dict(type=float, help="probability threshold in degC (default 0)"),
+    "--draws": dict(type=int, help="simulated values per hour (default 1000)"),
+}
+
+
+def _add_run_flags(p: argparse.ArgumentParser, *extra: str) -> None:
+    """Declare the run flags every command takes, then the named ``extra`` ones."""
     p.add_argument(
         "--config", action=_RunConfigFile, help="flat key=value file supplying flag defaults"
     )
@@ -125,34 +139,23 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="bootstrap with replacement instead of subsampling",
     )
-    p.add_argument(
-        "--scenarios",
-        dest="n_scenarios",
-        type=int,
-        help="number of evaluation scenarios (default 200)",
-    )
     p.add_argument("--train-days", type=int, help="training window length (default 14)")
-    p.add_argument(
-        "--horizon", dest="horizon_hours", type=int, help="forecast horizon in hours (default 168)"
-    )
     p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--threshold", type=float, help="probability threshold in degC (default 0)")
-    p.add_argument("--draws", type=int, help="simulated values per hour (default 1000)")
     p.add_argument("--min-training-rows", type=int, help="minimum error rows (default 1000)")
     p.add_argument("--jobs", type=int, help="scenario worker processes (default 1)")
-    p.add_argument(
-        "--levels", help="comma-separated quantile levels overriding the built-in grid"
-    )
+    for flag in extra:
+        p.add_argument(flag, **_EXTRA_RUN_FLAGS[flag])
 
 
 def _run_config(args: argparse.Namespace) -> pipeline.RunConfig:
-    # Options left unset keep RunConfig's defaults; intervals has no flag.
+    # Options left unset, or without a flag on this command, keep RunConfig's defaults.
     values = {
         f.name: getattr(args, f.name, None) for f in dataclasses.fields(pipeline.RunConfig)
     }
-    if args.levels:
+    levels = values["levels"]
+    if levels:
         try:
-            values["levels"] = check_levels(sorted({float(p) for p in args.levels.split(",")}))
+            values["levels"] = check_levels(sorted({float(p) for p in levels.split(",")}))
         except ValueError as exc:
             raise ConfigError(f"--levels: {exc}") from None
     else:
@@ -261,7 +264,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_seconds = time.perf_counter() - t0
     save_path = Path(args.save) if args.save else out / "forest.npz"
     save_path = qrf.save_forest(save_path, forest)
-    oob = qrf.oob_coverage(forest, config.intervals)
+    oob = qrf.oob_coverage(forest, scoring.DEFAULT_INTERVALS)
     _write_oob(out / "oob_coverage.csv", oob)
     with open(out / "timings.txt", "w") as fh:
         fh.write(f"train_seconds={train_seconds:.3f}\n")
@@ -399,8 +402,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for r in results:
         _write_csv(
             scen_dir / f"scenario_{r.index:03d}_scores.csv",
-            _RAW_HEADER + [f"hit{round(w * 100):d}" for w in config.intervals],
-            _score_rows(r.records, config.intervals),
+            _RAW_HEADER + [f"hit{round(w * 100):d}" for w in scoring.DEFAULT_INTERVALS],
+            _score_rows(r.records, scoring.DEFAULT_INTERVALS),
         )
         _write_csv(
             scen_dir / f"scenario_{r.index:03d}_raw.csv",
@@ -437,7 +440,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "mean_abs_err_median": _fmt(scoring.mae_median(all_records)),
         "mean_abs_err_median_raw": _fmt(scoring.mae_median(all_raw)),
     }
-    for w in config.intervals:
+    for w in scoring.DEFAULT_INTERVALS:
         summary[f"coverage_{round(w * 100):d}"] = _fmt(
             scoring.interval_coverage(all_records, w)
         )
@@ -450,7 +453,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             total = sum(r.timings.get(stage, 0.0) for r in results)
             fh.write(f"{stage}_seconds={total:.3f}\n")
     print(f"evaluated {len(results)} scenarios in {wall:.1f}s")
-    for w in config.intervals:
+    for w in scoring.DEFAULT_INTERVALS:
         print(f"  {round(w * 100):d}% coverage: {scoring.interval_coverage(all_records, w):.3f}")
     print(f"  mean CRPS: {_finite_mean(all_records, 'crps'):.3f}"
           f" (raw comparator {_finite_mean(all_raw, 'crps'):.3f})")
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fc = sub.add_parser("forecast", help="full forecast products for one origin")
     _add_data_flags(p_fc)
-    _add_run_flags(p_fc)
+    _add_run_flags(p_fc, "--horizon", "--levels", "--threshold", "--draws")
     p_fc.add_argument("--origin", help="forecast origin timestamp (required)")
     p_fc.add_argument(
         "--dump-cdf-hour", type=int, help="also dump (value, cdf) probe pairs at this lead hour"
@@ -493,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ev = sub.add_parser("evaluate", help="multi-scenario backtest with scoring")
     _add_data_flags(p_ev)
-    _add_run_flags(p_ev)
+    _add_run_flags(p_ev, "--scenarios", "--horizon", "--levels")
     p_ev.set_defaults(func=cmd_evaluate)
     return parser
 

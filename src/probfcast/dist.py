@@ -1,14 +1,14 @@
 """Full predictive distributions built from quantile vectors.
 
-The CDF is linear between consecutive quantile knots and exponential outside
-them.  Each tail carries exactly the probability mass left over by the
-outermost knot level, and its decay rate is chosen so the density is
-continuous with the adjacent linear segment, which guarantees the density
-integrates to one without tuning.
-
-A vector whose values are all identical collapses to a point mass: the CDF
-is a step, sampling returns the constant, and density-based quantities are
-rejected with :class:`DegenerateDistributionError`.
+The CDF passes through every (value, level) knot, linear between them and
+exponential outside.  A run of equal values is a point mass (Genest 1992,
+*Vincentization revisited*): the CDF jumps there to the run's highest level,
+right-continuous as ``np.interp`` over the knots, so the density integrates
+to one minus the jumps.  Each tail carries the mass beyond the outermost
+level, with a decay rate that keeps the density continuous with the nearest
+segment of positive width.  If every value is equal the distribution is one
+point mass: sampling returns the constant, and density-based quantities
+raise :class:`DegenerateDistributionError`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .combine import QuantileVector
 
 __all__ = ["PiecewiseCDF", "DegenerateDistributionError", "build_cdf"]
 
-# Fallback decay scale (degC) when the boundary segment has no usable width.
+# Fallback decay scale (degC) when the boundary segment's slope is unusable.
 _FALLBACK_TAIL_SCALE = 0.1
 
 
@@ -33,10 +33,10 @@ class DegenerateDistributionError(ValueError):
 class PiecewiseCDF:
     """Piecewise-linear CDF with exponential tails.
 
-    ``values``/``probs`` are the knots: values strictly increasing, probs
-    strictly increasing within [0, 1].  ``lower_rate``/``upper_rate`` are the
-    tail decay rates (1/degC); they are unused when the corresponding tail
-    mass is zero or the distribution is a point mass (single knot).
+    ``values``/``probs`` are the knots: values non-decreasing and not all
+    equal (a single knot is a point mass), probs strictly increasing within
+    [0, 1].  ``lower_rate``/``upper_rate`` are the tail decay rates (1/degC);
+    unused when that tail has no mass or the distribution is a point mass.
     """
 
     values: np.ndarray
@@ -53,15 +53,18 @@ class PiecewiseCDF:
         if self.values.size == 1:
             self._slopes = np.empty(0)
             return
-        if np.any(np.diff(self.values) <= 0):
-            raise ValueError("knot values must be strictly increasing")
+        width = np.diff(self.values)
+        if np.any(width < 0) or self.values[0] == self.values[-1]:
+            raise ValueError("knot values must be non-decreasing and not all equal")
         if (
             self.probs[0] < 0.0
             or self.probs[-1] > 1.0
             or np.any(np.diff(self.probs) <= 0)
         ):
             raise ValueError("knot probabilities must be strictly increasing within [0, 1]")
-        self._slopes = np.diff(self.probs) / np.diff(self.values)
+        # a jump's zero-width segment gets an infinite slope
+        slopes = np.full(width.size, np.inf)
+        self._slopes = np.divide(np.diff(self.probs), width, out=slopes, where=width > 0)
         if self.probs[0] > 0.0 and not (self.lower_rate > 0.0):
             raise ValueError("lower tail carries mass but has no positive decay rate")
         if self.probs[-1] < 1.0 and not (self.upper_rate > 0.0):
@@ -85,14 +88,17 @@ class PiecewiseCDF:
     def from_knots(cls, values, probs) -> "PiecewiseCDF":
         """Build a distribution from explicit CDF knots.
 
-        Tail decay rates are set by density continuity with the boundary
-        segments; boundary probs of exactly 0 / 1 give mass-free tails.
+        Tail decay rates are set by density continuity with the nearest
+        segment of positive width; boundary probs of 0 / 1 give mass-free tails.
         """
         values = np.atleast_1d(np.asarray(values, dtype=float))
         probs = np.atleast_1d(np.asarray(probs, dtype=float))
         if values.size == 1:
             return cls(values, np.array([1.0]))
-        slopes = np.diff(probs) / np.diff(values)
+        wide = np.diff(values) > 0
+        if values.shape != probs.shape or not wide.any():
+            return cls(values, probs)  # raises
+        slopes = np.diff(probs)[wide] / np.diff(values)[wide]
         lower_rate = float("nan")
         if probs[0] > 0.0:
             lower_rate = slopes[0] / probs[0]
@@ -108,7 +114,7 @@ class PiecewiseCDF:
     # -- evaluation --------------------------------------------------------
 
     def cdf(self, x):
-        """P(X <= x).  Accepts a scalar or an array."""
+        """P(X <= x), right-continuous at a jump.  Accepts a scalar or an array."""
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         if self.is_degenerate:
             out = np.where(xv >= self.values[0], 1.0, 0.0)
@@ -135,7 +141,7 @@ class PiecewiseCDF:
         return _match(out, x)
 
     def quantile(self, p):
-        """Inverse CDF at probabilities strictly inside (0, 1)."""
+        """Inverse CDF on (0, 1); every level within a jump gives the jump's value."""
         pv = np.atleast_1d(np.asarray(p, dtype=float))
         if np.any(pv <= 0.0) or np.any(pv >= 1.0):
             raise ValueError("quantile levels must lie strictly within (0, 1)")
@@ -152,7 +158,8 @@ class PiecewiseCDF:
         if above.any():
             out[above] = v[-1] - np.log((1.0 - pv[above]) / (1.0 - kp[-1])) / self.upper_rate
         if mid.any():
-            # First knot with prob >= p; exact hits return the knot itself.
+            # First knot with prob >= p; exact hits return the knot itself
+            # and a jump's infinite slope adds nothing.
             j = np.searchsorted(kp, pv[mid], side="left")
             exact = kp[j] == pv[mid]
             res = np.empty(j.shape)
@@ -168,7 +175,7 @@ class PiecewiseCDF:
         return float(out) if np.ndim(x) == 0 else out
 
     def log_density(self, x):
-        """Natural log of the density, evaluated in log space in the tails."""
+        """Log density (at a knot, the segment above's), in log space in the tails."""
         if self.is_degenerate:
             raise DegenerateDistributionError("point-mass distribution has no density")
         xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -200,7 +207,7 @@ class PiecewiseCDF:
         return self.quantile(u)
 
     def prob_below(self, threshold: float) -> float:
-        """P(X < threshold), evaluated exactly from the CDF."""
+        """P(X < threshold) from the CDF; at a jump's value the jump counts too."""
         if self.is_degenerate:
             return 1.0 if threshold > self.values[0] else 0.0
         return float(self.cdf(threshold))
@@ -216,18 +223,12 @@ def _match(out: np.ndarray, reference) -> np.ndarray | float:
 def build_cdf(q: QuantileVector) -> PiecewiseCDF:
     """Interpolate a quantile vector into a full distribution.
 
-    Interior: linear CDF between consecutive (value, level) knots.  Tails:
-    exponential, carrying the mass outside the outermost levels, with rates
-    fixed by density continuity at the boundaries.  Runs of duplicate values
-    (flat quantile functions) collapse to a single knot at the highest level
-    of the run; if every value is identical the result is a point mass.
+    Every (value, level) pair is a knot, so the distribution passes through
+    each quantile; a run of equal values is a jump over the run's levels, and
+    the density integrates to one minus the jumps.  The tails are exponential
+    (see the module docstring).  If the first and last values are equal the
+    result is a single point mass.
     """
-    values = q.values
-    levels = q.levels
-    # Keep the last (highest-level) entry of each equal-value run.
-    keep = np.append(values[1:] != values[:-1], True)
-    kv = values[keep]
-    kp = levels[keep]
-    if kv.size == 1:
-        return PiecewiseCDF(kv, np.array([1.0]))
-    return PiecewiseCDF.from_knots(kv, kp)
+    if q.values[0] == q.values[-1]:
+        return PiecewiseCDF(q.values[-1:], np.array([1.0]))
+    return PiecewiseCDF.from_knots(q.values, q.levels)

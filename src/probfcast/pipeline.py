@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class RunConfig:
     threshold: float = 0.0
     draws: int = 1000
     min_training_rows: int = 1000
-    intervals: Tuple[float, ...] = scoring.DEFAULT_INTERVALS
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -137,15 +136,10 @@ def draw_origins(dataset: Dataset, config: RunConfig) -> List[datetime]:
     return [candidates[int(i)] for i in picks]
 
 
-def _score_hour(
-    d: PiecewiseCDF,
-    combined: CombinedForecast,
-    y: float,
-    intervals: Sequence[float],
-) -> scoring.ScoreRecord:
+def _score_hour(d: PiecewiseCDF, combined: CombinedForecast, y: float) -> scoring.ScoreRecord:
     median = float(d.quantile(0.5))
     hits: Dict[float, bool] = {}
-    for w in intervals:
+    for w in scoring.DEFAULT_INTERVALS:
         lo = float(d.quantile((1.0 - w) / 2.0))
         hi = float(d.quantile((1.0 + w) / 2.0))
         hits[w] = bool(lo <= y <= hi)
@@ -168,22 +162,15 @@ def _score_raw_hour(
 ) -> scoring.ScoreRecord:
     """Raw-model comparator: empirical-ensemble CRPS, median MAE, and a log
     score from the member quantiles run through the same CDF interpolation
-    (absent below two distinct members)."""
+    (absent when every member is equal, a point mass)."""
     arr = np.asarray(values, dtype=float)
-    crps_val = scoring.crps_ensemble(arr, y)
-    abs_err = abs(y - float(np.median(arr)))
-    log_val = float("nan")
-    if np.unique(arr).size >= 2:
-        member_q = QuantileVector(levels, np.quantile(arr, levels))
-        d = build_cdf(member_q)
-        if not d.is_degenerate:
-            log_val = scoring.log_score(d, y)
+    d = build_cdf(QuantileVector(levels, np.quantile(arr, levels)))
     return scoring.ScoreRecord(
         valid_time=valid_time,
         lead_hours=lead_hours,
-        crps=crps_val,
-        log_score=log_val,
-        abs_error_median=abs_err,
+        crps=scoring.crps_ensemble(arr, y),
+        log_score=float("nan") if d.is_degenerate else scoring.log_score(d, y),
+        abs_error_median=abs(y - float(np.median(arr))),
         interval_hits={},
     )
 
@@ -296,7 +283,7 @@ def run_scenario(
         if not observed[h - 1]:
             raise DataError(f"no observation to score at {valid.isoformat()}")
         y = float(obs.value[obs_at[h - 1]])
-        records.append(_score_hour(d, combined, y, config.intervals))
+        records.append(_score_hour(d, combined, y))
         raw_records.append(_score_raw_hour(eval_fc.value[rows], valid, h, y, config.levels))
     timings["score"] = time.perf_counter() - t0
 

@@ -76,7 +76,8 @@ def crps(d: PiecewiseCDF, y: float) -> float:
     """Exact CRPS of a piecewise distribution at observation y (degC).
 
     Integrates (F(x) - 1{x >= y})^2 in closed form over each linear segment
-    and each exponential tail.  A point mass scores its absolute error.
+    of positive width and each exponential tail; a jump has zero width and
+    adds nothing.  A point mass scores its absolute error.
     """
     y = float(y)
     if d.is_degenerate:
@@ -100,9 +101,10 @@ def crps(d: PiecewiseCDF, y: float) -> float:
     elif y < v[0]:
         total += v[0] - y
 
-    # Interior segments, vectorised.
-    a, b = v[:-1], v[1:]
-    pa, pb = p[:-1], p[1:]
+    # Interior segments, vectorised; a jump's zero-width segment adds nothing.
+    wide = v[1:] > v[:-1]
+    a, b = v[:-1][wide], v[1:][wide]
+    pa, pb = p[:-1][wide], p[1:][wide]
     s = (pb - pa) / (b - a)
     right = y <= a  # observation at or left of segment: target function is 1
     left = y >= b  # observation at or right of segment: target is 0

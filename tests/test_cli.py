@@ -136,6 +136,29 @@ class TestForecast:
         rc = main(["forecast", *run_args(data_dir, tmp_path)])
         assert rc == 1
 
+    def test_products_pass_through_tied_knots(self, tmp_path):
+        # On the 90-day seed-55 set this origin has, at 2020-04-03T11:00Z, equal
+        # 0.025 and 0.03 knots just above the threshold.
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["generate", "--seed", "55", "--span-days", "90", "--out", str(data)]) == 0
+        argv = ["forecast", "--forecasts", str(data / "forecasts.csv")]
+        argv += ["--observations", str(data / "observations.csv"), "--out", str(out)]
+        assert main([*argv, "--origin", "2020-03-27T18:00Z", "--threshold", "14.3"]) == 0
+        knots = {}
+        for r in read_csv(out / "quantiles.csv"):
+            knots.setdefault(r["valid_time"], {})[float(r["level"])] = float(r["value_degC"])
+        tied = knots["2020-04-03T11:00Z"]
+        assert tied[0.025] == tied[0.03] > 14.3
+        prob = {r["valid_time"]: float(r["prob_below"]) for r in read_csv(out / "prob_below.csv")}
+        levels, values = zip(*sorted(tied.items()))
+        assert prob["2020-04-03T11:00Z"] == pytest.approx(
+            np.interp(14.3, values, levels), rel=1e-9
+        )
+        columns = {"median": 0.5, "lo80": 0.1, "hi80": 0.9, "lo95": 0.025, "hi95": 0.975}
+        for r in read_csv(out / "intervals.csv"):
+            for column, level in columns.items():
+                assert float(r[column]) == knots[r["valid_time"]][level], (r["valid_time"], column)
+
 
 class TestEvaluate:
     def evaluate(self, data_dir, out):
@@ -228,9 +251,11 @@ class TestExitCodes:
         assert summary["seed"] == "9"
 
     def test_unset_flags_keep_run_config_defaults(self):
-        got, default = _run_config(build_parser().parse_args(["evaluate"])), pipeline.RunConfig()
-        for f in dataclasses.fields(default):
-            assert np.array_equal(getattr(got, f.name), getattr(default, f.name)), f.name
+        default = pipeline.RunConfig()
+        for command in ("train", "forecast", "evaluate"):
+            got = _run_config(build_parser().parse_args([command]))
+            for f in dataclasses.fields(default):
+                assert np.array_equal(getattr(got, f.name), getattr(default, f.name)), f.name
         flags = ["--trees", "7", "--scenarios", "3", "--horizon", "24", "--replace"]
         got = _run_config(build_parser().parse_args(["evaluate", *flags]))
         assert (got.num_trees, got.n_scenarios, got.horizon_hours, got.replace) == (7, 3, 24, True)
@@ -288,7 +313,7 @@ class TestExitCodes:
         assert f"{paths[bad_file]}:3: value_degC must be finite" in capsys.readouterr().err
 
 
-# RunConfig field -> (config key, value); every field with a flag is here.
+# RunConfig field -> (config key, value); every field has a flag on some command.
 RUN_OPTIONS = {
     "num_trees": ("trees", "7"),
     "mtry": ("mtry", "2"),
@@ -307,10 +332,41 @@ RUN_OPTIONS = {
 }
 
 
+_COMMON_FIELDS = sorted(
+    set(RUN_OPTIONS) - {"n_scenarios", "horizon_hours", "levels", "threshold", "draws"}
+)
+# The RunConfig fields each command takes a flag for: only those it uses.
+RUN_FLAGS_OF = {
+    "train": _COMMON_FIELDS,
+    "forecast": _COMMON_FIELDS + ["horizon_hours", "levels", "threshold", "draws"],
+    "evaluate": _COMMON_FIELDS + ["n_scenarios", "horizon_hours", "levels"],
+}
+# Flags a command does not use, each with the arguments it needs to exit 0
+# when the flag is accepted.
+UNUSED_RUN_FLAGS = [
+    ("train", "scenarios", "3", []),
+    ("train", "horizon", "24", []),
+    ("train", "threshold", "1.5", []),
+    ("train", "draws", "50", []),
+    ("train", "levels", "0.1,0.5,0.9", []),
+    ("forecast", "scenarios", "3", ["--origin", "2020-02-05T00:00Z", "--draws", "20"]),
+    ("evaluate", "draws", "50", ["--scenarios", "1", "--min-training-rows", "500"]),
+    ("evaluate", "threshold", "1.5", ["--scenarios", "1", "--min-training-rows", "500"]),
+]
+
+
 class TestRunConfigFile:
     def test_every_flagged_field_is_listed(self):
         fields = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
-        assert set(RUN_OPTIONS) == fields - {"intervals"}
+        assert set(RUN_OPTIONS) == fields
+        assert set().union(*RUN_FLAGS_OF.values()) == fields
+
+    def test_each_command_declares_only_its_run_flags(self):
+        fields = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for command, expected in RUN_FLAGS_OF.items():
+            dests = {a.dest for a in sub.choices[command]._actions}
+            assert dests & fields == set(expected), command
 
     @pytest.mark.parametrize("field", sorted(RUN_OPTIONS))
     def test_file_value_equals_flag(self, tmp_path, field):
@@ -318,12 +374,30 @@ class TestRunConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}={value}\n")
         flag = ["--replace"] if key == "replace" else [f"--{key.replace('_', '-')}", value]
-        by_flag = _run_config(build_parser().parse_args(["evaluate", *flag]))
-        by_file = _run_config(build_parser().parse_args(["evaluate", "--config", str(cfg)]))
         default = pipeline.RunConfig()
-        assert not np.array_equal(getattr(by_flag, field), getattr(default, field))
-        for f in dataclasses.fields(default):
-            assert np.array_equal(getattr(by_file, f.name), getattr(by_flag, f.name)), f.name
+        commands = [c for c, fields in RUN_FLAGS_OF.items() if field in fields]
+        assert commands
+        for command in commands:
+            by_flag = _run_config(build_parser().parse_args([command, *flag]))
+            by_file = _run_config(build_parser().parse_args([command, "--config", str(cfg)]))
+            assert not np.array_equal(getattr(by_flag, field), getattr(default, field))
+            for f in dataclasses.fields(default):
+                assert np.array_equal(getattr(by_file, f.name), getattr(by_flag, f.name)), f.name
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value, needed", UNUSED_RUN_FLAGS)
+    def test_unused_run_flag_is_usage_error(
+        self, data_dir, tmp_path, capsys, via, command, key, value, needed
+    ):
+        out = tmp_path / "out"
+        given = [f"--{key}", value]
+        if via == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            given = ["--config", str(cfg)]
+        assert main([command, *run_args(data_dir, out, [*needed, *given])]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("word, expected", [("On", True), ("1", True), ("off", False)])
     def test_replace_words(self, tmp_path, word, expected):
@@ -365,20 +439,25 @@ class TestRunConfigFile:
 
 
 # sha256 of the outputs written by generate --seed 55 --span-days 30, and of
-# train and evaluate on that set; any change to a number or to row order
-# shows here.
+# train, evaluate and forecast on that set; any change to a number or to row
+# order shows here.
 GOLDEN = {
     "data/forecasts.csv": "410ea54e16121577bb42ff987db9a4d8915c55994061eddf78fbdcb7fa0b167f",
     "data/observations.csv": "fca215a9e2e88d4af5ac4747be5d60d3d3b86dec0dbae6db70ad879a3610e9f5",
     "train/errors.csv": "eab945fc0ad6300068f599a3ab602066c08a6015f24c5ca6ba07c02f62be1b16",
     "train/oob_coverage.csv": "485fc5e314b7e5030bbeb1002d52cb404026c086bfec66b3272ce71137caa152",
-    "evaluate/aggregates.csv": "824c82635b1f8018178361d6c02a9a623da52ea89eba188679d6de6e0b88093e",
-    "evaluate/points.csv": "b80dbb1c1eb4deadd686ea6faf62c9b1fbc0c46e3819e19e4a7c4b9b6d40308d",
+    "evaluate/aggregates.csv": "3f6b2ca18385af391ca59a2d7c033dad2a14a947871a408db36c9b3c8d916bec",
+    "evaluate/points.csv": "daa70a3a2bc353bcdf41f4a5daa6603e43c7c01466c140d3f64c84c562e9bc71",
     "evaluate/scenarios/scenario_000_raw.csv": "329b12e03b8197d7f9b520259b96d14f4f5f0d2d4e40abb840a03115c3862ada",
-    "evaluate/scenarios/scenario_000_scores.csv": "df62192a6b25f626d66c88c0b7c7f01f6d8ef4c848b405f9e797954426015887",
+    "evaluate/scenarios/scenario_000_scores.csv": "fd8bfcf5af5cf8727d84d831e9d43437ffbbf82fa6998cf6bcf6a7e47f0fb69d",
     "evaluate/scenarios/scenario_001_raw.csv": "2d7aa81d8586456474f812cffc62ad52ee67dddb82027c31dcc42164d1f3eb5e",
-    "evaluate/scenarios/scenario_001_scores.csv": "ece05ea2940b638f139f43ebb1b51be869fdae9f91db56c2827126de13113944",
-    "evaluate/summary.txt": "a0d9cbcda3eea8d69df1feb9f16ddda517d1a22bb17af02c044db97888b07d8d",
+    "evaluate/scenarios/scenario_001_scores.csv": "e3ac9af513a28a037a496845592f04fcac639dd6f4adc47c1d6e65a7e4c7a19f",
+    "evaluate/summary.txt": "585b78c2bc00f322736d49076167fce4aae6e8e6f3e4e1e0250a0c08f76ce506",
+    "forecast/cdf_probe.csv": "9faf3cfb9f1fdd0e912fc5db1e049c1f6c15e5749752a88318068c33387a4291",
+    "forecast/intervals.csv": "aa3a9672f974dae9888c62c571646450e5a5f20af641b63f4e5cae858c26bb36",
+    "forecast/prob_below.csv": "00108e5bdf3306a0442c6f36a4ee68788f374d1281b5465eff85ee8cc727a206",
+    "forecast/quantiles.csv": "64522d0636b9e0ade7c8c55f0e80aae2e9146a66bec31bc8310afa001172d395",
+    "forecast/samples.csv": "3bbf5e0904077756b943c08b973d6df9897ab5285eec96ff7420d1a22bad66a7",
 }
 
 
@@ -397,6 +476,9 @@ def test_golden_outputs(tmp_path):
     assert main(train) == 0
     evaluate = ["evaluate", *inputs, "--scenarios", "2", "--trees", "20", "--train-days", "7"]
     assert main([*evaluate, "--out", str(tmp_path / "evaluate")]) == 0
+    forecast = ["forecast", *inputs, "--trees", "20", "--train-days", "7", "--draws", "100"]
+    forecast += ["--origin", "2020-01-20T00:00Z", "--threshold", "10", "--dump-cdf-hour", "52"]
+    assert main([*forecast, "--out", str(tmp_path / "forecast")]) == 0
     digests = {
         rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in GOLDEN
     }

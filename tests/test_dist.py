@@ -19,6 +19,15 @@ sorted_vals = st.lists(
     st.integers(-40_000, 40_000).map(lambda n: n / 1000.0), min_size=5, max_size=5
 ).map(sorted)
 LEV5 = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+LEV9 = np.array([0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975])
+# Nine millidegree values drawn from a pool of two to four, so runs of equal
+# values (ties) are common, at either end as well as inside.
+tied_vals = (
+    st.lists(st.integers(-40_000, 40_000), min_size=2, max_size=4, unique=True)
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=9, max_size=9))
+    .map(lambda ns: np.sort(np.array(ns) / 1000.0))
+    .filter(lambda v: v[0] < v[-1])
+)
 
 
 class TestBuildCdf:
@@ -40,25 +49,27 @@ class TestBuildCdf:
         assert d.density(np.nextafter(1.0, 2.0)) == pytest.approx(seg_last, rel=1e-9)
         assert d.density(1.0) == pytest.approx(seg_last, rel=1e-9)  # continuous at the knot
 
-    def test_duplicate_values_collapse_to_highest_level(self):
-        q = QuantileVector(np.array([0.2, 0.4, 0.6, 0.8]), np.array([1.0, 2.0, 2.0, 3.0]))
-        d = build_cdf(q)
-        np.testing.assert_array_equal(d.values, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(d.probs, [0.2, 0.6, 0.8])
+    @pytest.mark.filterwarnings("error")
+    @given(tied_vals)
+    def test_knot_rule_on_tied_values(self, values):
+        d = build_cdf(QuantileVector(LEV9, values))
+        # The distribution passes through every knot, tied or not.
+        np.testing.assert_array_equal(d.quantile(LEV9), values)
+        xs = np.concatenate([np.linspace(values[0], values[-1], 201), values])
+        np.testing.assert_allclose(d.cdf(xs), np.interp(xs, values, LEV9), rtol=0, atol=1e-12)
+        jumps = 0.0
+        for u in np.unique(values):
+            run = np.flatnonzero(values == u)
+            if run.size > 1:
+                assert d.cdf(u) == LEV9[run[-1]]
+                jumps += LEV9[run[-1]] - LEV9[run[0]]
+        assert integrate_density(d, n_interior=2_000) + jumps == pytest.approx(1.0, abs=1e-6)
 
-    def test_tied_knots_interpolate_to_the_highest_level(self):
-        # Values at 0.025 and 0.03 are equal; only the 0.03 knot is kept.
-        values = np.linspace(-5.0, 5.0, DEFAULT_LEVELS.size)
-        i = int(np.flatnonzero(DEFAULT_LEVELS == 0.025)[0])
-        assert DEFAULT_LEVELS[i + 1] == 0.03
-        values[i] = values[i + 1]
-        d = build_cdf(QuantileVector(DEFAULT_LEVELS, values))
-        threshold = values[i] - 0.01
-        kept = np.arange(values.size) != i
-        expected = np.interp(threshold, values[kept], DEFAULT_LEVELS[kept])
-        assert d.prob_below(threshold) == pytest.approx(expected, rel=1e-12)
-        raw = np.interp(threshold, values, DEFAULT_LEVELS)
-        assert d.prob_below(threshold) != pytest.approx(raw, rel=1e-3)
+    def test_point_mass_needs_one_knot(self):
+        with pytest.raises(ValueError):
+            PiecewiseCDF.from_knots([2.0, 2.0], [0.3, 0.6])
+        with pytest.raises(ValueError):
+            PiecewiseCDF.from_knots([2.0, 1.0], [0.3, 0.6])
 
     def test_unit_mass(self):
         rng = np.random.default_rng(5)

@@ -54,6 +54,17 @@ class TestCrps:
             se = estimates.std(ddof=1) / np.sqrt(estimates.size)
             assert abs(exact - estimates.mean()) < 4 * se + 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_jump_adds_no_integral(self):
+        # Mass-free tails and a jump from 0.3 to 0.6 at x = 1: the exact CRPS
+        # equals a fine trapezoid of (F(x) - 1{x >= y})^2 over [0, 2].
+        d = PiecewiseCDF.from_knots([0.0, 1.0, 1.0, 2.0], [0.0, 0.3, 0.6, 1.0])
+        xs = np.linspace(0.0, 2.0, 400_001)
+        for y in (0.4, 1.0, 1.7):
+            g = (d.cdf(xs) - (xs >= y)) ** 2
+            numeric = float(np.sum((g[1:] + g[:-1]) * np.diff(xs)) / 2.0)
+            assert crps(d, y) == pytest.approx(numeric, abs=1e-5)
+
     def test_nonnegative_and_translation_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
