@@ -21,7 +21,7 @@ from .ingest import (
     load_observations,
     slice_scenario,
 )
-from .pipeline import RunConfig, run_scenario, run_scenarios
+from .pipeline import Horizon, RunConfig, run_scenario, run_scenarios, score_scenario
 from .qrf import (
     CovariateVector,
     Forest,
@@ -35,7 +35,7 @@ from .qrf import (
     train,
 )
 from .scoring import (
-    ScoreRecord,
+    Scores,
     aggregate_by_lead,
     crps,
     crps_ensemble,

@@ -30,6 +30,7 @@ import os
 import sys
 import time
 import traceback
+from datetime import timedelta
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -283,18 +284,23 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    out = _out_dir(args)
-    dataset = _load_dataset(args)
+    h_probe = args.dump_cdf_hour
+    if h_probe is not None and not 1 <= h_probe <= config.horizon_hours:
+        raise ConfigError(f"--dump-cdf-hour {h_probe} is outside [1, {config.horizon_hours}]")
     if not args.origin:
         raise ConfigError("--origin is required for forecast")
     origin = parse_hour(args.origin)
-    result = pipeline.run_scenario(dataset, origin, config, products_only=True)
+    out = _out_dir(args)
+    dataset = _load_dataset(args)
+    horizon = pipeline.run_scenario(dataset, origin, config)
+    leads = horizon.lead_hours.tolist()
+    if h_probe is not None and h_probe not in leads:
+        raise DataError(f"no forecast product at lead hour {h_probe}")
+    times = [format_hour(origin + timedelta(hours=h)) for h in leads]
+    level_text = [_fmt(p) for p in config.levels.tolist()]
     q_rows, int_rows, sample_rows, prob_rows = [], [], [], []
-    for hp in result.products:
-        ts = format_hour(hp.valid_time)
-        d = hp.distribution
-        for level, value in zip(hp.combined.quantiles.levels, hp.combined.quantiles.values):
-            q_rows.append([ts, _fmt(level), _fmt(value)])
+    for ts, h, d, values in zip(times, leads, horizon.distributions, horizon.quantiles.tolist()):
+        q_rows.extend(zip(itertools.repeat(ts), level_text, map(_fmt, values)))
         int_rows.append(
             [
                 ts,
@@ -305,11 +311,11 @@ def cmd_forecast(args: argparse.Namespace) -> int:
                 _fmt(d.quantile(0.975)),
             ]
         )
+        draws = d.sample(config.draws, seed=config.seed + 7 * h + 1)
         # Draws are finite, so repr equals _fmt.
-        sample_rows.extend(
-            zip(itertools.repeat(ts), range(hp.samples.size), map(repr, hp.samples.tolist()))
-        )
-        prob_rows.append([ts, _fmt(hp.prob_below), _fmt(hp.prob_below_sampled)])
+        sample_rows.extend(zip(itertools.repeat(ts), range(draws.size), map(repr, draws.tolist())))
+        below = float(np.mean(draws < config.threshold))
+        prob_rows.append([ts, _fmt(d.prob_below(config.threshold)), _fmt(below)])
     _write_csv(out / "quantiles.csv", ["valid_time", "level", "value_degC"], q_rows)
     _write_csv(
         out / "intervals.csv",
@@ -322,12 +328,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         ["valid_time", "prob_below", "prob_below_sampled"],
         prob_rows,
     )
-    if args.dump_cdf_hour is not None:
-        h = args.dump_cdf_hour
-        match = [hp for hp in result.products if hp.lead_hours == h]
-        if not match:
-            raise DataError(f"no forecast product at lead hour {h}")
-        d = match[0].distribution
+    if h_probe is not None:
+        d = horizon.distributions[leads.index(h_probe)]
         lo = float(d.quantile(0.001))
         hi = float(d.quantile(0.999))
         xs = np.linspace(lo, hi, 500)
@@ -337,7 +339,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             [[_fmt(x), _fmt(p)] for x, p in zip(xs, d.cdf(xs))],
         )
     print(f"forecast products for origin {format_hour(origin)} written to {out}")
-    print(f"  covered hours: {len(result.products)} of {config.horizon_hours}")
+    print(f"  covered hours: {len(leads)} of {config.horizon_hours}")
     return 0
 
 
@@ -349,42 +351,22 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 _RAW_HEADER = ["valid_time", "lead_hours", "crps", "log_score", "abs_err_median"]
 
 
-def _finite_mean(records: List[scoring.ScoreRecord], metric: str) -> float:
-    vals = np.array([getattr(r, metric) for r in records], dtype=float)
-    finite = vals[np.isfinite(vals)]
-    return float(np.mean(finite)) if finite.size else float("nan")
+def _score_rows(scores: scoring.Scores) -> Iterable[Sequence]:
+    return zip(
+        map(format_hour, map(hour_time, scores.valid_hours.tolist())),
+        scores.lead_hours.tolist(),
+        map(_fmt, scores.crps.tolist()),
+        map(_fmt, scores.log_score.tolist()),
+        map(_fmt, scores.abs_error_median.tolist()),
+        *scores.hits.T.astype(int).tolist(),
+    )
 
 
-def _score_rows(records: List[scoring.ScoreRecord], intervals) -> List[List]:
-    rows = []
-    for r in records:
-        rows.append(
-            [
-                format_hour(r.valid_time),
-                r.lead_hours,
-                _fmt(r.crps),
-                _fmt(r.log_score),
-                _fmt(r.abs_error_median),
-            ]
-            + [int(r.interval_hits[w]) for w in intervals]
-        )
-    return rows
-
-
-def _aggregate_rows(aggs: List[scoring.LeadAggregate], prefix: str = "") -> List[List]:
-    rows = []
-    for agg in aggs:
-        for metric in sorted(agg.means):
-            rows.append(
-                [
-                    agg.lead_hours,
-                    prefix + metric,
-                    _fmt(agg.means[metric]),
-                    _fmt(agg.sds[metric]),
-                    agg.counts[metric],
-                ]
-            )
-    return rows
+def _aggregate_rows(scores: scoring.Scores, prefix: str = "") -> List[List]:
+    return [
+        [lead, prefix + metric, _fmt(mean), _fmt(sd), n]
+        for lead, metric, mean, sd, n in scoring.aggregate_by_lead(scores)
+    ]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -397,34 +379,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     scen_dir = out / "scenarios"
     scen_dir.mkdir(exist_ok=True)
-    all_records: List[scoring.ScoreRecord] = []
-    all_raw: List[scoring.ScoreRecord] = []
     for r in results:
         _write_csv(
             scen_dir / f"scenario_{r.index:03d}_scores.csv",
-            _RAW_HEADER + [f"hit{round(w * 100):d}" for w in scoring.DEFAULT_INTERVALS],
-            _score_rows(r.records, scoring.DEFAULT_INTERVALS),
+            _RAW_HEADER + [f"hit{round(w * 100):d}" for w in r.scores.intervals],
+            _score_rows(r.scores),
         )
         _write_csv(
-            scen_dir / f"scenario_{r.index:03d}_raw.csv",
-            _RAW_HEADER,
-            _score_rows(r.raw_records, ()),
+            scen_dir / f"scenario_{r.index:03d}_raw.csv", _RAW_HEADER, _score_rows(r.raw_scores)
         )
-        all_records.extend(r.records)
-        all_raw.extend(r.raw_records)
-
-    aggs = scoring.aggregate_by_lead(all_records)
-    raw_aggs = scoring.aggregate_by_lead(all_raw)
+    scores = scoring.Scores.concat([r.scores for r in results])
+    raw = scoring.Scores.concat([r.raw_scores for r in results])
     _write_csv(
         out / "aggregates.csv",
         ["lead_hours", "metric", "mean", "sd", "n"],
-        _aggregate_rows(aggs) + _aggregate_rows(raw_aggs, prefix="raw_"),
+        _aggregate_rows(scores) + _aggregate_rows(raw, prefix="raw_"),
     )
-    point_rows = []
-    for r in results:
-        for rec in r.records:
-            point_rows.append([rec.lead_hours, "crps", r.index, _fmt(rec.crps)])
-    _write_csv(out / "points.csv", ["lead_hours", "metric", "scenario", "value"], point_rows)
+    _write_csv(
+        out / "points.csv",
+        ["lead_hours", "metric", "scenario", "value"],
+        (
+            [lead, "crps", r.index, _fmt(value)]
+            for r in results
+            for lead, value in zip(r.scores.lead_hours.tolist(), r.scores.crps.tolist())
+        ),
+    )
 
     summary: Dict[str, object] = {
         "n_scenarios": len(results),
@@ -433,17 +412,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "skipped_rows_total": sum(r.skipped_rows for r in results),
         "unscored_hours_total": sum(r.unscored_hours for r in results),
         "degenerate_hours_total": sum(r.degenerate_hours for r in results),
-        "mean_crps": _fmt(_finite_mean(all_records, "crps")),
-        "mean_crps_raw": _fmt(_finite_mean(all_raw, "crps")),
-        "mean_log_score": _fmt(_finite_mean(all_records, "log_score")),
-        "mean_log_score_raw": _fmt(_finite_mean(all_raw, "log_score")),
-        "mean_abs_err_median": _fmt(scoring.mae_median(all_records)),
-        "mean_abs_err_median_raw": _fmt(scoring.mae_median(all_raw)),
+        "mean_crps": _fmt(scoring.finite_mean(scores.crps)),
+        "mean_crps_raw": _fmt(scoring.finite_mean(raw.crps)),
+        "mean_log_score": _fmt(scoring.finite_mean(scores.log_score)),
+        "mean_log_score_raw": _fmt(scoring.finite_mean(raw.log_score)),
+        "mean_abs_err_median": _fmt(scoring.mae_median(scores)),
+        "mean_abs_err_median_raw": _fmt(scoring.mae_median(raw)),
     }
     for w in scoring.DEFAULT_INTERVALS:
-        summary[f"coverage_{round(w * 100):d}"] = _fmt(
-            scoring.interval_coverage(all_records, w)
-        )
+        summary[f"coverage_{round(w * 100):d}"] = _fmt(scoring.interval_coverage(scores, w))
     with open(out / "summary.txt", "w") as fh:
         for key, value in summary.items():
             fh.write(f"{key}={value}\n")
@@ -454,9 +431,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             fh.write(f"{stage}_seconds={total:.3f}\n")
     print(f"evaluated {len(results)} scenarios in {wall:.1f}s")
     for w in scoring.DEFAULT_INTERVALS:
-        print(f"  {round(w * 100):d}% coverage: {scoring.interval_coverage(all_records, w):.3f}")
-    print(f"  mean CRPS: {_finite_mean(all_records, 'crps'):.3f}"
-          f" (raw comparator {_finite_mean(all_raw, 'crps'):.3f})")
+        print(f"  {round(w * 100):d}% coverage: {scoring.interval_coverage(scores, w):.3f}")
+    print(f"  mean CRPS: {scoring.finite_mean(scores.crps):.3f}"
+          f" (raw comparator {scoring.finite_mean(raw.crps):.3f})")
     print(f"  reports in {out}")
     return 0
 

@@ -5,9 +5,12 @@ is a covariate).  Stage 2 then works on columns: the forest is queried once
 per distinct (lead, label) pair of the current model runs, each run's row
 of error quantiles is shifted by its forecast value into one (runs x levels)
 matrix, and that matrix is averaged level by level over each valid hour's
-rows.  Each hour's average is interpolated into a full distribution.
-Scored hours run from one hour after the forecast origin out to the horizon;
-hours no current run covers are skipped and counted.
+rows.  Stage 3 interpolates each hour's average into a full distribution.
+:func:`run_scenario` returns both stages as one :class:`Horizon`, with a
+row per hour from one hour after the forecast origin out to the horizon;
+hours no current run covers are left out.  A backtest scores the horizon
+with :func:`score_scenario`, which counts the left-out hours; an operator
+forecast writes its products from it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import qrf, scoring
-from .combine import DEFAULT_LEVELS, CombinedForecast, QuantileVector, combine_timestep
+from .combine import DEFAULT_LEVELS, QuantileVector, combine_timestep
 from .dist import PiecewiseCDF, build_cdf
 from .error_model import ErrorTable, build_error_table, rank_label_members
 from .exceptions import DataError
@@ -28,13 +31,14 @@ from .ingest import Dataset, ScenarioWindow, format_hour, hour_index, hour_time,
 
 __all__ = [
     "RunConfig",
-    "HourProducts",
+    "Horizon",
     "ScenarioResult",
     "admissible_origins",
     "draw_origins",
     "prepare_training",
     "run_scenario",
     "run_scenarios",
+    "score_scenario",
 ]
 
 
@@ -75,30 +79,41 @@ class RunConfig:
 
 
 @dataclass(eq=False)
-class HourProducts:
-    """Plot-ready outputs for one forecast hour."""
+class Horizon:
+    """Stages 2 and 3 at one forecast origin, one row per covered lead hour.
 
-    valid_time: datetime
-    lead_hours: int
-    combined: CombinedForecast
-    distribution: PiecewiseCDF
-    prob_below: float
-    prob_below_sampled: float
-    samples: np.ndarray
+    ``quantiles`` is the (hours x levels) matrix of averaged quantiles and
+    ``distributions`` each hour's full distribution built on its row.
+    ``members`` holds each hour's current-run values, which the raw
+    comparator scores, and ``observations`` each hour's observation (NaN
+    where there is none).  ``timings`` holds the seconds of each stage:
+    ``prepare``, ``train``, ``predict`` and ``score`` (combine and build;
+    :func:`score_scenario` adds the scoring time).
+    """
+
+    origin: datetime
+    lead_hours: np.ndarray
+    quantiles: np.ndarray
+    contributors: np.ndarray
+    distributions: List[PiecewiseCDF]
+    members: List[np.ndarray]
+    observations: np.ndarray
+    train_rows: int
+    skipped_rows: int
+    timings: Dict[str, float]
 
 
 @dataclass(eq=False)
 class ScenarioResult:
     index: int
     origin: datetime
-    records: List[scoring.ScoreRecord]
-    raw_records: List[scoring.ScoreRecord]
+    scores: scoring.Scores
+    raw_scores: scoring.Scores
     train_rows: int
     skipped_rows: int
     unscored_hours: int
     degenerate_hours: int
     timings: Dict[str, float]
-    products: List[HourProducts] = field(default_factory=list)
 
 
 def admissible_origins(dataset: Dataset, config: RunConfig) -> List[datetime]:
@@ -136,45 +151,6 @@ def draw_origins(dataset: Dataset, config: RunConfig) -> List[datetime]:
     return [candidates[int(i)] for i in picks]
 
 
-def _score_hour(d: PiecewiseCDF, combined: CombinedForecast, y: float) -> scoring.ScoreRecord:
-    median = float(d.quantile(0.5))
-    hits: Dict[float, bool] = {}
-    for w in scoring.DEFAULT_INTERVALS:
-        lo = float(d.quantile((1.0 - w) / 2.0))
-        hi = float(d.quantile((1.0 + w) / 2.0))
-        hits[w] = bool(lo <= y <= hi)
-    return scoring.ScoreRecord(
-        valid_time=combined.valid_time,
-        lead_hours=combined.lead_hours,
-        crps=scoring.crps(d, y),
-        log_score=float("nan") if d.is_degenerate else scoring.log_score(d, y),
-        abs_error_median=abs(y - median),
-        interval_hits=hits,
-    )
-
-
-def _score_raw_hour(
-    values: np.ndarray,
-    valid_time: datetime,
-    lead_hours: int,
-    y: float,
-    levels: np.ndarray,
-) -> scoring.ScoreRecord:
-    """Raw-model comparator: empirical-ensemble CRPS, median MAE, and a log
-    score from the member quantiles run through the same CDF interpolation
-    (absent when every member is equal, a point mass)."""
-    arr = np.asarray(values, dtype=float)
-    d = build_cdf(QuantileVector(levels, np.quantile(arr, levels)))
-    return scoring.ScoreRecord(
-        valid_time=valid_time,
-        lead_hours=lead_hours,
-        crps=scoring.crps_ensemble(arr, y),
-        log_score=float("nan") if d.is_degenerate else scoring.log_score(d, y),
-        abs_error_median=abs(y - float(np.median(arr))),
-        interval_hits={},
-    )
-
-
 def prepare_training(
     dataset: Dataset, origin: datetime, config: RunConfig
 ) -> Tuple[ErrorTable, Dataset]:
@@ -198,18 +174,10 @@ def prepare_training(
 
 
 def run_scenario(
-    dataset: Dataset,
-    origin: datetime,
-    config: RunConfig,
-    scenario_index: int = 0,
-    products_only: bool = False,
-) -> ScenarioResult:
-    """Run the full pipeline for one forecast origin.
-
-    By default every covered hour is scored and needs an observation.  With
-    ``products_only=True`` (operational forecasting) each covered hour's
-    products are built and nothing is scored.
-    """
+    dataset: Dataset, origin: datetime, config: RunConfig, scenario_index: int = 0
+) -> Horizon:
+    """Train the scenario's forest at ``origin`` and build every covered hour's
+    averaged quantiles and distribution.  Hours no current run covers are left out."""
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
     table, eval_ds = prepare_training(dataset, origin, config)
@@ -243,68 +211,102 @@ def run_scenario(
     # Rows of each horizon hour, in row order: by_valid[first[i]:end[i]] for hours[i]
     by_valid = np.argsort(eval_fc.valid, kind="stable")
     hours = hour_index(origin) + np.arange(1, config.horizon_hours + 1)
-    first = np.searchsorted(eval_fc.valid[by_valid], hours, side="left").tolist()
-    end = np.searchsorted(eval_fc.valid[by_valid], hours, side="right").tolist()
+    first = np.searchsorted(eval_fc.valid[by_valid], hours, side="left")
+    end = np.searchsorted(eval_fc.valid[by_valid], hours, side="right")
+    covered = np.flatnonzero(end > first)
     obs = eval_ds.observations
-    obs_at = np.searchsorted(obs.hour, hours).tolist()
-    observed = np.isin(hours, obs.hour).tolist()
+    observed = np.full(covered.size, np.nan)
+    have = np.isin(hours[covered], obs.hour)
+    observed[have] = obs.value[np.searchsorted(obs.hour, hours[covered][have])]
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    records: List[scoring.ScoreRecord] = []
-    raw_records: List[scoring.ScoreRecord] = []
-    products: List[HourProducts] = []
-    unscored = 0
-    degenerate = 0
-    for h in range(1, config.horizon_hours + 1):
-        rows = by_valid[first[h - 1] : end[h - 1]]
-        if not rows.size:
-            unscored += 1
-            continue
-        valid = origin + timedelta(hours=h)
-        combined = combine_timestep(config.levels, shifted[rows], valid, h)
-        d = build_cdf(combined.quantiles)
-        if d.is_degenerate:
-            degenerate += 1
-        if products_only:
-            draws = d.sample(config.draws, seed=config.seed + 7 * h + 1)
-            products.append(
-                HourProducts(
-                    valid_time=valid,
-                    lead_hours=h,
-                    combined=combined,
-                    distribution=d,
-                    prob_below=d.prob_below(config.threshold),
-                    prob_below_sampled=float(np.mean(draws < config.threshold)),
-                    samples=draws,
-                )
-            )
-            continue
-        if not observed[h - 1]:
-            raise DataError(f"no observation to score at {valid.isoformat()}")
-        y = float(obs.value[obs_at[h - 1]])
-        records.append(_score_hour(d, combined, y))
-        raw_records.append(_score_raw_hour(eval_fc.value[rows], valid, h, y, config.levels))
+    combined, distributions, members = [], [], []
+    for i in covered.tolist():
+        rows = by_valid[first[i] : end[i]]
+        h = i + 1
+        c = combine_timestep(config.levels, shifted[rows], origin + timedelta(hours=h), h)
+        combined.append(c.quantiles.values)
+        distributions.append(build_cdf(c.quantiles))
+        members.append(eval_fc.value[rows])
     timings["score"] = time.perf_counter() - t0
 
-    return ScenarioResult(
-        index=scenario_index,
+    return Horizon(
         origin=origin,
-        records=records,
-        raw_records=raw_records,
+        lead_hours=covered + 1,
+        quantiles=np.array(combined).reshape(covered.size, config.levels.size),
+        contributors=(end - first)[covered],
+        distributions=distributions,
+        members=members,
+        observations=observed,
         train_rows=table.n_rows,
         skipped_rows=table.skipped,
-        unscored_hours=unscored,
-        degenerate_hours=degenerate,
         timings=timings,
-        products=products,
+    )
+
+
+def score_scenario(horizon: Horizon, config: RunConfig, index: int) -> ScenarioResult:
+    """Score each covered hour of ``horizon`` against its observation, with
+    the raw comparator beside it.  Every covered hour needs an observation.
+
+    The raw comparator scores each hour's current-run values: the
+    empirical-ensemble CRPS, the error of their median, and a log score from
+    their quantiles on the same levels run through the same CDF
+    interpolation (absent when every member is equal, a point mass).
+    """
+    t0 = time.perf_counter()
+    missing = np.flatnonzero(np.isnan(horizon.observations))
+    if missing.size:
+        valid = horizon.origin + timedelta(hours=int(horizon.lead_hours[missing[0]]))
+        raise DataError(f"no observation to score at {valid.isoformat()}")
+    intervals = scoring.DEFAULT_INTERVALS
+    n = len(horizon.lead_hours)
+    crps, log, abs_err = np.empty(n), np.empty(n), np.empty(n)
+    raw_crps, raw_log, raw_abs_err = np.empty(n), np.empty(n), np.empty(n)
+    hits = np.empty((n, len(intervals)), dtype=bool)
+    nan = float("nan")
+    for i, (d, values, y) in enumerate(
+        zip(horizon.distributions, horizon.members, horizon.observations.tolist())
+    ):
+        crps[i] = scoring.crps(d, y)
+        log[i] = nan if d.is_degenerate else scoring.log_score(d, y)
+        abs_err[i] = abs(y - float(d.quantile(0.5)))
+        for j, w in enumerate(intervals):
+            lo = float(d.quantile((1.0 - w) / 2.0))
+            hi = float(d.quantile((1.0 + w) / 2.0))
+            hits[i, j] = lo <= y <= hi
+        raw = build_cdf(QuantileVector(config.levels, np.quantile(values, config.levels)))
+        raw_crps[i] = scoring.crps_ensemble(values, y)
+        raw_log[i] = nan if raw.is_degenerate else scoring.log_score(raw, y)
+        raw_abs_err[i] = abs(y - float(np.median(values)))
+    valid_hours = hour_index(horizon.origin) + horizon.lead_hours
+    timings = dict(horizon.timings)
+    timings["score"] += time.perf_counter() - t0
+    return ScenarioResult(
+        index=index,
+        origin=horizon.origin,
+        scores=scoring.Scores(horizon.lead_hours, valid_hours, crps, log, abs_err, hits),
+        raw_scores=scoring.Scores(
+            horizon.lead_hours,
+            valid_hours,
+            raw_crps,
+            raw_log,
+            raw_abs_err,
+            np.empty((n, 0), dtype=bool),
+            intervals=(),
+        ),
+        train_rows=horizon.train_rows,
+        skipped_rows=horizon.skipped_rows,
+        unscored_hours=config.horizon_hours - n,
+        degenerate_hours=sum(d.is_degenerate for d in horizon.distributions),
+        timings=timings,
     )
 
 
 def _run_chunk(args) -> List[ScenarioResult]:
     dataset, origins_with_index, config = args
     return [
-        run_scenario(dataset, origin, config, scenario_index=i)
+        score_scenario(run_scenario(dataset, origin, config, scenario_index=i), config, i)
         for i, origin in origins_with_index
     ]
 

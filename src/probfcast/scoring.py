@@ -10,22 +10,21 @@ cover an hour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from datetime import datetime
-from typing import Dict, Iterable, List, Sequence
+from dataclasses import dataclass, fields
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .dist import DegenerateDistributionError, PiecewiseCDF
 
 __all__ = [
-    "ScoreRecord",
-    "LeadAggregate",
+    "Scores",
     "crps",
     "crps_mc",
     "crps_ensemble",
     "log_score",
     "interval_score",
+    "finite_mean",
     "interval_coverage",
     "mae_median",
     "aggregate_by_lead",
@@ -36,35 +35,44 @@ DEFAULT_INTERVALS = (0.5, 0.8, 0.9, 0.95)
 
 
 @dataclass(eq=False)
-class ScoreRecord:
-    """Scores of one predictive distribution against one observation.
+class Scores:
+    """Scores of predictive distributions against observations, one row per scored hour.
 
-    ``log_score`` is NaN where undefined (point-mass forecast, or a raw
-    comparator hour with fewer than two distinct members).  ``interval_hits``
-    maps central-interval width to whether the observation fell inside.
+    The columns are the lead hour, the valid hour (hours since the epoch),
+    the CRPS, the log score (NaN where undefined: a point-mass forecast, or a
+    raw comparator hour with fewer than two distinct members), and the
+    absolute error of the predictive median.  ``hits`` has one column per
+    central-interval width in ``intervals``, true where the observation fell
+    inside that interval.
     """
 
-    valid_time: datetime
-    lead_hours: int
-    crps: float
-    log_score: float
-    abs_error_median: float
-    interval_hits: Dict[float, bool] = field(default_factory=dict)
+    lead_hours: np.ndarray
+    valid_hours: np.ndarray
+    crps: np.ndarray
+    log_score: np.ndarray
+    abs_error_median: np.ndarray
+    hits: np.ndarray
+    intervals: Tuple[float, ...] = DEFAULT_INTERVALS
 
     def __post_init__(self) -> None:
-        if self.crps < 0 or self.abs_error_median < 0:
+        n = len(self.lead_hours)
+        columns = (self.valid_hours, self.crps, self.log_score, self.abs_error_median)
+        if any(len(c) != n for c in columns) or self.hits.shape != (n, len(self.intervals)):
+            raise ValueError("score columns must be equally long, with one hit column per interval")
+        if np.any(self.crps < 0) or np.any(self.abs_error_median < 0):
             raise ValueError("crps and abs_error_median must be non-negative")
 
+    def __len__(self) -> int:
+        return len(self.lead_hours)
 
-@dataclass(eq=False)
-class LeadAggregate:
-    """Across-scenario statistics of every metric at one lead hour."""
-
-    lead_hours: int
-    n: int
-    means: Dict[str, float]
-    sds: Dict[str, float]
-    counts: Dict[str, int]
+    @classmethod
+    def concat(cls, parts: Sequence["Scores"]) -> "Scores":
+        """Every part's rows, in order; all parts must track the same intervals."""
+        if not parts or any(p.intervals != parts[0].intervals for p in parts):
+            raise ValueError("concat needs one or more scores tracking the same intervals")
+        names = [f.name for f in fields(cls) if f.name != "intervals"]
+        columns = [np.concatenate([getattr(p, name) for p in parts]) for name in names]
+        return cls(*columns, intervals=parts[0].intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -189,65 +197,55 @@ def interval_score(d: PiecewiseCDF, y: float, width: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Calibration / aggregation over score records
+# Calibration / aggregation over score columns
 # ---------------------------------------------------------------------------
 
 
-def interval_coverage(records: Sequence[ScoreRecord], interval: float) -> float:
-    """Fraction of records whose observation fell inside the central interval."""
-    if len(records) == 0:
-        raise ValueError("no records")
-    hits = [r.interval_hits[interval] for r in records]
-    return float(np.mean(hits))
+def finite_mean(values: np.ndarray) -> float:
+    """Mean of the finite entries of ``values``; NaN when there are none."""
+    finite = values[np.isfinite(values)]
+    return float(np.mean(finite)) if finite.size else float("nan")
 
 
-def mae_median(records: Sequence[ScoreRecord]) -> float:
+def interval_coverage(scores: Scores, interval: float) -> float:
+    """Fraction of rows whose observation fell inside the central interval."""
+    if len(scores) == 0:
+        raise ValueError("no scores")
+    return float(np.mean(scores.hits[:, scores.intervals.index(interval)]))
+
+
+def mae_median(scores: Scores) -> float:
     """Mean absolute error of the predictive median."""
-    if len(records) == 0:
-        raise ValueError("no records")
-    return float(np.mean([r.abs_error_median for r in records]))
+    if len(scores) == 0:
+        raise ValueError("no scores")
+    return float(np.mean(scores.abs_error_median))
 
 
-_METRICS = ("crps", "log_score", "abs_error_median")
+def aggregate_by_lead(scores: Scores) -> List[Tuple[int, str, float, float, int]]:
+    """(lead, metric, mean, sd, n) rows: leads ascending, each lead's metrics by name.
 
-
-def aggregate_by_lead(records: Sequence[ScoreRecord]) -> List[LeadAggregate]:
-    """Group records by lead hour; mean/sd/count per metric and interval hit rate.
-
-    NaN metric values (absent log scores) are excluded from their own metric
-    but the record still counts elsewhere.  ``means["hitNN"]`` is the
-    coverage of the NN % central interval.
+    NaN values (absent log scores) are left out of their own metric only.
+    Metric ``hitNN`` is the coverage of the NN % central interval.  Rows are
+    grouped by a stable sort on lead, so each group keeps the row order.
     """
-    if len(records) == 0:
-        raise ValueError("no records")
-    by_lead: Dict[int, List[ScoreRecord]] = {}
-    for r in records:
-        by_lead.setdefault(int(r.lead_hours), []).append(r)
-    out: List[LeadAggregate] = []
-    for lead in sorted(by_lead):
-        group = by_lead[lead]
-        means: Dict[str, float] = {}
-        sds: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for name in _METRICS:
-            vals = np.array([getattr(r, name) for r in group], dtype=float)
-            finite = vals[np.isfinite(vals)]
-            counts[name] = int(finite.size)
-            means[name] = float(np.mean(finite)) if finite.size else float("nan")
-            sds[name] = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
-        for w in group[0].interval_hits:
-            hits = np.array([float(r.interval_hits[w]) for r in group])
-            key = f"hit{round(w * 100):d}"
-            means[key] = float(np.mean(hits))
-            sds[key] = float(np.std(hits, ddof=1)) if hits.size > 1 else 0.0
-            counts[key] = int(hits.size)
-        out.append(
-            LeadAggregate(
-                lead_hours=lead,
-                n=len(group),
-                means=means,
-                sds=sds,
-                counts=counts,
-            )
-        )
-    return out
+    if len(scores) == 0:
+        raise ValueError("no scores")
+    columns = {
+        "crps": scores.crps,
+        "log_score": scores.log_score,
+        "abs_error_median": scores.abs_error_median,
+    }
+    for j, w in enumerate(scores.intervals):
+        columns[f"hit{round(w * 100):d}"] = scores.hits[:, j].astype(float)
+    order = np.argsort(scores.lead_hours, kind="stable")
+    leads, starts = np.unique(scores.lead_hours[order], return_index=True)
+    ends = np.append(starts[1:], order.size)
+    by_lead = {name: columns[name][order] for name in sorted(columns)}
+    rows = []
+    for lead, a, b in zip(leads.tolist(), starts.tolist(), ends.tolist()):
+        for name, values in by_lead.items():
+            group = values[a:b]
+            finite = group[np.isfinite(group)]
+            sd = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
+            rows.append((lead, name, finite_mean(finite), sd, int(finite.size)))
+    return rows

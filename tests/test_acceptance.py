@@ -27,7 +27,7 @@ from probfcast.error_model import build_error_table, rank_label_members
 from probfcast.ingest import Dataset, ScenarioWindow, slice_scenario
 from probfcast.pipeline import RunConfig, admissible_origins, draw_origins, run_scenarios
 from probfcast.qrf import CovariateVector, ForestConfig, predict_quantiles, predict_weights, train
-from probfcast.scoring import crps, crps_mc, interval_coverage
+from probfcast.scoring import Scores, crps, crps_mc, interval_coverage
 from probfcast.synth import SynthConfig, synthesize_dataset
 
 DATASET_SEED = 55
@@ -61,9 +61,8 @@ def training_table(dataset):
     )
 
 
-def lead_bin_means(records, attr="crps"):
-    leads = np.array([r.lead_hours for r in records])
-    vals = np.array([getattr(r, attr) for r in records])
+def lead_bin_means(scores):
+    leads, vals = scores.lead_hours, scores.crps
     means = []
     for b in range(7):
         m = (leads >= b * 24) & (leads < (b + 1) * 24) if b < 6 else (leads >= 144)
@@ -73,9 +72,9 @@ def lead_bin_means(records, attr="crps"):
 
 def test_criterion_1_calibration_bands(evaluation):
     results, wall = evaluation
-    records = [r for res in results for r in res.records]
-    cov95 = interval_coverage(records, 0.95)
-    cov80 = interval_coverage(records, 0.8)
+    scores = Scores.concat([res.scores for res in results])
+    cov95 = interval_coverage(scores, 0.95)
+    cov80 = interval_coverage(scores, 0.8)
     ok = 0.92 <= cov95 <= 0.98 and 0.75 <= cov80 <= 0.85 and wall < 300.0
     report(
         "criterion 1 (calibration bands)",
@@ -257,10 +256,8 @@ def test_criterion_7_qrf_correctness():
 
 def test_criterion_8_skill_ordering(evaluation):
     results, _ = evaluation
-    records = [r for res in results for r in res.records]
-    raw = [r for res in results for r in res.raw_records]
-    post_bins = lead_bin_means(records)
-    raw_bins = lead_bin_means(raw)
+    post_bins = lead_bin_means(Scores.concat([res.scores for res in results]))
+    raw_bins = lead_bin_means(Scores.concat([res.raw_scores for res in results]))
     post_mean = float(post_bins.mean())
     raw_mean = float(raw_bins.mean())
     ok = post_mean <= raw_mean and post_bins[6] > post_bins[0]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import filecmp
 import hashlib
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from helpers import forecast_records
 from probfcast import pipeline, qrf
 from probfcast.cli import _run_config, build_parser, main
 from probfcast.combine import DEFAULT_LEVELS
-from probfcast.ingest import load_forecasts, load_observations
+from probfcast.ingest import Dataset, format_hour, load_forecasts, load_observations, parse_hour
 
 
 def read_csv(path):
@@ -131,6 +132,41 @@ class TestForecast:
         cdf_rows = read_csv(tmp_path / "cdf_probe.csv")
         ps = [float(r["cdf"]) for r in cdf_rows]
         assert ps == sorted(ps)
+
+    def test_quantiles_csv_equals_horizon_quantiles(self, data_dir, tmp_path):
+        args = run_args(data_dir, tmp_path, ["--origin", "2020-02-05T00:00Z", "--draws", "10"])
+        assert main(["forecast", *args]) == 0
+        config = _run_config(build_parser().parse_args(["forecast", *args]))
+        dataset = Dataset(
+            load_forecasts(data_dir / "forecasts.csv"),
+            load_observations(data_dir / "observations.csv"),
+        )
+        origin = parse_hour("2020-02-05T00:00Z")
+        horizon = pipeline.run_scenario(dataset, origin, config)
+        rows = read_csv(tmp_path / "quantiles.csv")
+        values = np.array([float(r["value_degC"]) for r in rows])
+        assert values.tobytes() == horizon.quantiles.ravel().tobytes()
+        levels = [float(r["level"]) for r in rows]
+        assert levels == np.tile(config.levels, len(horizon.lead_hours)).tolist()
+        times = [r["valid_time"] for r in rows[:: config.levels.size]]
+        leads = horizon.lead_hours.tolist()
+        assert times == [format_hour(origin + timedelta(hours=h)) for h in leads]
+
+    @pytest.mark.parametrize("hour, flags", [("0", []), ("500", []), ("25", ["--horizon", "24"])])
+    def test_probe_hour_outside_horizon_exits_before_reading(self, tmp_path, hour, flags):
+        out = tmp_path / "out"
+        argv = ["forecast", "--forecasts", str(tmp_path / "absent.csv")]
+        argv += ["--observations", str(tmp_path / "absent_obs.csv"), "--out", str(out)]
+        argv += ["--origin", "2020-02-05T00:00Z", "--dump-cdf-hour", hour, *flags]
+        assert main(argv) == 1
+        assert not out.exists()
+
+    def test_uncovered_probe_hour_writes_no_products(self, data_dir, tmp_path, capsys):
+        # No model runs beyond 168 h, so hours 169..200 of this horizon are uncovered.
+        extra = ["--origin", "2020-02-05T00:00Z", "--horizon", "200", "--dump-cdf-hour", "190"]
+        assert main(["forecast", *run_args(data_dir, tmp_path / "out", extra)]) == 2
+        assert "no forecast product at lead hour 190" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_origin_required(self, data_dir, tmp_path):
         rc = main(["forecast", *run_args(data_dir, tmp_path)])

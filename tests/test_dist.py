@@ -179,7 +179,7 @@ class TestProbBelow:
         d = simple_dist()
         n = 100_000
         exact = d.prob_below(0.3)
-        # the fraction run_scenario reports as prob_below_sampled
+        # the fraction forecast reports as prob_below_sampled
         est = float(np.mean(d.sample(n, seed=2) < 0.3))
         se = np.sqrt(exact * (1 - exact) / n)
         assert abs(est - exact) < 4 * se

@@ -1,3 +1,4 @@
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -12,8 +13,9 @@ from probfcast.pipeline import (
     draw_origins,
     run_scenario,
     run_scenarios,
+    score_scenario,
 )
-from probfcast.scoring import aggregate_by_lead
+from probfcast.scoring import Scores, aggregate_by_lead
 from probfcast.synth import ModelSpec, SynthConfig, synthesize_dataset
 
 SMALL = RunConfig(
@@ -64,11 +66,12 @@ class TestOrigins:
 class TestRunScenario:
     def test_every_hour_scored_exactly_once(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
-        res = run_scenario(dataset, origin, SMALL)
-        leads = [r.lead_hours for r in res.records]
-        assert sorted(leads) == list(range(1, 169))
+        res = score_scenario(run_scenario(dataset, origin, SMALL), SMALL, 0)
+        assert sorted(res.scores.lead_hours.tolist()) == list(range(1, 169))
         assert res.unscored_hours == 0
-        assert len(res.raw_records) == len(res.records)
+        assert len(res.raw_scores) == len(res.scores)
+        np.testing.assert_array_equal(res.raw_scores.valid_hours, res.scores.valid_hours)
+        assert res.scores.valid_hours[0] == hour_index(origin) + 1
 
     def test_no_leakage(self, dataset):
         for origin in admissible_origins(dataset, SMALL)[:5]:
@@ -77,11 +80,9 @@ class TestRunScenario:
 
     def test_deterministic(self, dataset):
         origin = admissible_origins(dataset, SMALL)[1]
-        a = run_scenario(dataset, origin, SMALL, scenario_index=1)
-        b = run_scenario(dataset, origin, SMALL, scenario_index=1)
-        np.testing.assert_array_equal(
-            [r.crps for r in a.records], [r.crps for r in b.records]
-        )
+        a = score_scenario(run_scenario(dataset, origin, SMALL, scenario_index=1), SMALL, 1)
+        b = score_scenario(run_scenario(dataset, origin, SMALL, scenario_index=1), SMALL, 1)
+        np.testing.assert_array_equal(a.scores.crps, b.scores.crps)
 
     def test_insufficient_training_rows(self, dataset):
         strict = RunConfig(
@@ -100,23 +101,37 @@ class TestRunScenario:
         with pytest.raises(DataError, match=rf"eur_uk .*origin {format_hour(origin)}"):
             run_scenario(gapped, origin, SMALL)
 
-    def test_products_without_scoring(self, dataset):
+    def test_horizon_without_scoring(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
-        res = run_scenario(dataset, origin, SMALL, products_only=True)
-        assert res.records == []
-        assert len(res.products) == 168
-        for hp in res.products:
-            assert hp.samples.size == SMALL.draws
-            assert 0.0 <= hp.prob_below <= 1.0
-            assert 0.0 <= hp.prob_below_sampled <= 1.0
-            assert hp.combined.contributing_count >= 1
+        horizon = run_scenario(dataset, origin, SMALL)
+        assert horizon.origin == origin
+        assert horizon.lead_hours.tolist() == list(range(1, 169))
+        assert horizon.quantiles.shape == (168, SMALL.levels.size)
+        assert len(horizon.distributions) == len(horizon.members) == 168
+        assert [m.size for m in horizon.members] == horizon.contributors.tolist()
+        assert np.all(horizon.contributors >= 1)
+        assert np.all(np.isfinite(horizon.observations))
+        assert set(horizon.timings) == {"prepare", "train", "predict", "score"}
+        for d, row in zip(horizon.distributions, horizon.quantiles):
+            np.testing.assert_array_equal(d.quantile(SMALL.levels), row)
 
     def test_contributor_counts_fall_with_lead(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
-        res = run_scenario(dataset, origin, SMALL, products_only=True)
-        counts = {hp.lead_hours: hp.combined.contributing_count for hp in res.products}
+        horizon = run_scenario(dataset, origin, SMALL)
+        counts = dict(zip(horizon.lead_hours.tolist(), horizon.contributors.tolist()))
         assert counts[3] > counts[100]
         assert counts[168] >= 1
+
+    def test_missing_observation_names_the_first_unobserved_hour(self, dataset):
+        origin = admissible_origins(dataset, SMALL)[0]
+        obs = dataset.observations
+        gone = np.isin(obs.hour, hour_index(origin) + np.array([40, 7, 90]))
+        gapped = Dataset(dataset.forecasts, obs.take(~gone), dataset.site_id)
+        horizon = run_scenario(gapped, origin, SMALL)
+        assert np.isnan(horizon.observations).sum() == 3
+        first = (origin + timedelta(hours=7)).isoformat()
+        with pytest.raises(DataError, match=re.escape(f"no observation to score at {first}")):
+            score_scenario(horizon, SMALL, 0)
 
 
 class TestStageTwo:
@@ -124,15 +139,15 @@ class TestStageTwo:
 
     @staticmethod
     def check(ds, cfg, origin):
-        res = run_scenario(ds, origin, cfg, products_only=True)
+        horizon = run_scenario(ds, origin, cfg)
         expected = reference_combined(ds, origin, cfg)
-        assert [hp.lead_hours for hp in res.products] == sorted(expected)
-        for hp in res.products:
-            values, count = expected[hp.lead_hours]
-            np.testing.assert_array_equal(hp.combined.quantiles.values, values)
-            assert hp.combined.contributing_count == count
-            assert hp.combined.valid_time == origin + timedelta(hours=hp.lead_hours)
-        return [hp.combined.contributing_count for hp in res.products]
+        assert horizon.lead_hours.tolist() == sorted(expected)
+        for lead, values, count in zip(
+            horizon.lead_hours.tolist(), horizon.quantiles, horizon.contributors.tolist()
+        ):
+            np.testing.assert_array_equal(values, expected[lead][0])
+            assert count == expected[lead][1]
+        return horizon.contributors.tolist()
 
     def test_matches_per_record_reference(self, dataset):
         for origin in admissible_origins(dataset, SMALL)[:2]:
@@ -148,10 +163,9 @@ class TestStageTwo:
 class TestRunScenarios:
     def test_full_lead_axis_aggregates(self, dataset):
         results = run_scenarios(dataset, SMALL)
-        records = [r for res in results for r in res.records]
-        aggs = aggregate_by_lead(records)
-        assert len(aggs) == 168
-        assert all(a.n == SMALL.n_scenarios for a in aggs)
+        rows = aggregate_by_lead(Scores.concat([res.scores for res in results]))
+        assert sorted({row[0] for row in rows}) == list(range(1, 169))
+        assert all(row[4] == SMALL.n_scenarios for row in rows if row[1] == "crps")
 
     def test_parallel_matches_serial(self, dataset):
         serial = run_scenarios(dataset, SMALL)
@@ -169,13 +183,11 @@ class TestRunScenarios:
         )
         for a, b in zip(serial, parallel):
             assert a.origin == b.origin
-            np.testing.assert_array_equal(
-                [r.crps for r in a.records], [r.crps for r in b.records]
-            )
+            np.testing.assert_array_equal(a.scores.crps, b.scores.crps)
 
     def test_raw_log_score_absent_for_single_member_hours(self, narrow_dataset):
-        res = run_scenarios(narrow_dataset, NARROW)[0]
-        far = [r for r in res.raw_records if r.lead_hours > 60]
-        assert far and all(np.isnan(r.log_score) for r in far)
-        near = [r for r in res.raw_records if 2 <= r.lead_hours <= 40]
-        assert any(np.isfinite(r.log_score) for r in near)
+        raw = run_scenarios(narrow_dataset, NARROW)[0].raw_scores
+        far = raw.log_score[raw.lead_hours > 60]
+        assert far.size and np.all(np.isnan(far))
+        near = raw.log_score[(raw.lead_hours >= 2) & (raw.lead_hours <= 40)]
+        assert np.any(np.isfinite(near))

@@ -1,5 +1,3 @@
-from datetime import datetime, timedelta, timezone
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from helpers import random_quantile_vector
 from probfcast.combine import DEFAULT_LEVELS, QuantileVector
 from probfcast.dist import DegenerateDistributionError, PiecewiseCDF, build_cdf
 from probfcast.scoring import (
-    ScoreRecord,
+    Scores,
     aggregate_by_lead,
     crps,
     crps_ensemble,
@@ -17,8 +15,6 @@ from probfcast.scoring import (
     log_score,
     mae_median,
 )
-
-T0 = datetime(2020, 2, 1, tzinfo=timezone.utc)
 
 
 def uniform01():
@@ -153,89 +149,143 @@ class TestQuantileAndIntervalScores:
             assert interval_score(d, y, w) == pytest.approx(expected, rel=1e-12)
 
 
-def record(lead, hits=None, crps_val=1.0, log_val=0.5, abs_err=0.7, hour_offset=0):
-    return ScoreRecord(
-        valid_time=T0 + timedelta(hours=hour_offset),
-        lead_hours=lead,
-        crps=crps_val,
-        log_score=log_val,
-        abs_error_median=abs_err,
-        interval_hits=hits or {},
+def scores(leads, hits=(), crps_vals=1.0, log_vals=0.5, abs_errs=0.7, intervals=(0.5,)):
+    """Scores rows at ``leads``; ``hits`` holds one row per lead, one entry per interval."""
+    n = len(leads)
+    return Scores(
+        lead_hours=np.asarray(leads, dtype=np.int64),
+        valid_hours=np.arange(n, dtype=np.int64),
+        crps=np.broadcast_to(np.asarray(crps_vals, dtype=float), n).copy(),
+        log_score=np.broadcast_to(np.asarray(log_vals, dtype=float), n).copy(),
+        abs_error_median=np.broadcast_to(np.asarray(abs_errs, dtype=float), n).copy(),
+        hits=np.asarray(hits, dtype=bool).reshape(n, len(intervals)),
+        intervals=tuple(intervals),
     )
+
+
+def by_metric(rows, metric):
+    return [row for row in rows if row[1] == metric]
 
 
 class TestCoverageAndMae:
     def test_all_hits(self):
-        recs = [record(1, {0.95: True}) for _ in range(5)]
-        assert interval_coverage(recs, 0.95) == 1.0
+        s = scores([1] * 5, [[True]] * 5, intervals=(0.95,))
+        assert interval_coverage(s, 0.95) == 1.0
 
     def test_counts_fraction(self):
-        hits = [True, True, True, False]
-        recs = [record(1, {0.5: h}) for h in hits]
-        assert interval_coverage(recs, 0.5) == 0.75
+        s = scores([1] * 4, [[True], [True], [True], [False]])
+        assert interval_coverage(s, 0.5) == 0.75
+
+    def test_picks_the_column_of_its_interval(self):
+        s = scores([1, 1], [[True, False], [True, True]], intervals=(0.5, 0.9))
+        assert interval_coverage(s, 0.5) == 1.0
+        assert interval_coverage(s, 0.9) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            interval_coverage([], 0.5)
+            interval_coverage(scores([]), 0.5)
         with pytest.raises(ValueError):
-            mae_median([])
+            mae_median(scores([]))
 
     def test_mae_examples(self):
-        assert mae_median([record(1, abs_err=0.0)]) == 0.0
-        assert mae_median([record(1, abs_err=1.0), record(1, abs_err=3.0)]) == 2.0
+        assert mae_median(scores([1], [[True]], abs_errs=0.0)) == 0.0
+        assert mae_median(scores([1, 1], [[True]] * 2, abs_errs=[1.0, 3.0])) == 2.0
 
     def test_calibrated_simulation_within_binomial_bounds(self):
         rng = np.random.default_rng(17)
         n, w = 10_000, 0.9
-        recs = [record(1, {w: bool(rng.random() < w)}) for _ in range(n)]
-        cov = interval_coverage(recs, w)
+        s = scores([1] * n, (rng.random(n) < w)[:, None], intervals=(w,))
+        cov = interval_coverage(s, w)
         half = 2.576 * np.sqrt(w * (1 - w) / n)  # 99% binomial bound
         assert abs(cov - w) < half
 
 
 class TestAggregateByLead:
     def test_single_record_per_lead(self):
-        recs = [record(lead, {0.95: True}, crps_val=float(lead)) for lead in (1, 2, 3)]
-        aggs = aggregate_by_lead(recs)
-        assert [a.lead_hours for a in aggs] == [1, 2, 3]
-        assert [a.means["crps"] for a in aggs] == [1.0, 2.0, 3.0]
-        assert all(a.sds["crps"] == 0.0 for a in aggs)
+        rows = aggregate_by_lead(scores([1, 2, 3], [[True]] * 3, crps_vals=[1.0, 2.0, 3.0]))
+        crps_rows = by_metric(rows, "crps")
+        assert [r[0] for r in crps_rows] == [1, 2, 3]
+        assert [r[2] for r in crps_rows] == [1.0, 2.0, 3.0]
+        assert all(r[3] == 0.0 for r in crps_rows)
 
     def test_full_scale_shape(self):
-        recs = [
-            record(lead, {0.95: True}, hour_offset=s * 200 + lead)
-            for s in range(200)
-            for lead in range(1, 169)
-        ]
-        aggs = aggregate_by_lead(recs)
-        assert len(aggs) == 168
-        assert all(a.n == 200 for a in aggs)
+        leads = [lead for _ in range(200) for lead in range(1, 169)]
+        rows = aggregate_by_lead(scores(leads, [[True]] * len(leads)))
+        assert [r[1] for r in rows[:4]] == ["abs_error_median", "crps", "hit50", "log_score"]
+        assert len(rows) == 168 * 4
+        assert all(r[4] == 200 for r in rows)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(2)
-        recs = [
-            record(int(lead), {0.8: bool(rng.random() < 0.8)}, crps_val=float(rng.random()))
-            for lead in rng.integers(1, 20, size=200)
-        ]
-        a = aggregate_by_lead(recs)
-        shuffled = list(recs)
-        rng.shuffle(shuffled)
-        b = aggregate_by_lead(shuffled)
-        for x, y in zip(a, b):
-            assert x.lead_hours == y.lead_hours
-            assert x.means["crps"] == pytest.approx(y.means["crps"], rel=1e-12)
+        leads = rng.integers(1, 20, size=200)
+        s = scores(
+            leads,
+            (rng.random(200) < 0.8)[:, None],
+            crps_vals=rng.random(200),
+            intervals=(0.8,),
+        )
+        perm = rng.permutation(200)
+        shuffled = Scores(
+            s.lead_hours[perm],
+            s.valid_hours[perm],
+            s.crps[perm],
+            s.log_score[perm],
+            s.abs_error_median[perm],
+            s.hits[perm],
+            s.intervals,
+        )
+        a, b = aggregate_by_lead(s), aggregate_by_lead(shuffled)
+        for x, y in zip(by_metric(a, "crps"), by_metric(b, "crps")):
+            assert x[0] == y[0]
+            assert x[2] == pytest.approx(y[2], rel=1e-12)
+
+    def test_groups_keep_row_order(self):
+        # crps 0.1, 0.2, 0.3 at lead 1 sum differently in other orders
+        s = scores([2, 1, 1, 2, 1], [[True]] * 5, crps_vals=[5.0, 0.1, 0.2, 7.0, 0.3])
+        lead_one = by_metric(aggregate_by_lead(s), "crps")[0]
+        assert lead_one[2] == float(np.mean(np.array([0.1, 0.2, 0.3])))
+        assert lead_one[3] == float(np.std(np.array([0.1, 0.2, 0.3]), ddof=1))
 
     def test_nan_log_scores_excluded_from_their_metric_only(self):
-        recs = [record(1, {0.5: True}), record(1, {0.5: True}, log_val=float("nan"))]
-        agg = aggregate_by_lead(recs)[0]
-        assert agg.counts["log_score"] == 1
-        assert agg.counts["crps"] == 2
-        assert agg.means["log_score"] == 0.5
+        s = scores([1, 1], [[True], [True]], log_vals=[0.5, float("nan")])
+        rows = {r[1]: r for r in aggregate_by_lead(s)}
+        assert rows["log_score"][4] == 1
+        assert rows["crps"][4] == 2
+        assert rows["log_score"][2] == 0.5
+
+    def test_no_hit_columns_for_the_raw_comparator(self):
+        rows = aggregate_by_lead(scores([1, 2], intervals=()))
+        assert {r[1] for r in rows} == {"abs_error_median", "crps", "log_score"}
 
 
-class TestScoreRecordInvariants:
+class TestScoresInvariants:
     def test_rejects_negative_scores(self):
         with pytest.raises(ValueError):
-            record(1, crps_val=-0.1)
+            scores([1], [[True]], crps_vals=-0.1)
         with pytest.raises(ValueError):
-            record(1, abs_err=-0.5)
+            scores([1], [[True]], abs_errs=-0.5)
+
+    def test_rejects_unequal_columns(self):
+        s = scores([1, 2], [[True], [False]])
+        with pytest.raises(ValueError):
+            Scores(s.lead_hours, s.valid_hours, s.crps[:1], s.log_score, s.abs_error_median, s.hits)
+        with pytest.raises(ValueError):
+            Scores(
+                s.lead_hours,
+                s.valid_hours,
+                s.crps,
+                s.log_score,
+                s.abs_error_median,
+                s.hits,
+                intervals=(0.5, 0.9),
+            )
+
+    def test_concat_keeps_row_order(self):
+        a = scores([3, 1], [[True], [False]], crps_vals=[1.0, 2.0])
+        b = scores([2], [[True]], crps_vals=4.0)
+        both = Scores.concat([a, b])
+        assert both.lead_hours.tolist() == [3, 1, 2]
+        assert both.crps.tolist() == [1.0, 2.0, 4.0]
+        assert both.hits.tolist() == [[True], [False], [True]]
+        with pytest.raises(ValueError):
+            Scores.concat([a, scores([1], intervals=())])
