@@ -169,7 +169,10 @@ def _run_config(args: argparse.Namespace) -> pipeline.RunConfig:
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(_default_out() if args.out is None else args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out} cannot be created: {exc.strerror}") from None
     if not os.access(out, os.W_OK):
         raise ConfigError(f"output directory {out} is not writable")
     return out
@@ -202,8 +205,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    out = Path(args.out or _default_out())
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     seed = 0
     if args.config:
         config, file_seed = load_synth_config(args.config)

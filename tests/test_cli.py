@@ -310,6 +310,19 @@ class TestExitCodes:
         assert main([command, *run_args(data_dir, out, flags)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "forecast", "evaluate"])
+    def test_out_that_is_a_file_is_config_error(self, data_dir, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        if command == "generate":
+            argv = ["generate", "--out", str(taken), "--span-days", "3"]
+        else:
+            extra = ["--origin", "2020-02-05T00:00Z"] if command == "forecast" else []
+            argv = [command, *run_args(data_dir, taken, extra)]
+        assert main(argv) == 1
+        assert f"output directory {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
