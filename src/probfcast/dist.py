@@ -13,6 +13,7 @@ raise :class:`DegenerateDistributionError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,19 @@ __all__ = ["PiecewiseCDF", "DegenerateDistributionError", "build_cdf"]
 
 # Fallback decay scale (degC) when the boundary segment's slope is unusable.
 _FALLBACK_TAIL_SCALE = 0.1
+
+# exp and log element by element through math: numpy's array kernels differ
+# by SIMD level and round differently, so results would depend on the host.
+_math_exp = np.frompyfunc(math.exp, 1, 1)
+_math_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _exp(x) -> np.ndarray:
+    return np.asarray(_math_exp(x), dtype=float)
+
+
+def _log(x) -> np.ndarray:
+    return np.asarray(_math_log(x), dtype=float)
 
 
 class DegenerateDistributionError(ValueError):
@@ -127,12 +141,12 @@ class PiecewiseCDF:
         mid = ~(below | above)
         if below.any():
             if p[0] > 0.0:
-                out[below] = p[0] * np.exp(self.lower_rate * (xv[below] - v[0]))
+                out[below] = p[0] * _exp(self.lower_rate * (xv[below] - v[0]))
             else:
                 out[below] = 0.0
         if above.any():
             if p[-1] < 1.0:
-                out[above] = 1.0 - (1.0 - p[-1]) * np.exp(-self.upper_rate * (xv[above] - v[-1]))
+                out[above] = 1.0 - (1.0 - p[-1]) * _exp(-self.upper_rate * (xv[above] - v[-1]))
             else:
                 out[above] = 1.0
         if mid.any():
@@ -154,9 +168,9 @@ class PiecewiseCDF:
         above = pv > kp[-1]
         mid = ~(below | above)
         if below.any():
-            out[below] = v[0] + np.log(pv[below] / kp[0]) / self.lower_rate
+            out[below] = v[0] + _log(pv[below] / kp[0]) / self.lower_rate
         if above.any():
-            out[above] = v[-1] - np.log((1.0 - pv[above]) / (1.0 - kp[-1])) / self.upper_rate
+            out[above] = v[-1] - _log((1.0 - pv[above]) / (1.0 - kp[-1])) / self.upper_rate
         if mid.any():
             # First knot with prob >= p; exact hits return the knot itself
             # and a jump's infinite slope adds nothing.
@@ -171,7 +185,7 @@ class PiecewiseCDF:
 
     def density(self, x):
         """Predictive density: piecewise constant interior, exponential tails."""
-        out = np.exp(self.log_density(x))
+        out = _exp(self.log_density(x))
         return float(out) if np.ndim(x) == 0 else out
 
     def log_density(self, x):
@@ -186,13 +200,13 @@ class PiecewiseCDF:
         above = idx == v.size
         mid = ~(below | above)
         if below.any() and p[0] > 0.0:
-            out[below] = np.log(p[0] * self.lower_rate) + self.lower_rate * (xv[below] - v[0])
+            out[below] = math.log(p[0] * self.lower_rate) + self.lower_rate * (xv[below] - v[0])
         if above.any() and p[-1] < 1.0:
-            out[above] = np.log((1.0 - p[-1]) * self.upper_rate) - self.upper_rate * (
+            out[above] = math.log((1.0 - p[-1]) * self.upper_rate) - self.upper_rate * (
                 xv[above] - v[-1]
             )
         if mid.any():
-            out[mid] = np.log(self._slopes[idx[mid] - 1])
+            out[mid] = _log(self._slopes[idx[mid] - 1])
         return _match(out, x)
 
     def sample(self, n: int, seed: int) -> np.ndarray:

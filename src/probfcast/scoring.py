@@ -80,6 +80,16 @@ class Scores:
 # ---------------------------------------------------------------------------
 
 
+# Cubes as products and sums in sequence: numpy's power and pairwise-sum
+# kernels differ by SIMD level, and each rounds differently.
+def _cube(x: np.ndarray) -> np.ndarray:
+    return x * x * x
+
+
+def _sum(x: np.ndarray) -> float:
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
+
+
 def crps(d: PiecewiseCDF, y: float) -> float:
     """Exact CRPS of a piecewise distribution at observation y (degC).
 
@@ -117,12 +127,12 @@ def crps(d: PiecewiseCDF, y: float) -> float:
     right = y <= a  # observation at or left of segment: target function is 1
     left = y >= b  # observation at or right of segment: target is 0
     inside = ~(right | left)
-    total += np.sum(((pb[right] - 1.0) ** 3 - (pa[right] - 1.0) ** 3) / (3.0 * s[right]))
-    total += np.sum((pb[left] ** 3 - pa[left] ** 3) / (3.0 * s[left]))
+    total += _sum((_cube(pb[right] - 1.0) - _cube(pa[right] - 1.0)) / (3.0 * s[right]))
+    total += _sum((_cube(pb[left]) - _cube(pa[left])) / (3.0 * s[left]))
     if inside.any():
         fy = pa[inside] + s[inside] * (y - a[inside])
-        total += np.sum((fy**3 - pa[inside] ** 3) / (3.0 * s[inside]))
-        total += np.sum(((pb[inside] - 1.0) ** 3 - (fy - 1.0) ** 3) / (3.0 * s[inside]))
+        total += _sum((_cube(fy) - _cube(pa[inside])) / (3.0 * s[inside]))
+        total += _sum((_cube(pb[inside] - 1.0) - _cube(fy - 1.0)) / (3.0 * s[inside]))
 
     # Upper tail: 1 - F = q * exp(-mu * (x - vK)) on [vK, inf).
     q = float(1.0 - p[-1])

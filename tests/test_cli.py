@@ -495,16 +495,16 @@ GOLDEN = {
     "data/observations.csv": "fca215a9e2e88d4af5ac4747be5d60d3d3b86dec0dbae6db70ad879a3610e9f5",
     "train/errors.csv": "eab945fc0ad6300068f599a3ab602066c08a6015f24c5ca6ba07c02f62be1b16",
     "train/oob_coverage.csv": "485fc5e314b7e5030bbeb1002d52cb404026c086bfec66b3272ce71137caa152",
-    "evaluate/aggregates.csv": "3f6b2ca18385af391ca59a2d7c033dad2a14a947871a408db36c9b3c8d916bec",
-    "evaluate/points.csv": "daa70a3a2bc353bcdf41f4a5daa6603e43c7c01466c140d3f64c84c562e9bc71",
+    "evaluate/aggregates.csv": "91790c0ca79a20d09a9c682b4ac7b3235600c427e8423ac40709f1b58a9ebfa3",
+    "evaluate/points.csv": "eae832b4061bfa63e8982697e24c762aff6ee22240ede8a4efc4b03adca59eb8",
     "evaluate/scenarios/scenario_000_raw.csv": "329b12e03b8197d7f9b520259b96d14f4f5f0d2d4e40abb840a03115c3862ada",
-    "evaluate/scenarios/scenario_000_scores.csv": "fd8bfcf5af5cf8727d84d831e9d43437ffbbf82fa6998cf6bcf6a7e47f0fb69d",
+    "evaluate/scenarios/scenario_000_scores.csv": "09954219a2fd5df309c91478610a091a9567badb9579a2dd5e74564c6a441edc",
     "evaluate/scenarios/scenario_001_raw.csv": "2d7aa81d8586456474f812cffc62ad52ee67dddb82027c31dcc42164d1f3eb5e",
-    "evaluate/scenarios/scenario_001_scores.csv": "e3ac9af513a28a037a496845592f04fcac639dd6f4adc47c1d6e65a7e4c7a19f",
+    "evaluate/scenarios/scenario_001_scores.csv": "1d98719c41fed4498d2b031eccb25eb39484af9c614755ae325765266a1bf805",
     "evaluate/summary.txt": "585b78c2bc00f322736d49076167fce4aae6e8e6f3e4e1e0250a0c08f76ce506",
-    "forecast/cdf_probe.csv": "9faf3cfb9f1fdd0e912fc5db1e049c1f6c15e5749752a88318068c33387a4291",
+    "forecast/cdf_probe.csv": "cc724a1a9e863164b467f8db390d36ce87f161c8d050908195ea907ab5d8bf18",
     "forecast/intervals.csv": "aa3a9672f974dae9888c62c571646450e5a5f20af641b63f4e5cae858c26bb36",
-    "forecast/prob_below.csv": "00108e5bdf3306a0442c6f36a4ee68788f374d1281b5465eff85ee8cc727a206",
+    "forecast/prob_below.csv": "476e7b5ce67cb37f45086858c5e728f2ba4594018424e0659f18889761ab3451",
     "forecast/quantiles.csv": "64522d0636b9e0ade7c8c55f0e80aae2e9146a66bec31bc8310afa001172d395",
     "forecast/samples.csv": "3bbf5e0904077756b943c08b973d6df9897ab5285eec96ff7420d1a22bad66a7",
 }
