@@ -32,7 +32,7 @@ import time
 import traceback
 from datetime import timedelta
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -284,6 +284,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# intervals.csv columns and the level each reads off the distribution
+_INTERVAL_COLUMNS = {"median": 0.5, "lo80": 0.1, "hi80": 0.9, "lo95": 0.025, "hi95": 0.975}
+
+
 def cmd_forecast(args: argparse.Namespace) -> int:
     config = _run_config(args)
     h_probe = args.dump_cdf_hour
@@ -303,27 +307,14 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     q_rows, int_rows, sample_rows, prob_rows = [], [], [], []
     for ts, h, d, values in zip(times, leads, horizon.distributions, horizon.quantiles.tolist()):
         q_rows.extend(zip(itertools.repeat(ts), level_text, map(_fmt, values)))
-        int_rows.append(
-            [
-                ts,
-                _fmt(d.quantile(0.5)),
-                _fmt(d.quantile(0.1)),
-                _fmt(d.quantile(0.9)),
-                _fmt(d.quantile(0.025)),
-                _fmt(d.quantile(0.975)),
-            ]
-        )
+        int_rows.append([ts, *(_fmt(d.quantile(p)) for p in _INTERVAL_COLUMNS.values())])
         draws = d.sample(config.draws, seed=config.seed + 7 * h + 1)
         # Draws are finite, so repr equals _fmt.
         sample_rows.extend(zip(itertools.repeat(ts), range(draws.size), map(repr, draws.tolist())))
         below = float(np.mean(draws < config.threshold))
         prob_rows.append([ts, _fmt(d.prob_below(config.threshold)), _fmt(below)])
     _write_csv(out / "quantiles.csv", ["valid_time", "level", "value_degC"], q_rows)
-    _write_csv(
-        out / "intervals.csv",
-        ["valid_time", "median", "lo80", "hi80", "lo95", "hi95"],
-        int_rows,
-    )
+    _write_csv(out / "intervals.csv", ["valid_time", *_INTERVAL_COLUMNS], int_rows)
     _write_csv(out / "samples.csv", ["valid_time", "draw", "value_degC"], sample_rows)
     _write_csv(
         out / "prob_below.csv",
@@ -364,13 +355,6 @@ def _score_rows(scores: scoring.Scores) -> Iterable[Sequence]:
     )
 
 
-def _aggregate_rows(scores: scoring.Scores, prefix: str = "") -> List[List]:
-    return [
-        [lead, prefix + metric, _fmt(mean), _fmt(sd), n]
-        for lead, metric, mean, sd, n in scoring.aggregate_by_lead(scores)
-    ]
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _run_config(args)
     out = _out_dir(args)
@@ -395,7 +379,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_csv(
         out / "aggregates.csv",
         ["lead_hours", "metric", "mean", "sd", "n"],
-        _aggregate_rows(scores) + _aggregate_rows(raw, prefix="raw_"),
+        (
+            [lead, prefix + metric, _fmt(mean), _fmt(sd), n]
+            for prefix, table in (("", scores), ("raw_", raw))
+            for lead, metric, mean, sd, n in scoring.aggregate_by_lead(table)
+        ),
     )
     _write_csv(
         out / "points.csv",

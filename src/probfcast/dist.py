@@ -27,16 +27,8 @@ _FALLBACK_TAIL_SCALE = 0.1
 
 # exp and log element by element through math: numpy's array kernels differ
 # by SIMD level and round differently, so results would depend on the host.
-_math_exp = np.frompyfunc(math.exp, 1, 1)
-_math_log = np.frompyfunc(math.log, 1, 1)
-
-
-def _exp(x) -> np.ndarray:
-    return np.asarray(_math_exp(x), dtype=float)
-
-
-def _log(x) -> np.ndarray:
-    return np.asarray(_math_log(x), dtype=float)
+_exp = np.vectorize(math.exp, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
 
 
 class DegenerateDistributionError(ValueError):
