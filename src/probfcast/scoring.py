@@ -4,7 +4,9 @@ CRPS is integrated exactly over the piecewise form (closed-form integrals on
 each linear segment and each exponential tail); a seeded Monte Carlo
 estimator is kept alongside as an independent cross-check.  The raw-model
 comparator uses the empirical-ensemble CRPS formula over whatever forecasts
-cover an hour.
+cover an hour.  The scores of many hours travel as one :class:`Scores`
+table of columns, which coverage, median MAE and the per-lead aggregation
+read.
 """
 
 from __future__ import annotations
