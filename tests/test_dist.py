@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import integrate_density, ks_statistic, random_quantile_vector
 from probfcast.combine import DEFAULT_LEVELS, QuantileVector
-from probfcast.dist import DegenerateDistributionError, PiecewiseCDF, build_cdf
+from probfcast.dist import (
+    _FALLBACK_TAIL_SCALE,
+    DegenerateDistributionError,
+    PiecewiseCDF,
+    build_cdf,
+)
 
 
 def simple_dist():
@@ -87,6 +94,27 @@ class TestBuildCdf:
         np.testing.assert_array_equal(d.sample(4, seed=0), np.full(4, 2.5))
         with pytest.raises(DegenerateDistributionError):
             d.density(2.5)
+
+
+class TestTailRateFallback:
+    """A boundary segment of subnormal width has an infinite slope, so its
+    tail takes the fallback rate: the tail mass over ``_FALLBACK_TAIL_SCALE``."""
+
+    LEVELS = np.array([0.1, 0.5, 0.9])
+
+    def test_lower_branch(self):
+        d = build_cdf(QuantileVector(self.LEVELS, np.array([0.0, 5e-324, 1.0])))
+        assert d.lower_rate == 0.1 / _FALLBACK_TAIL_SCALE
+        assert d.upper_rate == (0.9 - 0.5) / (1.0 - 5e-324) / (1.0 - 0.9)
+        assert d.quantile(0.05) == 0.0 + math.log(0.05 / 0.1) / d.lower_rate
+        assert d.cdf(-1.0) == 0.1 * math.exp(d.lower_rate * -1.0)
+
+    def test_upper_branch(self):
+        d = build_cdf(QuantileVector(self.LEVELS, np.array([-1.0, 0.0, 5e-324])))
+        assert d.lower_rate == (0.5 - 0.1) / (0.0 - -1.0) / 0.1
+        assert d.upper_rate == (1.0 - 0.9) / _FALLBACK_TAIL_SCALE
+        assert d.quantile(0.95) == 5e-324 - math.log((1.0 - 0.95) / (1.0 - 0.9)) / d.upper_rate
+        assert d.cdf(1.0) == 1.0 - (1.0 - 0.9) * math.exp(-d.upper_rate * (1.0 - 5e-324))
 
 
 class TestEvaluation:
