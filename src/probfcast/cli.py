@@ -287,6 +287,29 @@ def cmd_train(args: argparse.Namespace) -> int:
 # intervals.csv columns and the level each reads off the distribution
 _INTERVAL_COLUMNS = {"median": 0.5, "lo80": 0.1, "hi80": 0.9, "lo95": 0.025, "hi95": 0.975}
 
+# samples.csv is drawn and written in blocks of whole hours holding at most
+# this many draws (one hour when --draws is larger), so memory does not grow
+# with --draws.
+_SAMPLE_BLOCK_ENTRIES = 1 << 16
+
+
+def _csv_lines(*columns: Iterable[str]) -> str:
+    """Rows of text fields, one field per column, joined as ``csv.writer``
+    joins them: commas between fields and ``\\r\\n`` after each row.  No
+    field may need quoting."""
+    text = "\r\n".join(map(",".join, zip(*columns)))
+    return text + "\r\n" if text else text
+
+
+def _write_columns(path: Path, header: Sequence[str], *columns: Iterable[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write(_csv_lines(*columns))
+
+
+def _repeat_each(items: Sequence[str], times: int) -> Iterable[str]:
+    return itertools.chain.from_iterable(map(itertools.repeat, items, itertools.repeat(times)))
+
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     config = _run_config(args)
@@ -299,30 +322,53 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     dataset = _load_dataset(args)
     horizon = pipeline.run_scenario(dataset, origin, config)
+    cdfs = horizon.cdfs
     leads = horizon.lead_hours.tolist()
     if h_probe is not None and h_probe not in leads:
         raise DataError(f"no forecast product at lead hour {h_probe}")
+    n, draws = len(leads), config.draws
     times = [format_hour(origin + timedelta(hours=h)) for h in leads]
-    level_text = [_fmt(p) for p in config.levels.tolist()]
-    q_rows, int_rows, sample_rows, prob_rows = [], [], [], []
-    for ts, h, d, values in zip(times, leads, horizon.distributions, horizon.quantiles.tolist()):
-        q_rows.extend(zip(itertools.repeat(ts), level_text, map(_fmt, values)))
-        int_rows.append([ts, *(_fmt(d.quantile(p)) for p in _INTERVAL_COLUMNS.values())])
-        draws = d.sample(config.draws, seed=config.seed + 7 * h + 1)
-        # Draws are finite, so repr equals _fmt.
-        sample_rows.extend(zip(itertools.repeat(ts), range(draws.size), map(repr, draws.tolist())))
-        below = float(np.mean(draws < config.threshold))
-        prob_rows.append([ts, _fmt(d.prob_below(config.threshold)), _fmt(below)])
-    _write_csv(out / "quantiles.csv", ["valid_time", "level", "value_degC"], q_rows)
-    _write_csv(out / "intervals.csv", ["valid_time", *_INTERVAL_COLUMNS], int_rows)
-    _write_csv(out / "samples.csv", ["valid_time", "draw", "value_degC"], sample_rows)
-    _write_csv(
+    _write_columns(
+        out / "quantiles.csv",
+        ["valid_time", "level", "value_degC"],
+        _repeat_each(times, config.levels.size),
+        [_fmt(p) for p in config.levels.tolist()] * n,
+        map(_fmt, horizon.quantiles.ravel().tolist()),
+    )
+    bounds = cdfs.quantile(np.tile(list(_INTERVAL_COLUMNS.values()), (n, 1)))
+    _write_columns(
+        out / "intervals.csv",
+        ["valid_time", *_INTERVAL_COLUMNS],
+        times,
+        *(map(_fmt, column) for column in bounds.T.tolist()),
+    )
+    seeds = [config.seed + 7 * h + 1 for h in leads]
+    below = np.empty(n)
+    step = max(1, _SAMPLE_BLOCK_ENTRIES // draws)
+    draw_text = [str(i) for i in range(draws)]
+    with open(out / "samples.csv", "w", newline="") as fh:
+        fh.write("valid_time,draw,value_degC\r\n")
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            values = cdfs[a:b].sample(draws, seeds[a:b])
+            below[a:b] = np.mean(values < config.threshold, axis=1)
+            # Draws are finite, so repr equals _fmt.
+            fh.write(
+                _csv_lines(
+                    _repeat_each(times[a:b], draws),
+                    draw_text * (b - a),
+                    map(repr, values.ravel().tolist()),
+                )
+            )
+    _write_columns(
         out / "prob_below.csv",
         ["valid_time", "prob_below", "prob_below_sampled"],
-        prob_rows,
+        times,
+        map(_fmt, cdfs.prob_below(config.threshold).tolist()),
+        map(_fmt, below.tolist()),
     )
     if h_probe is not None:
-        d = horizon.distributions[leads.index(h_probe)]
+        d = cdfs.row(leads.index(h_probe))
         lo = float(d.quantile(0.001))
         hi = float(d.quantile(0.999))
         xs = np.linspace(lo, hi, 500)

@@ -5,7 +5,8 @@ is a covariate).  Stage 2 then works on columns: the forest is queried once
 per distinct (lead, label) pair of the current model runs, each run's row
 of error quantiles is shifted by its forecast value into one (runs x levels)
 matrix, and that matrix is averaged level by level over each valid hour's
-rows.  Stage 3 interpolates each hour's average into a full distribution.
+rows.  Stage 3 interpolates every hour's average into a full distribution,
+all hours as one :class:`~probfcast.dist.CDFTable`.
 :func:`run_scenario` returns both stages as one :class:`Horizon`, with a
 row per hour from one hour after the forecast origin out to the horizon;
 hours no current run covers are left out.  A backtest scores the horizon
@@ -15,6 +16,7 @@ forecast writes its products from it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import qrf, scoring
 from .combine import DEFAULT_LEVELS, QuantileVector, combine_timestep
-from .dist import PiecewiseCDF, build_cdf
+from .dist import CDFTable, build_cdf
 from .error_model import ErrorTable, build_error_table, rank_label_members
 from .exceptions import DataError
 from .ingest import Dataset, ScenarioWindow, format_hour, hour_index, hour_time, slice_scenario
@@ -65,6 +67,8 @@ class RunConfig:
         for name in ("n_scenarios", "train_days", "horizon_hours", "draws"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, not {self.threshold}")
 
     def forest_config(self, scenario_index: int = 0) -> qrf.ForestConfig:
         # Wide per-scenario seed stride keeps per-tree streams disjoint.
@@ -83,7 +87,7 @@ class Horizon:
     """Stages 2 and 3 at one forecast origin, one row per covered lead hour.
 
     ``quantiles`` is the (hours x levels) matrix of averaged quantiles and
-    ``distributions`` each hour's full distribution built on its row.
+    ``cdfs`` the table of each hour's full distribution built on its row.
     ``members`` holds each hour's current-run values, which the raw
     comparator scores, and ``observations`` each hour's observation (NaN
     where there is none).  ``timings`` holds the seconds of each stage:
@@ -95,7 +99,7 @@ class Horizon:
     lead_hours: np.ndarray
     quantiles: np.ndarray
     contributors: np.ndarray
-    distributions: List[PiecewiseCDF]
+    cdfs: CDFTable
     members: List[np.ndarray]
     observations: np.ndarray
     train_rows: int
@@ -221,22 +225,23 @@ def run_scenario(
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    combined, distributions, members = [], [], []
+    combined, members = [], []
     for i in covered.tolist():
         rows = by_valid[first[i] : end[i]]
         h = i + 1
         c = combine_timestep(config.levels, shifted[rows], origin + timedelta(hours=h), h)
         combined.append(c.quantiles.values)
-        distributions.append(build_cdf(c.quantiles))
         members.append(eval_fc.value[rows])
+    quantiles = np.array(combined).reshape(covered.size, config.levels.size)
+    cdfs = CDFTable.from_quantiles(config.levels, quantiles)
     timings["score"] = time.perf_counter() - t0
 
     return Horizon(
         origin=origin,
         lead_hours=covered + 1,
-        quantiles=np.array(combined).reshape(covered.size, config.levels.size),
+        quantiles=quantiles,
         contributors=(end - first)[covered],
-        distributions=distributions,
+        cdfs=cdfs,
         members=members,
         observations=observed,
         train_rows=table.n_rows,
@@ -260,21 +265,20 @@ def score_scenario(horizon: Horizon, config: RunConfig, index: int) -> ScenarioR
         valid = horizon.origin + timedelta(hours=int(horizon.lead_hours[missing[0]]))
         raise DataError(f"no observation to score at {valid.isoformat()}")
     intervals = scoring.DEFAULT_INTERVALS
+    cdfs, y_all = horizon.cdfs, horizon.observations
     n = len(horizon.lead_hours)
-    crps, log, abs_err = np.empty(n), np.empty(n), np.empty(n)
+    # The median, then each interval's lower and upper bound, for every hour at once.
+    levels = [0.5] + [b for w in intervals for b in ((1.0 - w) / 2.0, (1.0 + w) / 2.0)]
+    q = cdfs.quantile(np.tile(levels, (n, 1)))
+    abs_err = np.abs(y_all - q[:, 0])
+    hits = (q[:, 1::2] <= y_all[:, None]) & (y_all[:, None] <= q[:, 2::2])
+    crps, log = np.empty(n), np.empty(n)
     raw_crps, raw_log, raw_abs_err = np.empty(n), np.empty(n), np.empty(n)
-    hits = np.empty((n, len(intervals)), dtype=bool)
     nan = float("nan")
-    for i, (d, values, y) in enumerate(
-        zip(horizon.distributions, horizon.members, horizon.observations.tolist())
-    ):
+    for i, (values, y) in enumerate(zip(horizon.members, y_all.tolist())):
+        d = cdfs.row(i)
         crps[i] = scoring.crps(d, y)
         log[i] = nan if d.is_degenerate else scoring.log_score(d, y)
-        abs_err[i] = abs(y - float(d.quantile(0.5)))
-        for j, w in enumerate(intervals):
-            lo = float(d.quantile((1.0 - w) / 2.0))
-            hi = float(d.quantile((1.0 + w) / 2.0))
-            hits[i, j] = lo <= y <= hi
         raw = build_cdf(QuantileVector(config.levels, np.quantile(values, config.levels)))
         raw_crps[i] = scoring.crps_ensemble(values, y)
         raw_log[i] = nan if raw.is_degenerate else scoring.log_score(raw, y)
@@ -298,7 +302,7 @@ def score_scenario(horizon: Horizon, config: RunConfig, index: int) -> ScenarioR
         train_rows=horizon.train_rows,
         skipped_rows=horizon.skipped_rows,
         unscored_hours=config.horizon_hours - n,
-        degenerate_hours=sum(d.is_degenerate for d in horizon.distributions),
+        degenerate_hours=int(cdfs.point_mass.sum()),
         timings=timings,
     )
 

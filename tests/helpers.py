@@ -1,5 +1,6 @@
 """Independent numerical oracles shared across test modules."""
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Optional
@@ -57,6 +58,131 @@ def random_quantile_vector(rng, levels):
     else:
         vals = rng.uniform(-1, 1, levels.size) * rng.uniform(0.5, 8.0) + rng.uniform(-10, 10)
     return np.sort(vals)
+
+
+@dataclass(frozen=True)
+class ReferenceCDF:
+    """One hour's distribution as the per-hour code held it: its knots and tail rates."""
+
+    values: np.ndarray
+    probs: np.ndarray
+    lower_rate: float
+    upper_rate: float
+
+    @property
+    def is_degenerate(self):
+        return self.values.size == 1
+
+    @property
+    def slopes(self):
+        width = np.diff(self.values)
+        slopes = np.full(width.size, np.inf)
+        return np.divide(np.diff(self.probs), width, out=slopes, where=width > 0)
+
+
+def reference_build_cdf(levels, values):
+    """Per-hour build: a point mass at the last value when the first and last
+    are equal; otherwise every knot, with tail rates by density continuity
+    with the nearest segment of positive width, or the tail mass over
+    ``_FALLBACK_TAIL_SCALE`` when that rate is not finite and positive."""
+    from probfcast.dist import _FALLBACK_TAIL_SCALE
+
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(levels, dtype=float)
+    if values[0] == values[-1]:
+        return ReferenceCDF(values[-1:], np.array([1.0]), float("nan"), float("nan"))
+    wide = np.diff(values) > 0
+    slopes = np.diff(probs)[wide] / np.diff(values)[wide]
+    lower_rate = float("nan")
+    if probs[0] > 0.0:
+        lower_rate = slopes[0] / probs[0]
+        if not np.isfinite(lower_rate) or lower_rate <= 0.0:
+            lower_rate = probs[0] / _FALLBACK_TAIL_SCALE
+    upper_rate = float("nan")
+    if probs[-1] < 1.0:
+        upper_rate = slopes[-1] / (1.0 - probs[-1])
+        if not np.isfinite(upper_rate) or upper_rate <= 0.0:
+            upper_rate = (1.0 - probs[-1]) / _FALLBACK_TAIL_SCALE
+    return ReferenceCDF(values, probs, lower_rate, upper_rate)
+
+
+def _reference_exp(x):
+    return np.array([math.exp(e) for e in x], dtype=float)
+
+
+def _reference_log(x):
+    return np.array([math.log(e) for e in x], dtype=float)
+
+
+def reference_cdf(d, x):
+    """Per-hour P(X <= x) at each entry of the 1-D array ``x``."""
+    xv = np.asarray(x, dtype=float)
+    if d.is_degenerate:
+        return np.where(xv >= d.values[0], 1.0, 0.0)
+    v, p = d.values, d.probs
+    out = np.empty_like(xv)
+    idx = np.searchsorted(v, xv, side="right")
+    below = idx == 0
+    above = idx == v.size
+    mid = ~(below | above)
+    if below.any():
+        if p[0] > 0.0:
+            out[below] = p[0] * _reference_exp(d.lower_rate * (xv[below] - v[0]))
+        else:
+            out[below] = 0.0
+    if above.any():
+        if p[-1] < 1.0:
+            out[above] = 1.0 - (1.0 - p[-1]) * _reference_exp(-d.upper_rate * (xv[above] - v[-1]))
+        else:
+            out[above] = 1.0
+    if mid.any():
+        seg = idx[mid] - 1
+        out[mid] = p[seg] + d.slopes[seg] * (xv[mid] - v[seg])
+    return out
+
+
+def reference_quantile(d, p):
+    """Per-hour inverse CDF at each entry of the 1-D array ``p``, all within (0, 1)."""
+    pv = np.asarray(p, dtype=float)
+    if np.any(pv <= 0.0) or np.any(pv >= 1.0):
+        raise ValueError("quantile levels must lie strictly within (0, 1)")
+    if d.is_degenerate:
+        return np.full_like(pv, d.values[0])
+    v, kp = d.values, d.probs
+    out = np.empty_like(pv)
+    below = pv < kp[0]
+    above = pv > kp[-1]
+    mid = ~(below | above)
+    if below.any():
+        out[below] = v[0] + _reference_log(pv[below] / kp[0]) / d.lower_rate
+    if above.any():
+        out[above] = v[-1] - _reference_log((1.0 - pv[above]) / (1.0 - kp[-1])) / d.upper_rate
+    if mid.any():
+        j = np.searchsorted(kp, pv[mid], side="left")
+        exact = kp[j] == pv[mid]
+        res = np.empty(j.shape)
+        res[exact] = v[j[exact]]
+        seg = j[~exact] - 1
+        res[~exact] = v[seg] + (pv[mid][~exact] - kp[seg]) / d.slopes[seg]
+        out[mid] = res
+    return out
+
+
+def reference_sample(d, n, seed):
+    """Per-hour draws: n seeded uniforms, clipped into (0, 1), through the inverse CDF."""
+    u = np.random.default_rng(seed).random(n)
+    if d.is_degenerate:
+        return np.full(n, d.values[0])
+    u = np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return reference_quantile(d, u)
+
+
+def reference_prob_below(d, threshold):
+    """Per-hour probability below ``threshold``: the CDF there, jump included,
+    except that a point mass counts only when strictly below."""
+    if d.is_degenerate:
+        return 1.0 if threshold > d.values[0] else 0.0
+    return float(reference_cdf(d, np.array([threshold]))[0])
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,9 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import forecast_records
+from helpers import (
+    forecast_records,
+    reference_build_cdf,
+    reference_prob_below,
+    reference_quantile,
+    reference_sample,
+)
 
-from probfcast import pipeline, qrf
+from probfcast import cli, pipeline, qrf
 from probfcast.cli import _run_config, build_parser, main
 from probfcast.combine import DEFAULT_LEVELS
 from probfcast.ingest import Dataset, format_hour, load_forecasts, load_observations, parse_hour
@@ -151,6 +157,45 @@ class TestForecast:
         times = [r["valid_time"] for r in rows[:: config.levels.size]]
         leads = horizon.lead_hours.tolist()
         assert times == [format_hour(origin + timedelta(hours=h)) for h in leads]
+
+    @pytest.mark.parametrize("draws, hours, block", [(1000, 168, None), (300, 24, 256)])
+    def test_products_equal_per_hour_reference(
+        self, data_dir, tmp_path, monkeypatch, draws, hours, block
+    ):
+        # Hours are drawn and written in blocks: several here, the last one
+        # short; with block=256 each block is one hour of more draws than that.
+        if block is not None:
+            monkeypatch.setattr(cli, "_SAMPLE_BLOCK_ENTRIES", block)
+        assert draws * hours > cli._SAMPLE_BLOCK_ENTRIES
+        extra = ["--origin", "2020-02-05T00:00Z", "--draws", str(draws)]
+        extra += ["--horizon", str(hours), "--threshold", "3.5"]
+        args = run_args(data_dir, tmp_path, extra)
+        assert main(["forecast", *args]) == 0
+        config = _run_config(build_parser().parse_args(["forecast", *args]))
+        origin = parse_hour("2020-02-05T00:00Z")
+        knots = {}
+        for r in read_csv(tmp_path / "quantiles.csv"):
+            knots.setdefault(r["valid_time"], []).append(float(r["value_degC"]))
+        assert len(knots) == hours
+        draws_of = {}
+        with open(tmp_path / "samples.csv", newline="") as fh:
+            rows = csv.reader(fh)
+            assert next(rows) == ["valid_time", "draw", "value_degC"]
+            for t, k, value in rows:
+                got = draws_of.setdefault(t, [])
+                assert int(k) == len(got)
+                got.append(float(value))
+        intervals = {r["valid_time"]: r for r in read_csv(tmp_path / "intervals.csv")}
+        probs = {r["valid_time"]: r for r in read_csv(tmp_path / "prob_below.csv")}
+        for t, values in knots.items():
+            h = (parse_hour(t) - origin) // timedelta(hours=1)
+            ref = reference_build_cdf(config.levels, values)
+            expected = reference_sample(ref, draws, config.seed + 7 * h + 1)
+            assert np.array(draws_of[t]).tobytes() == expected.tobytes(), t
+            assert float(probs[t]["prob_below"]) == reference_prob_below(ref, 3.5)
+            assert float(probs[t]["prob_below_sampled"]) == float(np.mean(expected < 3.5))
+            for column, level in cli._INTERVAL_COLUMNS.items():
+                assert float(intervals[t][column]) == reference_quantile(ref, [level])[0]
 
     @pytest.mark.parametrize("hour, flags", [("0", []), ("500", []), ("25", ["--horizon", "24"])])
     def test_probe_hour_outside_horizon_exits_before_reading(self, tmp_path, hour, flags):
@@ -322,6 +367,24 @@ class TestExitCodes:
         assert main(argv) == 1
         assert f"output directory {taken}" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_config_error(self, tmp_path, capsys, via, value):
+        # Neither input exists, so reading a CSV first would exit 2.
+        out = tmp_path / "out"
+        argv = ["forecast", "--forecasts", str(tmp_path / "absent.csv")]
+        argv += ["--observations", str(tmp_path / "absent_obs.csv"), "--out", str(out)]
+        argv += ["--origin", "2020-02-05T00:00Z"]
+        if via == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"threshold={value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [f"--threshold={value}"]
+        assert main(argv) == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import integrate_density, ks_statistic, random_quantile_vector
+from helpers import (
+    integrate_density,
+    ks_statistic,
+    random_quantile_vector,
+    reference_build_cdf,
+    reference_cdf,
+    reference_prob_below,
+    reference_quantile,
+    reference_sample,
+)
 from probfcast.combine import DEFAULT_LEVELS, QuantileVector
 from probfcast.dist import (
     _FALLBACK_TAIL_SCALE,
+    CDFTable,
     DegenerateDistributionError,
     PiecewiseCDF,
     build_cdf,
@@ -101,20 +111,119 @@ class TestTailRateFallback:
     tail takes the fallback rate: the tail mass over ``_FALLBACK_TAIL_SCALE``."""
 
     LEVELS = np.array([0.1, 0.5, 0.9])
+    LOWER = np.array([0.0, 5e-324, 1.0])  # the lower branch
+    UPPER = np.array([-1.0, 0.0, 5e-324])  # the upper branch
 
     def test_lower_branch(self):
-        d = build_cdf(QuantileVector(self.LEVELS, np.array([0.0, 5e-324, 1.0])))
+        d = build_cdf(QuantileVector(self.LEVELS, self.LOWER))
         assert d.lower_rate == 0.1 / _FALLBACK_TAIL_SCALE
         assert d.upper_rate == (0.9 - 0.5) / (1.0 - 5e-324) / (1.0 - 0.9)
         assert d.quantile(0.05) == 0.0 + math.log(0.05 / 0.1) / d.lower_rate
         assert d.cdf(-1.0) == 0.1 * math.exp(d.lower_rate * -1.0)
 
     def test_upper_branch(self):
-        d = build_cdf(QuantileVector(self.LEVELS, np.array([-1.0, 0.0, 5e-324])))
+        d = build_cdf(QuantileVector(self.LEVELS, self.UPPER))
         assert d.lower_rate == (0.5 - 0.1) / (0.0 - -1.0) / 0.1
         assert d.upper_rate == (1.0 - 0.9) / _FALLBACK_TAIL_SCALE
         assert d.quantile(0.95) == 5e-324 - math.log((1.0 - 0.95) / (1.0 - 0.9)) / d.upper_rate
         assert d.cdf(1.0) == 1.0 - (1.0 - 0.9) * math.exp(-d.upper_rate * (1.0 - 5e-324))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_table_equals_reference(self):
+        rows = np.array([self.LOWER, self.UPPER])
+        table = CDFTable.from_quantiles(self.LEVELS, rows)
+        refs = [reference_build_cdf(self.LEVELS, v) for v in rows]
+        assert table.lower_rate.tolist() == [r.lower_rate for r in refs]
+        assert table.upper_rate.tolist() == [r.upper_rate for r in refs]
+        ps = np.array([0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+        xs = np.array([-2.0, -1.0, -0.5, 0.0, 5e-324, 0.5, 1.0, 2.0])
+        got = table.quantile(np.tile(ps, (2, 1)))
+        assert_rows_equal(got, [reference_quantile(r, ps) for r in refs])
+        assert_rows_equal(table.cdf(np.tile(xs, (2, 1))), [reference_cdf(r, xs) for r in refs])
+
+
+def assert_rows_equal(got, expected):
+    """Bit-for-bit equality of each row (NaN equal to NaN)."""
+    expected = np.array(expected, dtype=float).reshape(np.shape(got))
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+
+
+# Knot rows of nine values on a level grid: tied runs anywhere, or a point mass.
+LEV9_CLOSED = np.array([0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0])
+point_mass_vals = st.integers(-40_000, 40_000).map(lambda n: np.full(9, n / 1000.0))
+tables = st.tuples(
+    st.sampled_from([LEV9, LEV9_CLOSED]),
+    st.lists(st.one_of(tied_vals, tied_vals, point_mass_vals), min_size=1, max_size=5),
+).map(lambda t: (t[0], np.array(t[1])))
+open_levels = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestTableAgainstReference:
+    """Every table kernel equals the per-hour reference bit for bit, row by row."""
+
+    @given(tables, st.lists(open_levels, min_size=1, max_size=6))
+    def test_quantile(self, table_rows, extra):
+        levels, values = table_rows
+        table = CDFTable.from_quantiles(levels, values)
+        refs = [reference_build_cdf(levels, v) for v in values]
+        inner = levels[(levels > 0.0) & (levels < 1.0)]
+        ps = np.concatenate([inner, [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)], extra])
+        got = table.quantile(np.tile(ps, (len(values), 1)))
+        assert_rows_equal(got, [reference_quantile(r, ps) for r in refs])
+        for i, r in enumerate(refs):
+            assert_rows_equal(table.row(i).quantile(ps), reference_quantile(r, ps))
+        assert table.point_mass.tolist() == [r.is_degenerate for r in refs]
+
+    @given(tables, st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6))
+    def test_cdf_and_prob_below(self, table_rows, extra):
+        levels, values = table_rows
+        table = CDFTable.from_quantiles(levels, values)
+        refs = [reference_build_cdf(levels, v) for v in values]
+        # every knot of every row, tied runs' values included, and a few others
+        xs = np.concatenate([values.ravel(), extra])
+        got = table.cdf(np.tile(xs, (len(values), 1)))
+        assert_rows_equal(got, [reference_cdf(r, xs) for r in refs])
+        for t in xs.tolist():
+            expected = [reference_prob_below(r, t) for r in refs]
+            assert_rows_equal(table.prob_below(t), expected)
+            assert [table.row(i).prob_below(t) for i in range(len(refs))] == expected
+
+    @given(tables, st.integers(1, 300), st.integers(0, 2**32))
+    def test_sample(self, table_rows, draws, seed):
+        levels, values = table_rows
+        table = CDFTable.from_quantiles(levels, values)
+        seeds = [seed + 7 * h + 1 for h in range(len(values))]
+        expected = [
+            reference_sample(reference_build_cdf(levels, v), draws, s)
+            for v, s in zip(values, seeds)
+        ]
+        assert_rows_equal(table.sample(draws, seeds), expected)
+        assert_rows_equal(table.row(0).sample(draws, seeds[0]), expected[0])
+
+    def test_rows_and_blocks_keep_their_distribution(self):
+        rng = np.random.default_rng(3)
+        values = np.array([random_quantile_vector(rng, DEFAULT_LEVELS) for _ in range(6)])
+        values[2] = values[2, 4]
+        table = CDFTable.from_quantiles(DEFAULT_LEVELS, values)
+        ps = np.tile([0.001, 0.3, 0.999], (2, 1))
+        whole = table.quantile(np.tile(ps, (3, 1)))
+        np.testing.assert_array_equal(table[2:4].quantile(ps), whole[2:4])
+        d = table.row(2)
+        assert d.is_degenerate and d.values.tolist() == [values[2, 4]]
+        e = table.row(3)
+        assert (e.lower_rate, e.upper_rate) == (table.lower_rate[3], table.upper_rate[3])
+
+    def test_rejects_bad_knots(self):
+        levels = np.array([0.25, 0.5, 0.75])
+        with pytest.raises(ValueError):
+            CDFTable.from_quantiles(levels, [[1.0, 0.0, 2.0]])
+        with pytest.raises(ValueError):
+            CDFTable(np.array([[1.0, 1.0, 2.0]]), levels, [True], [np.nan], [np.nan])
+        table = CDFTable.from_quantiles(levels, [[0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError):
+            table.quantile([[0.0]])
+        with pytest.raises(ValueError):
+            table.sample(0, [1])
 
 
 class TestEvaluation:

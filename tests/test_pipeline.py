@@ -107,13 +107,13 @@ class TestRunScenario:
         assert horizon.origin == origin
         assert horizon.lead_hours.tolist() == list(range(1, 169))
         assert horizon.quantiles.shape == (168, SMALL.levels.size)
-        assert len(horizon.distributions) == len(horizon.members) == 168
+        assert len(horizon.cdfs) == len(horizon.members) == 168
         assert [m.size for m in horizon.members] == horizon.contributors.tolist()
         assert np.all(horizon.contributors >= 1)
         assert np.all(np.isfinite(horizon.observations))
         assert set(horizon.timings) == {"prepare", "train", "predict", "score"}
-        for d, row in zip(horizon.distributions, horizon.quantiles):
-            np.testing.assert_array_equal(d.quantile(SMALL.levels), row)
+        levels = np.tile(SMALL.levels, (168, 1))
+        np.testing.assert_array_equal(horizon.cdfs.quantile(levels), horizon.quantiles)
 
     def test_contributor_counts_fall_with_lead(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
