@@ -9,7 +9,7 @@ backtests the whole chain with proper scoring rules.
 """
 
 from .combine import DEFAULT_LEVELS, CombinedForecast, QuantileVector, combine_timestep, vincentize
-from .dist import DegenerateDistributionError, PiecewiseCDF, build_cdf
+from .dist import CDFTable, DegenerateDistributionError, PiecewiseCDF, build_cdf
 from .error_model import ErrorTable, build_error_table, rank_label_members
 from .exceptions import ConfigError, DataError
 from .ingest import (

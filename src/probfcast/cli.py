@@ -32,7 +32,7 @@ import time
 import traceback
 from datetime import timedelta
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +103,14 @@ def _fmt(x: float) -> str:
     if isinstance(x, float) and math.isnan(x):
         return ""
     return repr(float(x))
+
+
+def _fmt_column(values: np.ndarray) -> List[str]:
+    """``_fmt`` of every entry of a float array, in order."""
+    text = list(map(repr, values.ravel().tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        text[i] = ""
+    return text
 
 
 def _default_out() -> str:
@@ -332,15 +340,15 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         out / "quantiles.csv",
         ["valid_time", "level", "value_degC"],
         _repeat_each(times, config.levels.size),
-        [_fmt(p) for p in config.levels.tolist()] * n,
-        map(_fmt, horizon.quantiles.ravel().tolist()),
+        _fmt_column(config.levels) * n,
+        _fmt_column(horizon.quantiles),
     )
     bounds = cdfs.quantile(np.tile(list(_INTERVAL_COLUMNS.values()), (n, 1)))
     _write_columns(
         out / "intervals.csv",
         ["valid_time", *_INTERVAL_COLUMNS],
         times,
-        *(map(_fmt, column) for column in bounds.T.tolist()),
+        *map(_fmt_column, bounds.T),
     )
     seeds = [config.seed + 7 * h + 1 for h in leads]
     below = np.empty(n)
@@ -352,20 +360,17 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             b = min(a + step, n)
             values = cdfs[a:b].sample(draws, seeds[a:b])
             below[a:b] = np.mean(values < config.threshold, axis=1)
-            # Draws are finite, so repr equals _fmt.
             fh.write(
                 _csv_lines(
-                    _repeat_each(times[a:b], draws),
-                    draw_text * (b - a),
-                    map(repr, values.ravel().tolist()),
+                    _repeat_each(times[a:b], draws), draw_text * (b - a), _fmt_column(values)
                 )
             )
     _write_columns(
         out / "prob_below.csv",
         ["valid_time", "prob_below", "prob_below_sampled"],
         times,
-        map(_fmt, cdfs.prob_below(config.threshold).tolist()),
-        map(_fmt, below.tolist()),
+        _fmt_column(cdfs.prob_below(config.threshold)),
+        _fmt_column(below),
     )
     if h_probe is not None:
         d = cdfs.row(leads.index(h_probe))

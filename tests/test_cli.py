@@ -197,6 +197,11 @@ class TestForecast:
             for column, level in cli._INTERVAL_COLUMNS.items():
                 assert float(intervals[t][column]) == reference_quantile(ref, [level])[0]
 
+    def test_fmt_column_is_fmt_of_each_entry(self):
+        values = np.array([[1.5, np.nan, -0.0], [np.inf, 1e-300, 0.1 + 0.2]])
+        assert cli._fmt_column(values) == [cli._fmt(x) for x in values.ravel().tolist()]
+        assert cli._fmt_column(values)[1] == ""
+
     @pytest.mark.parametrize("hour, flags", [("0", []), ("500", []), ("25", ["--horizon", "24"])])
     def test_probe_hour_outside_horizon_exits_before_reading(self, tmp_path, hour, flags):
         out = tmp_path / "out"
