@@ -369,4 +369,6 @@ def build_cdf(q: QuantileVector) -> PiecewiseCDF:
     (see the module docstring).  If the first and last values are equal the
     result is a single point mass.
     """
-    return CDFTable.from_quantiles(q.levels, q.values[None, :]).row(0)
+    if q.values[0] == q.values[-1]:
+        return PiecewiseCDF(q.values[-1:], np.array([1.0]))
+    return PiecewiseCDF.from_knots(q.values, q.levels)
