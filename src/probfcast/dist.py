@@ -187,7 +187,13 @@ class CDFTable:
         if mid.any():
             r = np.nonzero(mid)[0]
             seg = idx[mid] - 1
-            out[mid] = p[seg] + self._slopes[r, seg] * (x[mid] - v[r, seg])
+            dx, slope = x[mid] - v[r, seg], self._slopes[r, seg]
+            # A segment of subnormal width has no finite slope: it takes p[seg] at its
+            # left knot and p[seg + 1] past it.
+            steep = ~np.isfinite(slope)
+            val = p[seg + (steep & (dx > 0.0))]
+            val[~steep] += slope[~steep] * dx[~steep]
+            out[mid] = val
         mass = self.point_mass
         out[mass] = np.where(x[mass] >= v[mass, -1:], 1.0, 0.0)
         return out

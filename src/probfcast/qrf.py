@@ -27,9 +27,15 @@ pair is routed through all trees at once; the leaf rows it reaches are
 gathered into one stack sorted by error (ties in tree, then leaf order); and
 one weighted-quantile kernel answers each level with the smallest error whose
 running weight reaches level x number of trees.  Out-of-bag coverage reads
-the same stacks: a row in-bag in no tree takes its pair's full-forest
-quantiles, and a row in-bag in some trees gives their entries weight 0.0,
-which leaves the running sums of the other entries bit-for-bit unchanged.
+running sums of the same stacks.  With cw the running weight of the ``kept``
+trees where a row is out of bag, q_lo <= its error e exactly when cw at the
+last entry <= e reaches lo x kept; e <= q_hi exactly when cw at the last
+entry < e is below hi x kept and a kept entry follows, since a target past
+the total clamps q_hi to the last kept entry (lo < 0.5 never passes it).  A
+row in-bag in no tree reads its pair's full-forest sums, which are exact;
+any other row subtracts its in-bag trees' entries from them, and takes the
+quantile kernel when a target lies within ``_SUM_ERROR`` x (n + 1) x number
+of trees (n stack entries) of that estimate.
 
 Determinism contract: tree t uses ``numpy.random.default_rng(seed + t)``.
 It draws its in-bag rows with ``rng.choice(n_rows, sample_count, replace)``
@@ -178,6 +184,7 @@ class OOBCoverage:
     coverage: np.ndarray  # (n_leads, n_intervals) hit fractions
     intervals: Tuple[float, ...]
     skipped: int  # rows that were in-bag in every tree
+    fallback: int  # scored rows whose hits came from the exact kernel
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +529,32 @@ def predict_quantiles_batch(
 # Out-of-bag diagnostics
 # ---------------------------------------------------------------------------
 
+_SUM_ERROR = 2.0 * np.finfo(float).eps  # an estimated running sum's rounding, per entry and tree
+
+
+def _running_sums(stack: _Stack) -> np.ndarray:
+    """Each segment's ``np.cumsum`` of weights, flat like ``stack.weights``: a step per position."""
+    length = np.diff(stack.bounds)
+    order = np.argsort(-length, kind="stable")
+    first, longer = stack.bounds[order], np.searchsorted(-length[order], -np.arange(length.max()))
+    sums = stack.weights.copy()
+    for k in range(1, length.max()):
+        at = first[: longer[k]] + k  # segments longer than k
+        sums[at] += sums[at - 1]
+    return sums
+
+
+def _segment_counts(values: np.ndarray, start: np.ndarray, length: np.ndarray, v: np.ndarray):
+    """Entries below ``v[i]``, and at or below it, in sorted ``values[start[i]:][:length[i]]``."""
+    counts = np.zeros((2, v.size), dtype=np.int64)
+    step = 1 << (int(length.max(initial=1)).bit_length() - 1)
+    while step:  # binary lifting, as in _searchsorted_rows
+        cand = counts + step
+        at = values[start + np.minimum(cand, length) - 1]
+        counts = np.where((cand <= length) & [at[0] < v, at[1] <= v], cand, counts)
+        step >>= 1
+    return counts
+
 
 def oob_coverage(
     forest: Forest, intervals: Sequence[float] = DEFAULT_INTERVALS
@@ -535,48 +568,54 @@ def oob_coverage(
     """
     table = forest.table
     intervals = tuple(float(w) for w in intervals)
-    for w in intervals:
-        if not 0.0 < w < 1.0:
-            raise ValueError("interval widths must lie in (0, 1)")
-    level_list = sorted({(1.0 - w) / 2.0 for w in intervals} | {(1.0 + w) / 2.0 for w in intervals})
-    levels = np.array(level_list)
-    lo_idx = np.array([level_list.index((1.0 - w) / 2.0) for w in intervals])
-    hi_idx = np.array([level_list.index((1.0 + w) / 2.0) for w in intervals])
+    if not all(0.0 < w < 1.0 for w in intervals):
+        raise ValueError("interval widths must lie in (0, 1)")
+    lo, hi = np.array([[(1.0 - w) / 2.0 for w in intervals], [(1.0 + w) / 2.0 for w in intervals]])
 
-    T = forest.num_trees
-    rows, slot = np.unique(forest.arrays.inbag, return_inverse=True)
-    excluded = np.zeros((rows.size, T), dtype=bool)
-    excluded[slot, np.arange(slot.size) // forest.config.sample_count] = True
-    everywhere = excluded.all(axis=1)
-    scored = np.ones(table.n_rows, dtype=bool)
-    scored[rows[everywhere]] = False
-    if not scored.any():
+    T, k, inbag = forest.num_trees, len(intervals), forest.arrays.inbag
+    # Each (row, tree) with the row in-bag in the tree, once.
+    drop = np.unique(inbag * np.int64(T) + np.arange(inbag.size) // forest.config.sample_count)
+    drop_row, drop_tree = np.divmod(drop, T)
+    kept = T - np.bincount(drop_row, minlength=table.n_rows)
+    scored = np.flatnonzero(kept)
+    if not scored.size:
         raise DataError("no out-of-bag rows to score")
+    live = kept[drop_row] > 0
+    slot, drop_tree, kept = np.searchsorted(scored, drop_row[live]), drop_tree[live], kept[scored]
 
     stack, combo = _gather(forest, table.lead_hours, table.label_codes)
-    # Rows in-bag in no tree take their covariate's full-forest quantiles;
-    # the others drop the trees they are in-bag in.
-    q = _stack_quantiles(stack, np.arange(stack.bounds.size - 1), levels)[combo]
-    rows, excluded = rows[~everywhere], excluded[~everywhere]
-    q[rows] = _stack_quantiles(stack, combo[rows], levels, excluded)
+    sums, err, seg = _running_sums(stack), table.errors[scored], combo[scored]
+    start, length = stack.bounds[seg], np.diff(stack.bounds)[seg]
+    # Flat stack positions of the entries of each scored row's in-bag trees.
+    g = seg[slot] * T + drop_tree
+    n_g = stack.leaf_bounds[g + 1] - stack.leaf_bounds[g]
+    at, owner = stack.leaf_pos[_gather_ranges(stack.leaf_bounds[g], n_g)], np.repeat(slot, n_g)
 
-    q = q[scored]
-    err = table.errors[scored][:, None]
-    hits = (q[:, lo_idx] <= err) & (err <= q[:, hi_idx])
-    uniq_leads, pos = np.unique(table.lead_hours[scored], return_inverse=True)
-    n_rows = np.bincount(pos, minlength=uniq_leads.size)
+    def kept_sum(count):  # kept running sum over the first count entries; any kept after?
+        first = at < (start + count)[owner]
+        dropped = np.bincount(owner, np.where(first, stack.weights[at], 0.0), scored.size)
+        later = length - count - np.bincount(owner[~first], minlength=scored.size)
+        return np.where(count > 0, sums[start + count - 1], 0.0) - dropped, later > 0
+
+    below, upto = _segment_counts(stack.values, start, length, err)
+    (cw_lo, _), (cw_hi, more_hi) = kept_sum(upto), kept_sum(below)
+    bound = np.where(kept < T, _SUM_ERROR * (length + 1) * T, -np.inf)
+    hits, near = np.empty((scored.size, k), dtype=bool), np.zeros(scored.size, dtype=bool)
+    for i in range(k):  # a difference of floats is >= 0.0 exactly when the first is >= the second
+        d_lo, d_hi = cw_lo - kept * lo[i], cw_hi - kept * hi[i]
+        hits[:, i] = (d_lo >= 0.0) & (d_hi < 0.0) & more_hi
+        near |= (np.abs(d_lo) <= bound) | (np.abs(d_hi) <= bound)
+    fallback, mine = np.flatnonzero(near), near[slot]
+    excluded = np.zeros((fallback.size, T), dtype=bool)
+    excluded[np.searchsorted(fallback, slot[mine]), drop_tree[mine]] = True
+    q = _stack_quantiles(stack, seg[fallback], np.concatenate([lo, hi]), excluded)
+    hits[fallback] = (q[:, :k] <= err[fallback, None]) & (err[fallback, None] <= q[:, k:])
+
+    leads, pos, count = np.unique(table.lead_hours[scored], return_inverse=True, return_counts=True)
     # One count per (lead, interval) cell; sums of 0.0 and 1.0 are exact in any order.
-    k = len(intervals)
     cells = (pos[:, None] * k + np.arange(k)).ravel()
-    cov = np.bincount(cells, weights=hits.ravel(), minlength=uniq_leads.size * k)
-    cov = cov.reshape(uniq_leads.size, k) / n_rows[:, None]
-    return OOBCoverage(
-        lead_hours=uniq_leads,
-        n_rows=n_rows,
-        coverage=cov,
-        intervals=intervals,
-        skipped=int(table.n_rows - scored.sum()),
-    )
+    cov = np.bincount(cells, hits.ravel(), leads.size * k).reshape(leads.size, k) / count[:, None]
+    return OOBCoverage(leads, count, cov, intervals, table.n_rows - scored.size, fallback.size)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +656,8 @@ def load_forest(path: str | Path) -> Forest:
     structure, is a DataError naming the path and the member.
     """
     try:
-        with np.load(path) as archive:
-            # Archives written with np.savez_compressed load the same way.
+        # Opened here: np.load leaves open a zip it rejects.  Compressed archives load too.
+        with open(path, "rb") as fh, np.load(fh) as archive:
             z = {name: archive[name] for name in archive.files}
     except (ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: not a forest archive: {exc}") from None

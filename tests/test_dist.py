@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ class TestTailRateFallback:
         got = table.quantile(np.tile(ps, (2, 1)))
         assert_rows_equal(got, [reference_quantile(r, ps) for r in refs])
         assert_rows_equal(table.cdf(np.tile(xs, (2, 1))), [reference_cdf(r, xs) for r in refs])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_cdf_in_a_segment_of_subnormal_width(self):
+        narrow = np.array([0.0, 1e-310, 1.0])
+        d = build_cdf(QuantileVector(self.LEVELS, self.LOWER))
+        table = CDFTable.from_quantiles(self.LEVELS, np.array([self.LOWER, narrow]))
+        xs = np.array([[0.0, 5e-324], [0.0, 5e-311]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert d.cdf(0.0) == 0.1
+            got = table.cdf(xs)
+        assert got[0].tolist() == [0.1, 0.5]
+        assert got[1, 0] == 0.1 and 0.1 <= got[1, 1] <= 0.5
+        refs = [reference_build_cdf(self.LEVELS, v) for v in (self.LOWER, narrow)]
+        assert_rows_equal(got, [reference_cdf(r, x) for r, x in zip(refs, xs)])
 
 
 def assert_rows_equal(got, expected):

@@ -8,11 +8,18 @@ Power-of-two scale: multiplying every temperature (and the threshold) by 2
 is exact in binary, and the program has no absolute degC constant, so every
 value in degC doubles bit for bit, every probability and hit is unchanged,
 and every log score (a log density in 1/degC) shifts by ln 2.
+
+Order-preserving rename: labels are coded in sorted order, so prefixing
+every model id with one string keeps every code, and every report and
+product is byte-identical once the label column and the forest archive's
+``labels`` drop the prefix.  A rename that reorders labels is not
+invariant: label codes break ties.
 """
 
 import csv
 import math
 import random
+import shutil
 
 import numpy as np
 import pytest
@@ -38,6 +45,12 @@ def scale_values(src, dst, factor):
         head, value = body.rsplit(b",", 1)
         scaled.append(head + b"," + repr(factor * float(value)).encode() + line[len(body) :])
     dst.write_bytes(header + b"".join(scaled))
+
+
+def prefix_model_ids(src, dst, prefix):
+    """Copy the forecasts CSV src to dst with prefix before each data line's model id."""
+    header, *lines = src.read_bytes().splitlines(keepends=True)
+    dst.write_bytes(header + b"".join(prefix + line for line in lines))
 
 
 def run_commands(data, out, threshold="10"):
@@ -187,3 +200,28 @@ def test_doubling_every_temperature_doubles_every_degc_output(canonical, tmp_pat
         scale_values(canonical / "data" / name, data / name, 2.0)
     run_commands(data, tmp_path / "out", threshold="20")
     assert_scaled_outputs(canonical / "out", tmp_path / "out")
+
+
+def test_prefixing_every_model_id_changes_no_output_but_the_labels(canonical, tmp_path):
+    prefix = "nwp."
+    data = tmp_path / "data"
+    data.mkdir()
+    prefix_model_ids(canonical / "data" / "forecasts.csv", data / "forecasts.csv", prefix.encode())
+    shutil.copy(canonical / "data" / "observations.csv", data / "observations.csv")
+    out = tmp_path / "out"
+    run_commands(data, out)
+    # Map the labels back: the error dump's model_label column and the archive's labels.
+    errors = read_rows(out / "train" / "errors.csv")
+    assert errors[0] == ["lead_hours", "model_label", "error_degC"]
+    for row in errors[1:]:
+        assert row[1].startswith(prefix), row
+        row[1] = row[1].removeprefix(prefix)
+    with open(out / "train" / "errors.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(errors)
+    archive = out / "train" / "forest.npz"
+    with np.load(archive) as z:
+        members = {name: z[name] for name in z.files}
+    assert all(label.startswith(prefix) for label in members["labels"])
+    members["labels"] = np.array([label.removeprefix(prefix) for label in members["labels"]])
+    np.savez(archive, **members)
+    assert_same_outputs(canonical / "out", out)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import hashlib
+import warnings
 import zipfile
 from unittest import mock
 
@@ -10,9 +12,10 @@ from helpers import (
     reference_oob_coverage,
     reference_quantiles,
     reference_train,
+    stack_kernel_oob_coverage,
     table_from_samples,
 )
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from probfcast import qrf
 from probfcast.combine import DEFAULT_LEVELS
@@ -59,6 +62,22 @@ def forest_cases(draw):
         replace=replace,
     )
     return leads, labels, errors, config
+
+
+@st.composite
+def leaf_one_cases(draw):
+    """One row per lead, so every leaf holds one distinct row and running sums are integers."""
+    n = draw(st.integers(2, 16))
+    errors = draw(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n))
+    replace = draw(st.booleans())
+    config = ForestConfig(
+        num_trees=draw(st.sampled_from([1, 2, 3, 4, 8, 10, 12, 20])),
+        mtry=draw(st.integers(1, 2)),
+        sample_count=draw(st.sampled_from([1, n // 2, n - 1] + ([n] if replace else []))),
+        seed=draw(st.integers(0, 1000)),
+        replace=replace,
+    )
+    return list(range(n)), ["a"] * n, errors, config
 
 
 def assert_same_trees(got, expected):
@@ -432,6 +451,85 @@ class TestKernelAgainstReference:
             np.testing.assert_array_equal(oob.coverage, coverage)
             assert oob.skipped == skipped
 
+    def oob_or_none(self, forest):
+        try:
+            return oob_coverage(forest, intervals=self.INTERVALS)
+        except DataError:
+            with pytest.raises(DataError, match="no out-of-bag rows"):
+                reference_oob_coverage(forest, self.INTERVALS)
+            return None
+
+    def assert_oob_equal(self, oob, expected):
+        lead_hours, n_rows, coverage, skipped = expected
+        np.testing.assert_array_equal(oob.lead_hours, lead_hours)
+        np.testing.assert_array_equal(oob.n_rows, n_rows)
+        assert oob.coverage.tobytes() == coverage.tobytes()
+        assert oob.skipped == skipped
+
+    # Ties, leaves of one row whose integer running sums can equal a target
+    # exactly (kept * 0.25 and kept * 0.75 at kept a multiple of 4, 10 * 0.1),
+    # and the past-the-total clamp at 1 - 2**-53.  In the second example, the
+    # one out-of-bag row (error 7.0) sees one leaf of seven rows, whose weights
+    # sum to 1 - 2**-52: q_hi clamps to 6.0, a miss.
+    @given(
+        case=forest_cases() | leaf_one_cases(), chunk=st.sampled_from([1, 7, qrf._CHUNK_ENTRIES])
+    )
+    @example(case=([0, 1, 2, 3], ["a"] * 4, [0.0, 1.0, 1.0, 2.0],
+                   ForestConfig(num_trees=8, sample_count=1, seed=0)), chunk=7)
+    @example(case=([0] * 8, ["a"] * 8, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 6.0],
+                   ForestConfig(num_trees=1, sample_count=7, seed=0)), chunk=7)
+    def test_oob_running_sums_match_reference_and_stack_kernel(self, case, chunk):
+        leads, labels, errors, config = case
+        forest = train(make_table(leads, labels, errors), config)
+        with mock.patch.object(qrf, "_CHUNK_ENTRIES", chunk):
+            oob = self.oob_or_none(forest)
+            assume(oob is not None)
+            self.assert_oob_equal(oob, reference_oob_coverage(forest, self.INTERVALS))
+            self.assert_oob_equal(oob, stack_kernel_oob_coverage(forest, self.INTERVALS))
+
+    @given(case=forest_cases() | leaf_one_cases())
+    def test_oob_forced_fallback_matches_reference(self, case):
+        leads, labels, errors, config = case
+        forest = train(make_table(leads, labels, errors), config)
+        in_trees = np.zeros(forest.table.n_rows, dtype=np.int64)
+        for tree in forest.trees:
+            in_trees[np.unique(tree.inbag)] += 1
+        with mock.patch.object(qrf, "_SUM_ERROR", np.inf):
+            oob = self.oob_or_none(forest)
+        assume(oob is not None)
+        assert oob.fallback == np.count_nonzero((in_trees > 0) & (in_trees < forest.num_trees))
+        self.assert_oob_equal(oob, reference_oob_coverage(forest, self.INTERVALS))
+
+    def test_oob_estimates_lie_within_the_bound(self):
+        """At every entry of a row's stack, the full-forest running sum less the
+        in-bag trees' entries is within the bound of the kept entries' own sum."""
+        table = random_table(np.random.default_rng(4), n=600)
+        forest = train(table, ForestConfig(num_trees=60, sample_count=64, seed=3))
+        stack, combo = qrf._gather(forest, table.lead_hours, table.label_codes)
+        sums, T = qrf._running_sums(stack), forest.num_trees
+        trees = forest.trees
+        in_trees = [[t for t in range(T) if r in trees[t].inbag] for r in range(table.n_rows)]
+        worst = 0.0
+        for r in [r for r in range(table.n_rows) if in_trees[r]][:80]:
+            b0, b1 = stack.bounds[combo[r]], stack.bounds[combo[r] + 1]
+            kept, dropped = stack.weights[b0:b1].copy(), np.zeros(b1 - b0)
+            for t in in_trees[r]:
+                g = combo[r] * T + t
+                at = stack.leaf_pos[stack.leaf_bounds[g] : stack.leaf_bounds[g + 1]] - b0
+                dropped[at], kept[at] = kept[at], 0.0
+            gap = np.abs((sums[b0:b1] - np.cumsum(dropped)) - np.cumsum(kept))
+            worst = max(worst, gap.max() / (qrf._SUM_ERROR * (b1 - b0 + 1) * T))
+        assert 0.0 < worst <= 1.0, worst
+
+    def test_oob_running_sums_are_each_segments_cumsum(self):
+        table = random_table(np.random.default_rng(5), n=300)
+        forest = train(table, ForestConfig(num_trees=30, sample_count=50, seed=2))
+        stack, _ = qrf._gather(forest, table.lead_hours, table.label_codes)
+        segments = np.split(stack.weights, stack.bounds[1:-1])
+        expected = np.concatenate([np.cumsum(w) for w in segments])
+        assert np.unique([w.size for w in segments]).size > 1
+        assert qrf._running_sums(stack).tobytes() == expected.tobytes()
+
     def test_rows_in_bag_in_every_tree_are_covered(self):
         # the explicit example above must exercise skipped rows
         forest = train(
@@ -526,6 +624,23 @@ class TestSerialisation:
             with pytest.raises(DataError, match="not a forest archive") as info:
                 load_forest(path)
             assert str(path) in str(info.value)
+
+    def test_unreadable_archive_closes_its_file(self, tmp_path):
+        table = random_table(np.random.default_rng(1), n=40)
+        forest = train(table, ForestConfig(num_trees=2, sample_count=10))
+        whole = save_forest(tmp_path / "whole", forest).read_bytes()
+        truncated = tmp_path / "truncated.npz"  # a zip header, then no central directory
+        truncated.write_bytes(whole[: len(whole) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(DataError) as info:
+                load_forest(truncated)
+            message = str(info.value)
+            del info
+            gc.collect()
+        assert message == f"{truncated}: not a forest archive: File is not a zip file"
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_archive_members_pinned(self, tmp_path):
         """Every archive member's name, dtype, shape and bytes for one fixed forest."""
