@@ -22,20 +22,20 @@ equals, array for array, growing each tree by depth-first recursion.
 Leaves keep the in-bag rows that reached them, so a query returns a weighted
 empirical distribution of training errors rather than a mean: row weights
 average, over trees, the indicator of sharing the query's leaf divided by the
-leaf size.  Every prediction takes one path.  Each distinct (lead, label)
-pair is routed through all trees at once; the leaf rows it reaches are
-gathered into one stack sorted by error (ties in tree, then leaf order); and
-one weighted-quantile kernel answers each level with the smallest error whose
-running weight reaches level x number of trees.  Out-of-bag coverage reads
-running sums of the same stacks.  With cw the running weight of the ``kept``
-trees where a row is out of bag, q_lo <= its error e exactly when cw at the
-last entry <= e reaches lo x kept; e <= q_hi exactly when cw at the last
-entry < e is below hi x kept and a kept entry follows, since a target past
-the total clamps q_hi to the last kept entry (lo < 0.5 never passes it).  A
-row in-bag in no tree reads its pair's full-forest sums, which are exact;
-any other row subtracts its in-bag trees' entries from them, and takes the
-quantile kernel when a target lies within ``_SUM_ERROR`` x (n + 1) x number
-of trees (n stack entries) of that estimate.
+leaf size.  Each distinct (lead, label) pair is routed through all trees at
+once, and the leaf rows it reaches are gathered into one stack sorted by error
+(ties in tree, then leaf order).  One running-sum path serves prediction and
+out-of-bag coverage: each stack's ``np.cumsum`` of weights, built flat, and
+one binary-lifting search.  A quantile is the smallest error whose running
+weight reaches level x number of trees, or the last past the total.  With cw
+the running weight of the ``kept`` trees where a row is out of bag, q_lo <=
+its error e exactly when cw at the last entry <= e reaches lo x kept; e <=
+q_hi exactly when cw at the last entry < e is below hi x kept and a kept entry
+follows, since a target past the total clamps q_hi to the last kept entry
+(lo < 0.5 never passes it).  A row in-bag in no tree reads its pair's
+full-forest sums, which are exact; any other row subtracts its in-bag trees'
+entries from them, and reads exact kept sums when a target lies within
+``_SUM_ERROR`` x (n + 1) x number of trees (n stack entries) of that estimate.
 
 Determinism contract: tree t uses ``numpy.random.default_rng(seed + t)``.
 It draws its in-bag rows with ``rng.choice(n_rows, sample_count, replace)``
@@ -184,7 +184,7 @@ class OOBCoverage:
     coverage: np.ndarray  # (n_leads, n_intervals) hit fractions
     intervals: Tuple[float, ...]
     skipped: int  # rows that were in-bag in every tree
-    fallback: int  # scored rows whose hits came from the exact kernel
+    fallback: int  # scored rows whose hits read exact kept sums
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +352,6 @@ def train(table: ErrorTable, config: ForestConfig) -> Forest:
 # Prediction: route -> gather -> weighted quantile
 # ---------------------------------------------------------------------------
 
-# Padded entries one kernel chunk holds; bounds the working set of a call.
-_CHUNK_ENTRIES = 1 << 20
-
 
 @dataclass(eq=False)
 class _Stack:
@@ -433,63 +430,28 @@ def _gather(forest: Forest, lead, code) -> Tuple[_Stack, np.ndarray]:
     ), inverse.reshape(-1)
 
 
-def _searchsorted_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(a[i], v[i])`` for every row of a row-wise sorted ``a``."""
-    n, width = a.shape
-    r = np.arange(n)[:, None]
-    pos = np.zeros(v.shape, dtype=np.int64)
-    step = 1 << (width.bit_length() - 1)
-    while step:  # binary lifting: pos ends as the count of entries below v
-        cand = pos + step
-        below = (cand <= width) & (a[r, np.minimum(cand, width) - 1] < v)
-        pos = np.where(below, cand, pos)
+def _running_sums(bounds: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each segment ``bounds[i]:bounds[i + 1]``'s ``np.cumsum`` of weights, flat."""
+    length = np.diff(bounds)
+    order = np.argsort(-length, kind="stable")
+    longer = np.searchsorted(-length[order], -np.arange(length.max(initial=0)))
+    first, sums = bounds[order], weights.copy()
+    for k in range(1, longer.size):  # a step per position
+        at = first[: longer[k]] + k  # segments longer than k
+        sums[at] += sums[at - 1]
+    return sums
+
+
+def _segment_counts(a: np.ndarray, start: np.ndarray, length: np.ndarray, v: np.ndarray):
+    """Entries below ``v[i, j]`` in sorted ``a[start[i]:][:length[i]]``; start, length: columns."""
+    count = np.zeros(np.broadcast_shapes(start.shape, np.shape(v)), dtype=np.int64)
+    step = 1 << (int(length.max(initial=1)).bit_length() - 1)
+    while step:  # binary lifting: count ends as the number of entries below v
+        cand = count + step
+        below = (cand <= length) & (a[start + np.minimum(cand, length) - 1] < v)
+        count = np.where(below, cand, count)
         step >>= 1
-    return pos
-
-
-def _stack_quantiles(
-    stack: _Stack, seg: np.ndarray, levels: np.ndarray, excluded: np.ndarray | None = None
-) -> np.ndarray:
-    """Weighted quantiles of stack segments; returns (n_requests, n_levels).
-
-    Request i reads segment ``seg[i]`` and answers, per level, the smallest
-    value whose running weight reaches ``level`` times its number of trees.
-    ``excluded[i, t]`` drops tree t from request i by giving its entries
-    weight 0.0: adding 0.0 is exact, so the kept entries' running sums equal
-    those of the kept entries alone.  A target past the total takes the last
-    kept value.  Requests run longest first, in chunks of at most
-    ``_CHUNK_ENTRIES`` padded entries.
-    """
-    start = stack.bounds[seg]
-    length = stack.bounds[seg + 1] - start
-    kept = np.full(seg.size, stack.n_trees)
-    if excluded is not None:
-        kept -= excluded.sum(axis=1)
-    targets = kept[:, None] * levels
-    out = np.empty((seg.size, levels.size))
-    order = np.lexsort((seg, -length))
-    i = 0
-    while i < order.size:
-        width = int(length[order[i]])
-        chunk = order[i : i + max(1, _CHUNK_ENTRIES // width)]
-        i += chunk.size
-        segs, local = np.unique(seg[chunk], return_inverse=True)
-        idx = stack.bounds[segs, None] + np.arange(width)
-        w = stack.weights[np.minimum(idx, stack.weights.size - 1)]
-        w[idx >= stack.bounds[segs + 1, None]] = 0.0
-        w = w[local]
-        if excluded is not None:
-            r, t = np.nonzero(excluded[chunk])
-            g = seg[chunk[r]] * stack.n_trees + t
-            n_g = stack.leaf_bounds[g + 1] - stack.leaf_bounds[g]
-            pos = stack.leaf_pos[_gather_ranges(stack.leaf_bounds[g], n_g)]
-            w[np.repeat(r, n_g), pos - np.repeat(start[chunk[r]], n_g)] = 0.0
-        cw = np.cumsum(w, axis=1)
-        # Running sums rise at every kept entry, so the first position that
-        # reaches the total is the last kept one.
-        pos = _searchsorted_rows(cw, np.column_stack([targets[chunk], cw[:, -1]]))
-        out[chunk] = stack.values[start[chunk, None] + np.minimum(pos[:, :-1], pos[:, -1:])]
-    return out
+    return count
 
 
 def predict_weights(forest: Forest, x: CovariateVector) -> np.ndarray:
@@ -522,7 +484,11 @@ def predict_quantiles_batch(
     if lead_q.size != code_q.size:
         raise ValueError("lead_hours and labels must have the same length")
     stack, inverse = _gather(forest, lead_q, code_q)
-    return _stack_quantiles(stack, np.arange(stack.bounds.size - 1), levels)[inverse]
+    start, length = stack.bounds[:-1, None], np.diff(stack.bounds)[:, None]
+    sums = _running_sums(stack.bounds, stack.weights)
+    # The first entry whose running sum reaches level x trees; past the total, the last one.
+    count = _segment_counts(sums, start, length, stack.n_trees * levels)
+    return stack.values[start + np.minimum(count, length - 1)][inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -530,30 +496,6 @@ def predict_quantiles_batch(
 # ---------------------------------------------------------------------------
 
 _SUM_ERROR = 2.0 * np.finfo(float).eps  # an estimated running sum's rounding, per entry and tree
-
-
-def _running_sums(stack: _Stack) -> np.ndarray:
-    """Each segment's ``np.cumsum`` of weights, flat like ``stack.weights``: a step per position."""
-    length = np.diff(stack.bounds)
-    order = np.argsort(-length, kind="stable")
-    first, longer = stack.bounds[order], np.searchsorted(-length[order], -np.arange(length.max()))
-    sums = stack.weights.copy()
-    for k in range(1, length.max()):
-        at = first[: longer[k]] + k  # segments longer than k
-        sums[at] += sums[at - 1]
-    return sums
-
-
-def _segment_counts(values: np.ndarray, start: np.ndarray, length: np.ndarray, v: np.ndarray):
-    """Entries below ``v[i]``, and at or below it, in sorted ``values[start[i]:][:length[i]]``."""
-    counts = np.zeros((2, v.size), dtype=np.int64)
-    step = 1 << (int(length.max(initial=1)).bit_length() - 1)
-    while step:  # binary lifting, as in _searchsorted_rows
-        cand = counts + step
-        at = values[start + np.minimum(cand, length) - 1]
-        counts = np.where((cand <= length) & [at[0] < v, at[1] <= v], cand, counts)
-        step >>= 1
-    return counts
 
 
 def oob_coverage(
@@ -584,32 +526,41 @@ def oob_coverage(
     slot, drop_tree, kept = np.searchsorted(scored, drop_row[live]), drop_tree[live], kept[scored]
 
     stack, combo = _gather(forest, table.lead_hours, table.label_codes)
-    sums, err, seg = _running_sums(stack), table.errors[scored], combo[scored]
+    sums, err, seg = _running_sums(stack.bounds, stack.weights), table.errors[scored], combo[scored]
     start, length = stack.bounds[seg], np.diff(stack.bounds)[seg]
     # Flat stack positions of the entries of each scored row's in-bag trees.
     g = seg[slot] * T + drop_tree
     n_g = stack.leaf_bounds[g + 1] - stack.leaf_bounds[g]
     at, owner = stack.leaf_pos[_gather_ranges(stack.leaf_bounds[g], n_g)], np.repeat(slot, n_g)
 
-    def kept_sum(count):  # kept running sum over the first count entries; any kept after?
+    def sum_upto(running, start, count):  # running sum over the first count entries
+        return np.where(count > 0, running[start + count - 1], 0.0)
+
+    def kept_sum(count):  # estimated kept running sum over the first count entries; any kept after?
         first = at < (start + count)[owner]
         dropped = np.bincount(owner, np.where(first, stack.weights[at], 0.0), scored.size)
         later = length - count - np.bincount(owner[~first], minlength=scored.size)
-        return np.where(count > 0, sums[start + count - 1], 0.0) - dropped, later > 0
+        return sum_upto(sums, start, count) - dropped, later > 0
 
-    below, upto = _segment_counts(stack.values, start, length, err)
+    # Errors are finite, so an entry is at or below e exactly when it is below the next float.
+    v = np.column_stack([err, np.nextafter(err, np.inf)])
+    below, upto = _segment_counts(stack.values, start[:, None], length[:, None], v).T
     (cw_lo, _), (cw_hi, more_hi) = kept_sum(upto), kept_sum(below)
     bound = np.where(kept < T, _SUM_ERROR * (length + 1) * T, -np.inf)
-    hits, near = np.empty((scored.size, k), dtype=bool), np.zeros(scored.size, dtype=bool)
+    near = np.zeros(scored.size, dtype=bool)
+    for i in range(k):
+        near |= (np.abs([cw_lo - kept * lo[i], cw_hi - kept * hi[i]]) <= bound).any(axis=0)
+    # Near rows read exact kept sums: their segments again, in-bag trees' entries set to 0.0.
+    fallback, mine = np.flatnonzero(near), np.flatnonzero(near[owner])
+    w = stack.weights[_gather_ranges(start[fallback], length[fallback])]
+    f_start = np.cumsum(length[fallback]) - length[fallback]
+    w[f_start[np.searchsorted(fallback, owner[mine])] + at[mine] - start[owner[mine]]] = 0.0
+    exact = _running_sums(np.append(f_start, w.size), w)
+    for cw, c in ((cw_lo, upto), (cw_hi, below)):
+        cw[fallback] = sum_upto(exact, f_start, c[fallback])
+    hits = np.empty((scored.size, k), dtype=bool)
     for i in range(k):  # a difference of floats is >= 0.0 exactly when the first is >= the second
-        d_lo, d_hi = cw_lo - kept * lo[i], cw_hi - kept * hi[i]
-        hits[:, i] = (d_lo >= 0.0) & (d_hi < 0.0) & more_hi
-        near |= (np.abs(d_lo) <= bound) | (np.abs(d_hi) <= bound)
-    fallback, mine = np.flatnonzero(near), near[slot]
-    excluded = np.zeros((fallback.size, T), dtype=bool)
-    excluded[np.searchsorted(fallback, slot[mine]), drop_tree[mine]] = True
-    q = _stack_quantiles(stack, seg[fallback], np.concatenate([lo, hi]), excluded)
-    hits[fallback] = (q[:, :k] <= err[fallback, None]) & (err[fallback, None] <= q[:, k:])
+        hits[:, i] = (cw_lo - kept * lo[i] >= 0.0) & (cw_hi - kept * hi[i] < 0.0) & more_hi
 
     leads, pos, count = np.unique(table.lead_hours[scored], return_inverse=True, return_counts=True)
     # One count per (lead, interval) cell; sums of 0.0 and 1.0 are exact in any order.
@@ -657,9 +608,13 @@ def load_forest(path: str | Path) -> Forest:
     """
     try:
         # Opened here: np.load leaves open a zip it rejects.  Compressed archives load too.
-        with open(path, "rb") as fh, np.load(fh) as archive:
-            z = {name: archive[name] for name in archive.files}
-    except (ValueError, zipfile.BadZipFile) as exc:
+        with open(path, "rb") as fh:
+            archive = np.load(fh)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("an .npy array, not an .npz archive")
+            with archive:
+                z = {name: archive[name] for name in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # EOFError: an empty file
         raise DataError(f"{path}: not a forest archive: {exc}") from None
 
     def member(name: str) -> np.ndarray:

@@ -445,38 +445,6 @@ def reference_oob_coverage(forest, intervals):
     return np.array(leads, dtype=np.int64), n_rows, cov, skipped
 
 
-def stack_kernel_oob_coverage(forest, intervals):
-    """Out-of-bag coverage from every scored row's quantiles off the padded stack kernel.
-
-    A row in-bag in no tree takes its pair's full-forest quantiles; the
-    others give their in-bag trees' entries weight 0.0.  Returns what
-    :func:`reference_oob_coverage` returns.
-    """
-    from probfcast import qrf
-    from probfcast.exceptions import DataError
-
-    table = forest.table
-    levels = np.array([(1.0 - w) / 2.0 for w in intervals] + [(1.0 + w) / 2.0 for w in intervals])
-    rows, slot = np.unique(forest.arrays.inbag, return_inverse=True)
-    excluded = np.zeros((rows.size, forest.num_trees), dtype=bool)
-    excluded[slot, np.arange(slot.size) // forest.config.sample_count] = True
-    some = ~excluded.all(axis=1)
-    scored = np.ones(table.n_rows, dtype=bool)
-    scored[rows[~some]] = False
-    if not scored.any():
-        raise DataError("no out-of-bag rows to score")
-    stack, combo = qrf._gather(forest, table.lead_hours, table.label_codes)
-    q = qrf._stack_quantiles(stack, np.arange(stack.bounds.size - 1), levels)[combo]
-    q[rows[some]] = qrf._stack_quantiles(stack, combo[rows[some]], levels, excluded[some])
-    k = len(intervals)
-    err = table.errors[scored, None]
-    hits = (q[scored, :k] <= err) & (err <= q[scored, k:])
-    leads, pos = np.unique(table.lead_hours[scored], return_inverse=True)
-    n_rows = np.bincount(pos)
-    cov = np.column_stack([np.bincount(pos, weights=h, minlength=leads.size) for h in hits.T])
-    return leads, n_rows, cov / n_rows[:, None], int(table.n_rows - scored.sum())
-
-
 def reference_slice(forecasts, observations, window):
     """Per-record loop: (train forecasts, train obs, eval forecasts, eval obs).
 

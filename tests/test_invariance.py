@@ -14,12 +14,19 @@ every model id with one string keeps every code, and every report and
 product is byte-identical once the label column and the forest archive's
 ``labels`` drop the prefix.  A rename that reorders labels is not
 invariant: label codes break ties.
+
+Whole-day time shift: the program uses times only through differences of
+hours, so moving every timestamp of both CSVs (and the origin) by a whole
+number of days leaves every report and product byte-identical once its
+timestamps move back, and every archive member equal.
 """
 
 import csv
 import math
 import random
+import re
 import shutil
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -53,7 +60,24 @@ def prefix_model_ids(src, dst, prefix):
     dst.write_bytes(header + b"".join(prefix + line for line in lines))
 
 
-def run_commands(data, out, threshold="10"):
+TIMESTAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\dZ")
+STAMP_FORMAT = "%Y-%m-%dT%H:%MZ"
+
+
+def shift_stamp(stamp, days):
+    return (datetime.strptime(stamp, STAMP_FORMAT) + timedelta(days=days)).strftime(STAMP_FORMAT)
+
+
+def shift_timestamps(src, dst, days):
+    """Copy src to dst with every timestamp moved by days; returns how many moved."""
+    shifted, n = TIMESTAMP.subn(
+        lambda m: shift_stamp(m.group().decode(), days).encode(), src.read_bytes()
+    )
+    dst.write_bytes(shifted)
+    return n
+
+
+def run_commands(data, out, threshold="10", origin=ORIGIN):
     inputs = ["--forecasts", str(data / "forecasts.csv")]
     inputs += ["--observations", str(data / "observations.csv")]
     train = ["train", *inputs, "--train-days", "7", "--trees", "20", "--out", str(out / "train")]
@@ -62,7 +86,7 @@ def run_commands(data, out, threshold="10"):
     evaluate = ["evaluate", *inputs, "--scenarios", "2", "--trees", "20", "--train-days", "7"]
     assert main([*evaluate, "--out", str(out / "evaluate")]) == 0
     forecast = ["forecast", *inputs, "--trees", "20", "--train-days", "7", "--draws", "100"]
-    forecast += ["--origin", ORIGIN, "--dump-cdf-hour", "50", "--threshold", threshold]
+    forecast += ["--origin", origin, "--dump-cdf-hour", "50", "--threshold", threshold]
     forecast += ["--out", str(out / "forecast")]
     assert main(forecast) == 0
 
@@ -224,4 +248,22 @@ def test_prefixing_every_model_id_changes_no_output_but_the_labels(canonical, tm
     assert all(label.startswith(prefix) for label in members["labels"])
     members["labels"] = np.array([label.removeprefix(prefix) for label in members["labels"]])
     np.savez(archive, **members)
+    assert_same_outputs(canonical / "out", out)
+
+
+def test_shifting_every_timestamp_by_whole_days_changes_no_output_but_the_times(
+    canonical, tmp_path
+):
+    days = 35  # January's data moves across 29 February 2020
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("forecasts.csv", "observations.csv"):
+        assert shift_timestamps(canonical / "data" / name, data / name, days) > 0
+    assert b"2020-02-29T" in (data / "observations.csv").read_bytes()
+    out = tmp_path / "out"
+    run_commands(data, out, origin=shift_stamp(ORIGIN, days))
+    moved = 0
+    for path in out.rglob("*.csv"):
+        moved += shift_timestamps(path, path, -days)
+    assert moved > 1000
     assert_same_outputs(canonical / "out", out)

@@ -12,7 +12,6 @@ from helpers import (
     reference_oob_coverage,
     reference_quantiles,
     reference_train,
-    stack_kernel_oob_coverage,
     table_from_samples,
 )
 from hypothesis import assume, example, given, strategies as st
@@ -419,26 +418,27 @@ class TestKernelAgainstReference:
     LEVELS = np.append(DEFAULT_LEVELS, np.nextafter(1.0, 0.0))
     INTERVALS = DEFAULT_INTERVALS + (1.0 - 2.0**-52,)
 
-    @given(case=forest_cases(), chunk=st.sampled_from([1, 7, 64, qrf._CHUNK_ENTRIES]))
+    # leaf_one_cases' integer running sums can equal a target exactly: the
+    # boundary of the prediction search, which counts the sums below it.
+    @given(case=forest_cases() | leaf_one_cases())
     @example(case=([0, 1, 2, 3, 4, 5], ["a"] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-                   ForestConfig(num_trees=3, sample_count=5, seed=1)), chunk=7)
-    def test_matches_reference_exactly(self, case, chunk):
+                   ForestConfig(num_trees=3, sample_count=5, seed=1)))
+    def test_matches_reference_exactly(self, case):
         leads, labels, errors, config = case
         forest = train(make_table(leads, labels, errors), config)
         table = forest.table
         # every table row as a query (with repeats), plus a lead beyond the table
         q_leads = list(table.lead_hours) + [9]
         q_labels = [table.label_set[c] for c in table.label_codes] + [table.label_set[-1]]
-        with mock.patch.object(qrf, "_CHUNK_ENTRIES", chunk):
-            batch = predict_quantiles_batch(forest, q_leads, q_labels, self.LEVELS)
-            try:
-                expected = reference_oob_coverage(forest, self.INTERVALS)
-            except DataError:
-                with pytest.raises(DataError, match="no out-of-bag rows"):
-                    oob_coverage(forest, intervals=self.INTERVALS)
-                expected = None
-            else:
-                oob = oob_coverage(forest, intervals=self.INTERVALS)
+        batch = predict_quantiles_batch(forest, q_leads, q_labels, self.LEVELS)
+        try:
+            expected = reference_oob_coverage(forest, self.INTERVALS)
+        except DataError:
+            with pytest.raises(DataError, match="no out-of-bag rows"):
+                oob_coverage(forest, intervals=self.INTERVALS)
+            expected = None
+        else:
+            oob = oob_coverage(forest, intervals=self.INTERVALS)
         ref = [
             reference_quantiles(forest, lead, forest.label_code(lab), self.LEVELS)
             for lead, lab in zip(q_leads, q_labels)
@@ -471,21 +471,17 @@ class TestKernelAgainstReference:
     # and the past-the-total clamp at 1 - 2**-53.  In the second example, the
     # one out-of-bag row (error 7.0) sees one leaf of seven rows, whose weights
     # sum to 1 - 2**-52: q_hi clamps to 6.0, a miss.
-    @given(
-        case=forest_cases() | leaf_one_cases(), chunk=st.sampled_from([1, 7, qrf._CHUNK_ENTRIES])
-    )
+    @given(case=forest_cases() | leaf_one_cases())
     @example(case=([0, 1, 2, 3], ["a"] * 4, [0.0, 1.0, 1.0, 2.0],
-                   ForestConfig(num_trees=8, sample_count=1, seed=0)), chunk=7)
+                   ForestConfig(num_trees=8, sample_count=1, seed=0)))
     @example(case=([0] * 8, ["a"] * 8, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 6.0],
-                   ForestConfig(num_trees=1, sample_count=7, seed=0)), chunk=7)
-    def test_oob_running_sums_match_reference_and_stack_kernel(self, case, chunk):
+                   ForestConfig(num_trees=1, sample_count=7, seed=0)))
+    def test_oob_running_sums_match_reference(self, case):
         leads, labels, errors, config = case
         forest = train(make_table(leads, labels, errors), config)
-        with mock.patch.object(qrf, "_CHUNK_ENTRIES", chunk):
-            oob = self.oob_or_none(forest)
-            assume(oob is not None)
-            self.assert_oob_equal(oob, reference_oob_coverage(forest, self.INTERVALS))
-            self.assert_oob_equal(oob, stack_kernel_oob_coverage(forest, self.INTERVALS))
+        oob = self.oob_or_none(forest)
+        assume(oob is not None)
+        self.assert_oob_equal(oob, reference_oob_coverage(forest, self.INTERVALS))
 
     @given(case=forest_cases() | leaf_one_cases())
     def test_oob_forced_fallback_matches_reference(self, case):
@@ -506,7 +502,7 @@ class TestKernelAgainstReference:
         table = random_table(np.random.default_rng(4), n=600)
         forest = train(table, ForestConfig(num_trees=60, sample_count=64, seed=3))
         stack, combo = qrf._gather(forest, table.lead_hours, table.label_codes)
-        sums, T = qrf._running_sums(stack), forest.num_trees
+        sums, T = qrf._running_sums(stack.bounds, stack.weights), forest.num_trees
         trees = forest.trees
         in_trees = [[t for t in range(T) if r in trees[t].inbag] for r in range(table.n_rows)]
         worst = 0.0
@@ -521,14 +517,14 @@ class TestKernelAgainstReference:
             worst = max(worst, gap.max() / (qrf._SUM_ERROR * (b1 - b0 + 1) * T))
         assert 0.0 < worst <= 1.0, worst
 
-    def test_oob_running_sums_are_each_segments_cumsum(self):
+    def test_running_sums_are_each_segments_cumsum(self):
         table = random_table(np.random.default_rng(5), n=300)
         forest = train(table, ForestConfig(num_trees=30, sample_count=50, seed=2))
         stack, _ = qrf._gather(forest, table.lead_hours, table.label_codes)
         segments = np.split(stack.weights, stack.bounds[1:-1])
         expected = np.concatenate([np.cumsum(w) for w in segments])
         assert np.unique([w.size for w in segments]).size > 1
-        assert qrf._running_sums(stack).tobytes() == expected.tobytes()
+        assert qrf._running_sums(stack.bounds, stack.weights).tobytes() == expected.tobytes()
 
     def test_rows_in_bag_in_every_tree_are_covered(self):
         # the explicit example above must exercise skipped rows
@@ -620,7 +616,10 @@ class TestSerialisation:
         truncated, text = tmp_path / "truncated.npz", tmp_path / "errors.csv"
         truncated.write_bytes(whole[: len(whole) // 2])
         text.write_text("lead_hours,model_label,error_degC\n0,glm,0.5\n")
-        for path in (truncated, text):
+        array, empty = tmp_path / "array.npy", tmp_path / "empty.npz"
+        np.save(array, np.arange(3))
+        empty.write_bytes(b"")
+        for path in (truncated, text, array, empty):
             with pytest.raises(DataError, match="not a forest archive") as info:
                 load_forest(path)
             assert str(path) in str(info.value)
