@@ -6,13 +6,16 @@ error quantiles per current model run, so combining the forecasts for an
 hour reduces to a per-level arithmetic mean over that hour's rows.
 Averaging quantile functions keeps the location, scale, and shape of the
 result close to the average of the inputs, and its calibration does not
-depend on how many forecasts happen to cover the hour.
+depend on how many forecasts happen to cover the hour.  A horizon's rows
+are averaged in groups of hours with the same number of rows
+(:func:`hour_blocks`), one (hours x rows x levels) block per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -21,7 +24,9 @@ __all__ = [
     "check_levels",
     "QuantileVector",
     "CombinedForecast",
+    "hour_blocks",
     "vincentize",
+    "vincentize_hours",
     "combine_timestep",
 ]
 
@@ -86,19 +91,52 @@ class CombinedForecast:
             raise ValueError("contributing_count must be >= 1")
 
 
+def hour_blocks(counts) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Hours grouped by their number of rows, for rows stored hour after hour.
+
+    ``counts`` holds each hour's row count; hour i's rows follow hour i-1's.
+    Yields, per distinct count k in ascending order, the indices of the
+    hours with k rows and the (hours x k) indices of their rows.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    for k in np.unique(counts).tolist():
+        hours = np.flatnonzero(counts == k)
+        yield hours, starts[hours, None] + np.arange(k)
+
+
+def vincentize_hours(values, counts) -> np.ndarray:
+    """Average each hour's quantile rows level by level.
+
+    ``values`` is a (rows x levels) block of non-decreasing rows on one grid,
+    stored hour after hour: ``counts[i]`` rows, at least one, for hour i.
+    Returns the (hours x levels) means.  The mean of non-decreasing rows is
+    non-decreasing, so each result row is a valid quantile vector.
+    """
+    values = np.asarray(values, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    if values.ndim != 2 or np.any(counts < 1) or counts.sum() != len(values):
+        raise ValueError("vincentize needs (rows x levels) values and a count >= 1 per hour")
+    out = np.empty((counts.size, values.shape[1]))
+    for hours, rows in hour_blocks(counts):
+        # Summing each level's values in sorted order makes the mean exactly
+        # invariant to the order of the rows.  The mean over the middle axis
+        # of the (hours x k x levels) block adds the k rows one after
+        # another, as the mean over the rows of one hour does.
+        out[hours] = np.mean(np.sort(values[rows], axis=1), axis=1)
+    return out
+
+
 def vincentize(levels, values) -> QuantileVector:
-    """Average quantile vectors level by level.
+    """Average one hour's quantile vectors level by level.
 
     ``values`` is a (k x levels) block, one non-decreasing row per input on
-    the grid ``levels``.  The mean of non-decreasing rows is non-decreasing,
-    so the result is a valid quantile vector.
+    the grid ``levels``: the one-hour case of :func:`vincentize_hours`.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] == 0:
         raise ValueError("vincentize requires a non-empty (inputs x levels) block")
-    # Summing each level's values in sorted order makes the mean exactly
-    # invariant to the order of the rows.
-    return QuantileVector(levels, np.mean(np.sort(values, axis=0), axis=0))
+    return QuantileVector(levels, vincentize_hours(values, [len(values)])[0])
 
 
 def combine_timestep(levels, values, valid_time: datetime, lead_hours: int) -> CombinedForecast:

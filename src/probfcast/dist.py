@@ -12,9 +12,9 @@ raise :class:`DegenerateDistributionError`.
 
 Averaged quantiles share one level grid, so the distributions of a whole
 horizon are one :class:`CDFTable` of (hours x levels) knots.  Its
-``quantile``, ``cdf``, ``prob_below`` and ``sample`` evaluate every row at
-once; a :class:`PiecewiseCDF` is one distribution, and its methods run the
-same kernels on a table of one row.
+``quantile``, ``cdf``, ``log_density``, ``prob_below`` and ``sample``
+evaluate every row at once; a :class:`PiecewiseCDF` is one distribution,
+and its methods run the same kernels on a table of one row.
 """
 
 from __future__ import annotations
@@ -71,6 +71,24 @@ def _tail_rates(values: np.ndarray, probs: np.ndarray):
         fallback = (1.0 - probs[-1]) / _FALLBACK_TAIL_SCALE
         upper = np.where(np.isfinite(rate) & (rate > 0.0), rate, fallback)
     return lower, upper
+
+
+def _right_index(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(values[i], x[i], side="right")`` for every row i at once.
+
+    The count of knots not above each entry of ``x`` (a NaN counts every
+    knot, as NaN sorts last), found by one bisection over all rows.
+    """
+    k = values.shape[1]
+    rows = np.arange(len(values))[:, None]
+    idx = np.zeros(x.shape, dtype=np.intp)
+    step = 1 << (k.bit_length() - 1)
+    while step:  # binary lifting: idx ends as the count of knots not above x
+        cand = idx + step
+        fits = (cand <= k) & ~(values[rows, np.minimum(cand, k) - 1] > x)
+        idx = np.where(fits, cand, idx)
+        step >>= 1
+    return idx
 
 
 @dataclass(eq=False)
@@ -164,9 +182,7 @@ class CDFTable:
         """P(X <= x) of each row at its row of ``x``, right-continuous at a jump."""
         x = np.asarray(x, dtype=float)
         v, p = self.values, self.probs
-        idx = np.empty(x.shape, dtype=np.intp)
-        for i in range(len(v)):
-            idx[i] = np.searchsorted(v[i], x[i], side="right")
+        idx = _right_index(v, x)
         out = np.empty(x.shape)
         live = ~self.point_mass[:, None]
         below = live & (idx == 0)
@@ -196,6 +212,32 @@ class CDFTable:
             out[mid] = val
         mass = self.point_mass
         out[mass] = np.where(x[mass] >= v[mass, -1:], 1.0, 0.0)
+        return out
+
+    def log_density(self, x) -> np.ndarray:
+        """Log density of each row at its row of ``x``: at a knot the segment
+        above's, in log space in the tails, -inf in a tail without mass, NaN
+        for a point mass."""
+        x = np.asarray(x, dtype=float)
+        v, p = self.values, self.probs
+        idx = _right_index(v, x)
+        out = np.full(x.shape, -np.inf)
+        live = ~self.point_mass[:, None]
+        below = live & (idx == 0)
+        above = live & (idx == p.size)
+        mid = live & ~(below | above)
+        if below.any() and p[0] > 0.0:
+            r = np.nonzero(below)[0]
+            rate = self.lower_rate[r]
+            out[below] = _log(p[0] * rate) + rate * (x[below] - v[r, 0])
+        if above.any() and p[-1] < 1.0:
+            r = np.nonzero(above)[0]
+            rate = self.upper_rate[r]
+            out[above] = _log((1.0 - p[-1]) * rate) - rate * (x[above] - v[r, -1])
+        if mid.any():
+            r = np.nonzero(mid)[0]
+            out[mid] = _log(self._slopes[r, idx[mid] - 1])
+        out[self.point_mass] = np.nan
         return out
 
     def quantile(self, p) -> np.ndarray:
@@ -260,21 +302,21 @@ class PiecewiseCDF:
     equal (a single knot is a point mass), probs strictly increasing within
     [0, 1].  ``lower_rate``/``upper_rate`` are the tail decay rates (1/degC);
     unused when that tail has no mass or the distribution is a point mass.
-    Evaluation runs the :class:`CDFTable` kernels on the one row.
+    Evaluation runs the :class:`CDFTable` kernels on ``table``, the one row.
     """
 
     values: np.ndarray
     probs: np.ndarray
     lower_rate: float = float("nan")
     upper_rate: float = float("nan")
-    _table: CDFTable = field(init=False, repr=False)
+    table: CDFTable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         self.probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if self.values.shape != self.probs.shape or self.values.size == 0:
             raise ValueError("knot values and probabilities must be same-length and non-empty")
-        self._table = CDFTable(
+        self.table = CDFTable(
             self.values[None, :],
             self.probs,
             [self.values.size == 1],
@@ -317,12 +359,12 @@ class PiecewiseCDF:
     def cdf(self, x):
         """P(X <= x), right-continuous at a jump.  Accepts a scalar or an array."""
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        return _match(self._table.cdf(xv.reshape(1, -1)).reshape(xv.shape), x)
+        return _match(self.table.cdf(xv.reshape(1, -1)).reshape(xv.shape), x)
 
     def quantile(self, p):
         """Inverse CDF on (0, 1); every level within a jump gives the jump's value."""
         pv = np.atleast_1d(np.asarray(p, dtype=float))
-        return _match(self._table.quantile(pv.reshape(1, -1)).reshape(pv.shape), p)
+        return _match(self.table.quantile(pv.reshape(1, -1)).reshape(pv.shape), p)
 
     def density(self, x):
         """Predictive density: piecewise constant interior, exponential tails."""
@@ -334,29 +376,15 @@ class PiecewiseCDF:
         if self.is_degenerate:
             raise DegenerateDistributionError("point-mass distribution has no density")
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        v, p = self.values, self.probs
-        out = np.full_like(xv, -np.inf)
-        idx = np.searchsorted(v, xv, side="right")
-        below = idx == 0
-        above = idx == v.size
-        mid = ~(below | above)
-        if below.any() and p[0] > 0.0:
-            out[below] = math.log(p[0] * self.lower_rate) + self.lower_rate * (xv[below] - v[0])
-        if above.any() and p[-1] < 1.0:
-            out[above] = math.log((1.0 - p[-1]) * self.upper_rate) - self.upper_rate * (
-                xv[above] - v[-1]
-            )
-        if mid.any():
-            out[mid] = _log(self._table._slopes[0, idx[mid] - 1])
-        return _match(out, x)
+        return _match(self.table.log_density(xv.reshape(1, -1)).reshape(xv.shape), x)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw n values by seeded inverse-transform sampling."""
-        return self._table.sample(n, [seed])[0]
+        return self.table.sample(n, [seed])[0]
 
     def prob_below(self, threshold: float) -> float:
         """P(X < threshold) from the CDF; at a jump's value the jump counts too."""
-        return float(self._table.prob_below(threshold)[0])
+        return float(self.table.prob_below(threshold)[0])
 
 
 def _match(out: np.ndarray, reference) -> np.ndarray | float:

@@ -5,13 +5,16 @@ is a covariate).  Stage 2 then works on columns: the forest is queried once
 per distinct (lead, label) pair of the current model runs, each run's row
 of error quantiles is shifted by its forecast value into one (runs x levels)
 matrix, and that matrix is averaged level by level over each valid hour's
-rows.  Stage 3 interpolates every hour's average into a full distribution,
-all hours as one :class:`~probfcast.dist.CDFTable`.
+rows, one block per group of hours with the same number of rows.  Stage 3
+interpolates every hour's average into a full distribution, all hours as
+one :class:`~probfcast.dist.CDFTable`.
 :func:`run_scenario` returns both stages as one :class:`Horizon`, with a
 row per hour from one hour after the forecast origin out to the horizon;
 hours no current run covers are left out.  A backtest scores the horizon
 with :func:`score_scenario`, which counts the left-out hours; an operator
-forecast writes its products from it.
+forecast writes its products from it.  Scoring, too, works on every hour
+at once: the forecast scores read the table, and the raw comparator's
+scores come from one block of member values per group of hours.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import qrf, scoring
-from .combine import DEFAULT_LEVELS, QuantileVector, combine_timestep
-from .dist import CDFTable, build_cdf
+from .combine import DEFAULT_LEVELS, hour_blocks, vincentize_hours
+from .dist import CDFTable
 from .error_model import ErrorTable, build_error_table, rank_label_members
 from .exceptions import DataError
 from .ingest import Dataset, ScenarioWindow, format_hour, hour_index, hour_time, slice_scenario
@@ -88,10 +91,11 @@ class Horizon:
 
     ``quantiles`` is the (hours x levels) matrix of averaged quantiles and
     ``cdfs`` the table of each hour's full distribution built on its row.
-    ``members`` holds each hour's current-run values, which the raw
-    comparator scores, and ``observations`` each hour's observation (NaN
-    where there is none).  ``timings`` holds the seconds of each stage:
-    ``prepare``, ``train``, ``predict`` and ``score`` (combine and build;
+    ``members`` holds the current-run values, which the raw comparator
+    scores: hour after hour, ``contributors[i]`` values for hour i.
+    ``observations`` holds each hour's observation (NaN where there is
+    none).  ``timings`` holds the seconds of each stage: ``prepare``,
+    ``train``, ``predict`` and ``score`` (combine and build;
     :func:`score_scenario` adds the scoring time).
     """
 
@@ -100,7 +104,7 @@ class Horizon:
     quantiles: np.ndarray
     contributors: np.ndarray
     cdfs: CDFTable
-    members: List[np.ndarray]
+    members: np.ndarray
     observations: np.ndarray
     train_rows: int
     skipped_rows: int
@@ -211,13 +215,17 @@ def run_scenario(
         [eval_fc.models[c] for c in (pair_keys % n_labels).tolist()],
         config.levels,
     )
-    shifted = matrix[pair_of_row] + eval_fc.value[:, None]
     # Rows of each horizon hour, in row order: by_valid[first[i]:end[i]] for hours[i]
     by_valid = np.argsort(eval_fc.valid, kind="stable")
     hours = hour_index(origin) + np.arange(1, config.horizon_hours + 1)
     first = np.searchsorted(eval_fc.valid[by_valid], hours, side="left")
     end = np.searchsorted(eval_fc.valid[by_valid], hours, side="right")
     covered = np.flatnonzero(end > first)
+    counts = (end - first)[covered]
+    # every row of the horizon's hours, hour after hour (hours are consecutive)
+    rows = by_valid[first[0] : end[-1]]
+    members = eval_fc.value[rows]
+    shifted = matrix[pair_of_row[rows]] + members[:, None]
     obs = eval_ds.observations
     observed = np.full(covered.size, np.nan)
     have = np.isin(hours[covered], obs.hour)
@@ -225,14 +233,7 @@ def run_scenario(
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    combined, members = [], []
-    for i in covered.tolist():
-        rows = by_valid[first[i] : end[i]]
-        h = i + 1
-        c = combine_timestep(config.levels, shifted[rows], origin + timedelta(hours=h), h)
-        combined.append(c.quantiles.values)
-        members.append(eval_fc.value[rows])
-    quantiles = np.array(combined).reshape(covered.size, config.levels.size)
+    quantiles = vincentize_hours(shifted, counts)
     cdfs = CDFTable.from_quantiles(config.levels, quantiles)
     timings["score"] = time.perf_counter() - t0
 
@@ -240,7 +241,7 @@ def run_scenario(
         origin=origin,
         lead_hours=covered + 1,
         quantiles=quantiles,
-        contributors=(end - first)[covered],
+        contributors=counts,
         cdfs=cdfs,
         members=members,
         observations=observed,
@@ -257,7 +258,9 @@ def score_scenario(horizon: Horizon, config: RunConfig, index: int) -> ScenarioR
     The raw comparator scores each hour's current-run values: the
     empirical-ensemble CRPS, the error of their median, and a log score from
     their quantiles on the same levels run through the same CDF
-    interpolation (absent when every member is equal, a point mass).
+    interpolation (absent when every member is equal, a point mass).  Its
+    quantiles, medians and CRPS are taken per group of hours with the same
+    number of members.
     """
     t0 = time.perf_counter()
     missing = np.flatnonzero(np.isnan(horizon.observations))
@@ -272,17 +275,17 @@ def score_scenario(horizon: Horizon, config: RunConfig, index: int) -> ScenarioR
     q = cdfs.quantile(np.tile(levels, (n, 1)))
     abs_err = np.abs(y_all - q[:, 0])
     hits = (q[:, 1::2] <= y_all[:, None]) & (y_all[:, None] <= q[:, 2::2])
-    crps, log = np.empty(n), np.empty(n)
-    raw_crps, raw_log, raw_abs_err = np.empty(n), np.empty(n), np.empty(n)
-    nan = float("nan")
-    for i, (values, y) in enumerate(zip(horizon.members, y_all.tolist())):
-        d = cdfs.row(i)
-        crps[i] = scoring.crps(d, y)
-        log[i] = nan if d.is_degenerate else scoring.log_score(d, y)
-        raw = build_cdf(QuantileVector(config.levels, np.quantile(values, config.levels)))
-        raw_crps[i] = scoring.crps_ensemble(values, y)
-        raw_log[i] = nan if raw.is_degenerate else scoring.log_score(raw, y)
-        raw_abs_err[i] = abs(y - float(np.median(values)))
+    crps = scoring.crps_batch(cdfs, y_all)
+    log = scoring.log_score_batch(cdfs, y_all)
+    raw_q = np.empty((n, config.levels.size))
+    raw_median, raw_crps = np.empty(n), np.empty(n)
+    for hours, block in hour_blocks(horizon.contributors):
+        values = horizon.members[block]
+        raw_q[hours] = np.quantile(values, config.levels, axis=1).T
+        raw_median[hours] = np.median(values, axis=1)
+        raw_crps[hours] = scoring.crps_ensemble_batch(values, y_all[hours])
+    raw_log = scoring.log_score_batch(CDFTable.from_quantiles(config.levels, raw_q), y_all)
+    raw_abs_err = np.abs(y_all - raw_median)
     valid_hours = hour_index(horizon.origin) + horizon.lead_hours
     timings = dict(horizon.timings)
     timings["score"] += time.perf_counter() - t0

@@ -4,27 +4,31 @@ CRPS is integrated exactly over the piecewise form (closed-form integrals on
 each linear segment and each exponential tail); a seeded Monte Carlo
 estimator is kept alongside as an independent cross-check.  The raw-model
 comparator uses the empirical-ensemble CRPS formula over whatever forecasts
-cover an hour.  The scores of many hours travel as one :class:`Scores`
-table of columns, which coverage, median MAE and the per-lead aggregation
-read.
+cover an hour.  Each score has one kernel over many hours at once
+(:func:`crps_batch`, :func:`log_score_batch`, :func:`crps_ensemble_batch`);
+the per-hour functions run it on one hour.  The scores of many hours travel
+as one :class:`Scores` table of columns, which coverage, median MAE and the
+per-lead aggregation read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .dist import DegenerateDistributionError, PiecewiseCDF
+from .dist import CDFTable, DegenerateDistributionError, PiecewiseCDF, _exp
 
 __all__ = [
     "Scores",
     "crps",
+    "crps_batch",
     "crps_mc",
     "crps_ensemble",
+    "crps_ensemble_batch",
     "log_score",
+    "log_score_batch",
     "interval_score",
     "finite_mean",
     "interval_coverage",
@@ -43,7 +47,8 @@ class Scores:
     The columns are the lead hour, the valid hour (hours since the epoch),
     the CRPS, the log score (NaN where undefined: a point-mass forecast, or a
     raw comparator hour with fewer than two distinct members), and the
-    absolute error of the predictive median.  ``hits`` has one column per
+    absolute error of the predictive median.  CRPS and absolute errors are
+    non-negative numbers, never NaN.  ``hits`` has one column per
     central-interval width in ``intervals``, true where the observation fell
     inside that interval.
     """
@@ -61,8 +66,9 @@ class Scores:
         columns = (self.valid_hours, self.crps, self.log_score, self.abs_error_median)
         if any(len(c) != n for c in columns) or self.hits.shape != (n, len(self.intervals)):
             raise ValueError("score columns must be equally long, with one hit column per interval")
-        if np.any(self.crps < 0) or np.any(self.abs_error_median < 0):
-            raise ValueError("crps and abs_error_median must be non-negative")
+        # written so that NaN fails too
+        if not (np.all(self.crps >= 0) and np.all(self.abs_error_median >= 0)):
+            raise ValueError("crps and abs_error_median must be non-negative, not NaN")
 
     def __len__(self) -> int:
         return len(self.lead_hours)
@@ -88,70 +94,95 @@ def _cube(x: np.ndarray) -> np.ndarray:
     return x * x * x
 
 
-def _sum(x: np.ndarray) -> float:
-    return float(np.cumsum(x)[-1]) if x.size else 0.0
+def _row_sums(mask: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``terms``, which fill the entries of ``mask`` in row
+    order, added in sequence along the row (an unmasked entry adds 0.0)."""
+    padded = np.zeros(mask.shape)
+    padded[mask] = terms
+    return np.cumsum(padded, axis=1)[:, -1]
+
+
+def crps_batch(cdfs: CDFTable, y) -> np.ndarray:
+    """Exact CRPS of each row of ``cdfs`` at its observation in ``y`` (degC).
+
+    Integrates (F(x) - 1{x >= y})^2 in closed form over each linear segment
+    and each exponential tail.  Each row adds its lower tail, then its sums
+    over the segments right of y, left of y and around y, then its upper
+    tail.  A segment
+    without a finite slope is a jump (zero width, or a width so small that
+    the slope overflows) and adds nothing.  A point mass scores its absolute
+    error.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.abs(y - cdfs.values[:, -1])
+    live = np.flatnonzero(~cdfs.point_mass)
+    if not live.size:
+        return out
+    v, p, y = cdfs.values[live], cdfs.probs, y[live]
+    total = np.zeros(live.size)
+
+    # Lower tail: F = m * exp(lam * (x - v0)) on (-inf, v0].
+    m, v0 = float(p[0]), v[:, 0]
+    if m > 0.0:
+        lam = cdfs.lower_rate[live]
+        at = y >= v0
+        total[at] += m * m / (2.0 * lam[at])
+        lo = ~at
+        lam, y_lo, v0_lo = lam[lo], y[lo], v0[lo]
+        e1 = _exp(lam * (y_lo - v0_lo))
+        e2 = e1 * e1
+        total[lo] += m * m * e2 / (2.0 * lam)
+        upper = m * m / (2.0 * lam) - 2.0 * m / lam + v0_lo
+        lower = m * m * e2 / (2.0 * lam) - 2.0 * m * e1 / lam + y_lo
+        total[lo] += upper - lower
+    else:
+        lo = y < v0
+        total[lo] += v0[lo] - y[lo]
+
+    # Segments; a jump adds nothing.
+    slopes = cdfs._slopes[live]
+    wide = np.isfinite(slopes)
+    shape = slopes.shape
+    a, b = v[:, :-1], v[:, 1:]
+    pa, pb = np.broadcast_to(p[:-1], shape), np.broadcast_to(p[1:], shape)
+    yy = np.broadcast_to(y[:, None], shape)
+    right = wide & (yy <= a)  # observation at or left of segment: target function is 1
+    left = wide & (yy >= b)  # observation at or right of segment: target is 0
+    inside = wide & ~(right | left)
+    s = slopes[right]
+    total += _row_sums(right, (_cube(pb[right] - 1.0) - _cube(pa[right] - 1.0)) / (3.0 * s))
+    s = slopes[left]
+    total += _row_sums(left, (_cube(pb[left]) - _cube(pa[left])) / (3.0 * s))
+    s, pa_in = slopes[inside], pa[inside]
+    fy = pa_in + s * (yy[inside] - a[inside])
+    total += _row_sums(inside, (_cube(fy) - _cube(pa_in)) / (3.0 * s))
+    total += _row_sums(inside, (_cube(pb[inside] - 1.0) - _cube(fy - 1.0)) / (3.0 * s))
+
+    # Upper tail: 1 - F = q * exp(-mu * (x - vK)) on [vK, inf).
+    q, vk = float(1.0 - p[-1]), v[:, -1]
+    if q > 0.0:
+        mu = cdfs.upper_rate[live]
+        at = y <= vk
+        total[at] += q * q / (2.0 * mu[at])
+        hi = ~at
+        mu = mu[hi]
+        delta = y[hi] - vk[hi]
+        e1 = _exp(-mu * delta)
+        e2 = e1 * e1
+        total[hi] += delta - 2.0 * q * (1.0 - e1) / mu + q * q * (1.0 - e2) / (2.0 * mu)
+        total[hi] += q * q * e2 / (2.0 * mu)
+    else:
+        hi = y > vk
+        total[hi] += y[hi] - vk[hi]
+
+    out[live] = np.where(total > 0.0, total, 0.0)
+    return out
 
 
 def crps(d: PiecewiseCDF, y: float) -> float:
-    """Exact CRPS of a piecewise distribution at observation y (degC).
-
-    Integrates (F(x) - 1{x >= y})^2 in closed form over each linear segment
-    of positive width and each exponential tail; a jump has zero width and
-    adds nothing.  A point mass scores its absolute error.
-    """
-    y = float(y)
-    if d.is_degenerate:
-        return abs(y - float(d.values[0]))
-    v, p = d.values, d.probs
-    total = 0.0
-
-    # Lower tail: F = m * exp(lam * (x - v0)) on (-inf, v0].
-    m = float(p[0])
-    if m > 0.0:
-        lam = d.lower_rate
-        if y >= v[0]:
-            total += m * m / (2.0 * lam)
-        else:
-            e1 = math.exp(lam * (y - v[0]))
-            e2 = e1 * e1
-            total += m * m * e2 / (2.0 * lam)
-            upper = m * m / (2.0 * lam) - 2.0 * m / lam + v[0]
-            lower = m * m * e2 / (2.0 * lam) - 2.0 * m * e1 / lam + y
-            total += upper - lower
-    elif y < v[0]:
-        total += v[0] - y
-
-    # Interior segments, vectorised; a jump's zero-width segment adds nothing.
-    wide = v[1:] > v[:-1]
-    a, b = v[:-1][wide], v[1:][wide]
-    pa, pb = p[:-1][wide], p[1:][wide]
-    s = (pb - pa) / (b - a)
-    right = y <= a  # observation at or left of segment: target function is 1
-    left = y >= b  # observation at or right of segment: target is 0
-    inside = ~(right | left)
-    total += _sum((_cube(pb[right] - 1.0) - _cube(pa[right] - 1.0)) / (3.0 * s[right]))
-    total += _sum((_cube(pb[left]) - _cube(pa[left])) / (3.0 * s[left]))
-    if inside.any():
-        fy = pa[inside] + s[inside] * (y - a[inside])
-        total += _sum((_cube(fy) - _cube(pa[inside])) / (3.0 * s[inside]))
-        total += _sum((_cube(pb[inside] - 1.0) - _cube(fy - 1.0)) / (3.0 * s[inside]))
-
-    # Upper tail: 1 - F = q * exp(-mu * (x - vK)) on [vK, inf).
-    q = float(1.0 - p[-1])
-    if q > 0.0:
-        mu = d.upper_rate
-        if y <= v[-1]:
-            total += q * q / (2.0 * mu)
-        else:
-            delta = y - v[-1]
-            e1 = math.exp(-mu * delta)
-            e2 = e1 * e1
-            total += delta - 2.0 * q * (1.0 - e1) / mu + q * q * (1.0 - e2) / (2.0 * mu)
-            total += q * q * e2 / (2.0 * mu)
-    elif y > v[-1]:
-        total += y - v[-1]
-
-    return max(0.0, float(total))
+    """Exact CRPS of one distribution at observation y (degC): the one-row
+    case of :func:`crps_batch`."""
+    return float(crps_batch(d.table, [y])[0])
 
 
 def crps_mc(d: PiecewiseCDF, y: float, n: int, seed: int) -> float:
@@ -167,18 +198,23 @@ def crps_mc(d: PiecewiseCDF, y: float, n: int, seed: int) -> float:
     return term1 - 0.5 * term2
 
 
-def crps_ensemble(members: Sequence[float], y: float) -> float:
-    """Empirical-ensemble CRPS: mean|m - y| - mean pairwise |mi - mj| / 2."""
-    x = np.sort(np.asarray(members, dtype=float))
-    n = x.size
+def crps_ensemble_batch(members, y) -> np.ndarray:
+    """Empirical-ensemble CRPS of each row of the (hours x k) ``members`` at
+    its observation in ``y``: mean|m - y| - mean pairwise |mi - mj| / 2."""
+    x = np.sort(np.asarray(members, dtype=float), axis=1)
+    n = x.shape[1]
     if n == 0:
         raise ValueError("ensemble must be non-empty")
-    term1 = float(np.mean(np.abs(x - y)))
-    if n == 1:
-        return term1
+    term1 = np.mean(np.abs(x - np.asarray(y, dtype=float)[:, None]), axis=1)
     k = np.arange(1, n + 1, dtype=float)
-    pair_sum = float(np.sum((2.0 * k - n - 1.0) * x))
+    pair_sum = np.sum((2.0 * k - n - 1.0) * x, axis=1)  # sum over pairs of |xi - xj| / 2
     return term1 - pair_sum / (n * n)
+
+
+def crps_ensemble(members: Sequence[float], y: float) -> float:
+    """Empirical-ensemble CRPS of one hour's members: the one-row case of
+    :func:`crps_ensemble_batch`."""
+    return float(crps_ensemble_batch(np.asarray(members, dtype=float)[None, :], [y])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +222,21 @@ def crps_ensemble(members: Sequence[float], y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def log_score_batch(cdfs: CDFTable, y) -> np.ndarray:
+    """Negative log predictive density (nats) of each row of ``cdfs`` at its
+    observation in ``y``; NaN for a point mass."""
+    y = np.asarray(y, dtype=float)
+    out = -cdfs.log_density(y[:, None])[:, 0]
+    out[cdfs.point_mass] = np.nan  # negation would set the sign bit of the density's NaN
+    return out
+
+
 def log_score(d: PiecewiseCDF, y: float) -> float:
-    """Negative log predictive density at y (nats)."""
+    """Negative log predictive density at y (nats): the one-row case of
+    :func:`log_score_batch`."""
     if d.is_degenerate:
         raise DegenerateDistributionError("log score undefined for a point mass")
-    return float(-d.log_density(y))
+    return float(log_score_batch(d.table, [y])[0])
 
 
 def interval_score(d: PiecewiseCDF, y: float, width: float) -> float:

@@ -189,6 +189,119 @@ def reference_prob_below(d, threshold):
     return float(reference_cdf(d, np.array([threshold]))[0])
 
 
+def reference_log_density(d, x):
+    """Per-hour log density at each entry of the 1-D array ``x``: at a knot the
+    segment above's, in log space in the tails, -inf in a tail without mass."""
+    xv = np.asarray(x, dtype=float)
+    v, p = d.values, d.probs
+    out = np.full_like(xv, -np.inf)
+    idx = np.searchsorted(v, xv, side="right")
+    below = idx == 0
+    above = idx == v.size
+    mid = ~(below | above)
+    if below.any() and p[0] > 0.0:
+        out[below] = math.log(p[0] * d.lower_rate) + d.lower_rate * (xv[below] - v[0])
+    if above.any() and p[-1] < 1.0:
+        out[above] = math.log((1.0 - p[-1]) * d.upper_rate) - d.upper_rate * (xv[above] - v[-1])
+    if mid.any():
+        out[mid] = _reference_log(d.slopes[idx[mid] - 1])
+    return out
+
+
+def reference_log_score(d, y):
+    """Per-hour negative log density at ``y``; NaN for a point mass."""
+    if d.is_degenerate:
+        return float("nan")
+    return float(-reference_log_density(d, np.array([y]))[0])
+
+
+def _reference_sum(x):
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
+
+
+def _reference_cube(x):
+    return x * x * x
+
+
+def reference_crps(d, y):
+    """Per-hour exact CRPS at ``y``: closed-form integrals over each linear
+    segment and each exponential tail, each group of segments summed in
+    sequence.  A segment whose slope is not finite (zero width, or a width
+    so small that the slope overflows) is a jump and adds nothing.  A point
+    mass scores its absolute error."""
+    y = float(y)
+    if d.is_degenerate:
+        return abs(y - float(d.values[0]))
+    v, p = d.values, d.probs
+    total = 0.0
+
+    m = float(p[0])
+    if m > 0.0:
+        lam = d.lower_rate
+        if y >= v[0]:
+            total += m * m / (2.0 * lam)
+        else:
+            e1 = math.exp(lam * (y - v[0]))
+            e2 = e1 * e1
+            total += m * m * e2 / (2.0 * lam)
+            upper = m * m / (2.0 * lam) - 2.0 * m / lam + v[0]
+            lower = m * m * e2 / (2.0 * lam) - 2.0 * m * e1 / lam + y
+            total += upper - lower
+    elif y < v[0]:
+        total += v[0] - y
+
+    wide = v[1:] > v[:-1]
+    a, b = v[:-1][wide], v[1:][wide]
+    pa, pb = p[:-1][wide], p[1:][wide]
+    s = (pb - pa) / (b - a)
+    finite = np.isfinite(s)
+    a, b, pa, pb, s = a[finite], b[finite], pa[finite], pb[finite], s[finite]
+    right = y <= a
+    left = y >= b
+    inside = ~(right | left)
+    cube = _reference_cube
+    total += _reference_sum((cube(pb[right] - 1.0) - cube(pa[right] - 1.0)) / (3.0 * s[right]))
+    total += _reference_sum((cube(pb[left]) - cube(pa[left])) / (3.0 * s[left]))
+    if inside.any():
+        fy = pa[inside] + s[inside] * (y - a[inside])
+        total += _reference_sum((cube(fy) - cube(pa[inside])) / (3.0 * s[inside]))
+        total += _reference_sum((cube(pb[inside] - 1.0) - cube(fy - 1.0)) / (3.0 * s[inside]))
+
+    q = float(1.0 - p[-1])
+    if q > 0.0:
+        mu = d.upper_rate
+        if y <= v[-1]:
+            total += q * q / (2.0 * mu)
+        else:
+            delta = y - v[-1]
+            e1 = math.exp(-mu * delta)
+            e2 = e1 * e1
+            total += delta - 2.0 * q * (1.0 - e1) / mu + q * q * (1.0 - e2) / (2.0 * mu)
+            total += q * q * e2 / (2.0 * mu)
+    elif y > v[-1]:
+        total += y - v[-1]
+
+    return max(0.0, float(total))
+
+
+def reference_crps_ensemble(members, y):
+    """Per-hour empirical-ensemble CRPS: mean|m - y| - mean pairwise |mi - mj| / 2."""
+    x = np.sort(np.asarray(members, dtype=float))
+    n = x.size
+    term1 = float(np.mean(np.abs(x - y)))
+    if n == 1:
+        return term1
+    k = np.arange(1, n + 1, dtype=float)
+    pair_sum = float(np.sum((2.0 * k - n - 1.0) * x))
+    return term1 - pair_sum / (n * n)
+
+
+def reference_vincentize(values):
+    """Per-hour quantile average of a (k x levels) block: each level's mean
+    over its values in sorted order."""
+    return np.mean(np.sort(np.asarray(values, dtype=float), axis=0), axis=0)
+
+
 @dataclass(frozen=True, slots=True)
 class ForecastRecord:
     """One forecast row as a record."""
@@ -582,6 +695,5 @@ def reference_combined(dataset, origin, config, scenario_index=0):
     for h in range(1, config.horizon_hours + 1):
         group = by_hour.get(origin + timedelta(hours=h))
         if group:
-            stacked = np.vstack([q.values for q in group])
-            out[h] = (np.mean(np.sort(stacked, axis=0), axis=0), len(group))
+            out[h] = (reference_vincentize([q.values for q in group]), len(group))
     return out

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from helpers import random_quantile_vector, reference_vincentize
 from probfcast.combine import (
     DEFAULT_LEVELS,
     CombinedForecast,
     QuantileVector,
     check_levels,
     combine_timestep,
+    hour_blocks,
     vincentize,
+    vincentize_hours,
 )
 
 T0 = datetime(2020, 1, 10, 12, tzinfo=timezone.utc)
@@ -120,6 +123,59 @@ class TestVincentize:
         assert np.all(out <= stacked.max(axis=0) + 1e-12)
         flipped = vz(list(reversed(rows))).values
         np.testing.assert_array_equal(out, flipped)
+
+
+# One hour's block: k non-decreasing rows on LEVELS3, k from a few counts.
+hour_block = st.sampled_from([1, 2, 3, 5, 8, 9, 17]).flatmap(
+    lambda k: st.lists(
+        st.lists(st.floats(-50, 50), min_size=3, max_size=3).map(sorted), min_size=k, max_size=k
+    )
+)
+
+
+class TestBatchedAgainstReference:
+    """vincentize_hours equals the per-hour average bit for bit, hour by hour."""
+
+    @given(st.lists(hour_block, min_size=1, max_size=8))
+    def test_vincentize_hours(self, blocks):
+        counts = [len(b) for b in blocks]
+        values = np.array([row for b in blocks for row in b], dtype=float)
+        got = vincentize_hours(values, counts)
+        expected = np.array([reference_vincentize(b) for b in blocks])
+        assert got.tobytes() == expected.tobytes()
+        for b, row in zip(blocks, got):
+            assert vz(b).values.tobytes() == row.tobytes()
+
+    def test_many_contributors_on_the_default_grid(self):
+        rng = np.random.default_rng(4)
+        counts = [18, 2, 17, 5, 3, 18, 4, 33, 1, 17]
+        values = np.array(
+            [random_quantile_vector(rng, DEFAULT_LEVELS) for _ in range(sum(counts))]
+        )
+        got = vincentize_hours(values, counts)
+        starts = np.cumsum(counts) - counts
+        for row, a, k in zip(got, starts.tolist(), counts):
+            assert row.tobytes() == reference_vincentize(values[a : a + k]).tobytes()
+
+    def test_hour_blocks_cover_every_row_once(self):
+        counts = [2, 1, 3, 2, 1]
+        seen = np.zeros(sum(counts), dtype=int)
+        for hours, rows in hour_blocks(counts):
+            k = rows.shape[1]
+            assert [counts[h] for h in hours.tolist()] == [k] * hours.size
+            seen[rows.ravel()] += 1
+        assert seen.tolist() == [1] * sum(counts)
+        assert [rows.tolist() for _, rows in hour_blocks(counts)] == [
+            [[2], [8]],
+            [[0, 1], [6, 7]],
+            [[3, 4, 5]],
+        ]
+
+    def test_rejects_counts_that_do_not_cover_the_rows(self):
+        values = np.zeros((4, 3))
+        for counts in ([1, 2], [2, 3], [4, 0]):
+            with pytest.raises(ValueError):
+                vincentize_hours(values, counts)
 
 
 class TestCombineTimestep:

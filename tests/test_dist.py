@@ -11,6 +11,7 @@ from helpers import (
     random_quantile_vector,
     reference_build_cdf,
     reference_cdf,
+    reference_crps,
     reference_prob_below,
     reference_quantile,
     reference_sample,
@@ -23,6 +24,7 @@ from probfcast.dist import (
     PiecewiseCDF,
     build_cdf,
 )
+from probfcast.scoring import crps, crps_mc
 
 
 def simple_dist():
@@ -157,6 +159,17 @@ class TestTailRateFallback:
         refs = [reference_build_cdf(self.LEVELS, v) for v in (self.LOWER, narrow)]
         assert_rows_equal(got, [reference_cdf(r, x) for r, x in zip(refs, xs)])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_crps_in_a_segment_of_subnormal_width(self):
+        # The 1e-310 segment's slope overflows, so the segment is a jump: an
+        # observation inside it scores as one at its left knot, not 0.0.
+        narrow = np.array([0.0, 1e-310, 1.0])
+        d = build_cdf(QuantileVector(self.LEVELS, narrow))
+        inside = crps(d, 5e-311)
+        assert inside == crps(d, 0.0) == pytest.approx(0.10958, abs=1e-5)
+        assert inside == pytest.approx(crps_mc(d, 5e-311, 20_000, seed=1), abs=0.01)
+        assert inside == reference_crps(reference_build_cdf(self.LEVELS, narrow), 5e-311)
+
 
 def assert_rows_equal(got, expected):
     """Bit-for-bit equality of each row (NaN equal to NaN)."""
@@ -197,8 +210,10 @@ class TestTableAgainstReference:
         refs = [reference_build_cdf(levels, v) for v in values]
         # every knot of every row, tied runs' values included, and a few others
         xs = np.concatenate([values.ravel(), extra])
-        got = table.cdf(np.tile(xs, (len(values), 1)))
-        assert_rows_equal(got, [reference_cdf(r, xs) for r in refs])
+        # NaN sorts after every knot, as in np.searchsorted
+        probes = np.concatenate([xs, [np.nan, np.inf, -np.inf]])
+        got = table.cdf(np.tile(probes, (len(values), 1)))
+        assert_rows_equal(got, [reference_cdf(r, probes) for r in refs])
         for t in xs.tolist():
             expected = [reference_prob_below(r, t) for r in refs]
             assert_rows_equal(table.prob_below(t), expected)

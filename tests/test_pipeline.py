@@ -1,13 +1,26 @@
 import re
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from helpers import observation_records, reference_combined
+from helpers import (
+    observation_records,
+    reference_build_cdf,
+    reference_combined,
+    reference_crps,
+    reference_crps_ensemble,
+    reference_log_score,
+    reference_quantile,
+    reference_vincentize,
+)
+from hypothesis import given, strategies as st
 
+from probfcast.combine import vincentize_hours
+from probfcast.dist import CDFTable
 from probfcast.exceptions import DataError
 from probfcast.ingest import Dataset, ScenarioWindow, format_hour, hour_index, slice_scenario
 from probfcast.pipeline import (
+    Horizon,
     RunConfig,
     admissible_origins,
     draw_origins,
@@ -34,6 +47,8 @@ NARROW_ROSTER = (
     ModelSpec("duo", 6, 48, 0.3, 0.5),
 )
 NARROW = RunConfig(num_trees=40, sample_count=64, n_scenarios=1, seed=3, min_training_rows=100)
+
+ORIGIN = datetime(2020, 2, 1, tzinfo=timezone.utc)
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +122,8 @@ class TestRunScenario:
         assert horizon.origin == origin
         assert horizon.lead_hours.tolist() == list(range(1, 169))
         assert horizon.quantiles.shape == (168, SMALL.levels.size)
-        assert len(horizon.cdfs) == len(horizon.members) == 168
-        assert [m.size for m in horizon.members] == horizon.contributors.tolist()
+        assert len(horizon.cdfs) == len(horizon.contributors) == 168
+        assert horizon.members.shape == (horizon.contributors.sum(),)
         assert np.all(horizon.contributors >= 1)
         assert np.all(np.isfinite(horizon.observations))
         assert set(horizon.timings) == {"prepare", "train", "predict", "score"}
@@ -191,3 +206,99 @@ class TestRunScenarios:
         assert far.size and np.all(np.isnan(far))
         near = raw.log_score[(raw.lead_hours >= 2) & (raw.lead_hours <= 40)]
         assert np.any(np.isfinite(near))
+
+
+LEVELS7 = np.array([0.025, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975])
+# Half degrees from a small pool make ties and tied runs common; the wide
+# range gives sums that round.
+pool_value = st.integers(-3, 3).map(lambda n: n / 2.0)
+any_value = st.one_of(pool_value, st.floats(-40.0, 40.0))
+
+
+@st.composite
+def hour_cases(draw):
+    """One hour: k shifted quantile rows (all one constant, for a point-mass
+    forecast, one time in four), k member values and an observation at a knot
+    of the hour's average, at a member, in either tail or anywhere."""
+    k = draw(st.sampled_from([1, 2, 3, 5, 17]))
+    if draw(st.integers(0, 3)) == 0:
+        rows = [[draw(pool_value)] * LEVELS7.size] * k
+    else:
+        row = st.lists(any_value, min_size=LEVELS7.size, max_size=LEVELS7.size).map(sorted)
+        rows = draw(st.lists(row, min_size=k, max_size=k))
+    members = draw(st.lists(any_value, min_size=k, max_size=k))
+    avg = reference_vincentize(rows)
+    lo, hi = float(avg[0]), float(avg[-1])
+    y = draw(
+        st.one_of(
+            st.sampled_from(avg.tolist()),
+            st.sampled_from(members),
+            st.floats(lo - 30.0, lo),
+            st.floats(hi, hi + 30.0),
+            any_value,
+        )
+    )
+    return rows, members, y
+
+
+class TestBatchedAgainstReference:
+    """Stage 2's averaging and score_scenario, all hours at once, against the
+    per-hour oracles bit for bit."""
+
+    # a drawn width may be subnormal, and the table's slope then overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    @given(st.lists(hour_cases(), min_size=1, max_size=8), st.integers(0, 3))
+    def test_score_scenario_matches_per_hour_oracles(self, cases, gap):
+        n = len(cases)
+        counts = np.array([len(rows) for rows, _, _ in cases])
+        members = [np.array(m, dtype=float) for _, m, _ in cases]
+        y = np.array([c[2] for c in cases])
+        # stage 2 as run_scenario runs it: one flat block of rows, hour after hour
+        quantiles = vincentize_hours([row for rows, _, _ in cases for row in rows], counts)
+        lead_hours = np.arange(1, n + 1) + np.arange(n) // 2 * gap  # some hours uncovered
+        config = RunConfig(levels=LEVELS7, horizon_hours=int(lead_hours[-1]) + gap)
+        horizon = Horizon(
+            origin=ORIGIN,
+            lead_hours=lead_hours,
+            quantiles=quantiles,
+            contributors=counts,
+            cdfs=CDFTable.from_quantiles(LEVELS7, quantiles),
+            members=np.concatenate(members),
+            observations=y,
+            train_rows=0,
+            skipped_rows=0,
+            timings={"score": 0.0},
+        )
+        res = score_scenario(horizon, config, 0)
+
+        refs, raw_refs = [], []
+        for (rows, _, _), q, m in zip(cases, quantiles, members):
+            assert q.tobytes() == reference_vincentize(rows).tobytes()
+            refs.append(reference_build_cdf(LEVELS7, q))
+            raw_refs.append(reference_build_cdf(LEVELS7, np.quantile(m, LEVELS7)))
+        ys = y.tolist()
+        bounds = [0.5] + [b for w in res.scores.intervals for b in ((1 - w) / 2, (1 + w) / 2)]
+        q = np.array([reference_quantile(r, bounds) for r in refs])
+        expected = {
+            "crps": [reference_crps(r, t) for r, t in zip(refs, ys)],
+            "log_score": [reference_log_score(r, t) for r, t in zip(refs, ys)],
+            "abs_error_median": np.abs(y - q[:, 0]),
+            "raw_crps": [reference_crps_ensemble(m, t) for m, t in zip(members, ys)],
+            "raw_log_score": [reference_log_score(r, t) for r, t in zip(raw_refs, ys)],
+            "raw_abs_error_median": [abs(t - float(np.median(m))) for m, t in zip(members, ys)],
+        }
+        got = {
+            "crps": res.scores.crps,
+            "log_score": res.scores.log_score,
+            "abs_error_median": res.scores.abs_error_median,
+            "raw_crps": res.raw_scores.crps,
+            "raw_log_score": res.raw_scores.log_score,
+            "raw_abs_error_median": res.raw_scores.abs_error_median,
+        }
+        for name, values in got.items():
+            assert values.tobytes() == np.array(expected[name], dtype=float).tobytes(), name
+        hits = (q[:, 1::2] <= y[:, None]) & (y[:, None] <= q[:, 2::2])
+        np.testing.assert_array_equal(res.scores.hits, hits)
+        assert res.degenerate_hours == sum(r.is_degenerate for r in refs)
+        assert res.unscored_hours == config.horizon_hours - n
+        np.testing.assert_array_equal(res.scores.valid_hours, hour_index(ORIGIN) + lead_hours)

@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from helpers import random_quantile_vector
+from helpers import (
+    random_quantile_vector,
+    reference_build_cdf,
+    reference_crps,
+    reference_crps_ensemble,
+    reference_log_score,
+)
 from probfcast.combine import DEFAULT_LEVELS, QuantileVector
-from probfcast.dist import DegenerateDistributionError, PiecewiseCDF, build_cdf
+from probfcast.dist import CDFTable, DegenerateDistributionError, PiecewiseCDF, build_cdf
 from probfcast.scoring import (
     Scores,
     aggregate_by_lead,
     crps,
+    crps_batch,
     crps_ensemble,
+    crps_ensemble_batch,
     crps_mc,
     interval_coverage,
     interval_score,
     log_score,
+    log_score_batch,
     mae_median,
 )
 
@@ -265,6 +275,14 @@ class TestScoresInvariants:
         with pytest.raises(ValueError):
             scores([1], [[True]], abs_errs=-0.5)
 
+    def test_rejects_nan_crps_and_abs_error_but_not_log_score(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            scores([1, 2], [[True]] * 2, crps_vals=[1.0, nan])
+        with pytest.raises(ValueError):
+            scores([1, 2], [[True]] * 2, abs_errs=[nan, 0.5])
+        assert np.isnan(scores([1], [[True]], log_vals=nan).log_score[0])
+
     def test_rejects_unequal_columns(self):
         s = scores([1, 2], [[True], [False]])
         with pytest.raises(ValueError):
@@ -289,3 +307,82 @@ class TestScoresInvariants:
         assert both.hits.tolist() == [[True], [False], [True]]
         with pytest.raises(ValueError):
             Scores.concat([a, scores([1], intervals=())])
+
+
+# Rows of knots on LEV7 (open: both tails carry mass), LEV7_CLOSED (neither
+# does) or LEV13 (enough segments that a pairwise sum would add in another
+# order than a sequential one): millidegree values from a small pool, so
+# tied runs are common, or values from a wide range, or one point mass.
+LEV7 = np.array([0.025, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975])
+LEV7_CLOSED = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+LEV13 = np.array([0.01, 0.025, 0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.95, 0.975, 0.99])
+millideg = st.integers(-40_000, 40_000).map(lambda n: n / 1000.0)
+
+
+def knot_rows(size):
+    return st.one_of(
+        st.lists(millideg, min_size=2, max_size=3, unique=True).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=size, max_size=size)
+        ),
+        st.lists(st.floats(-50.0, 50.0), min_size=size, max_size=size),
+        millideg.map(lambda v: [v] * size),
+    ).map(np.sort)
+
+
+@st.composite
+def scored_tables(draw):
+    """A table of knot rows and one observation per row: at a knot (a tied
+    run's value included), just beside one, in either tail, or anywhere."""
+    levels = draw(st.sampled_from([LEV7, LEV7_CLOSED, LEV13]))
+    values = np.array(draw(st.lists(knot_rows(levels.size), min_size=1, max_size=6)))
+    y = []
+    for row in values:
+        lo, hi = float(row[0]), float(row[-1])
+        y.append(
+            draw(
+                st.one_of(
+                    st.sampled_from(row.tolist()),
+                    st.sampled_from(row.tolist()).map(lambda v: float(np.nextafter(v, np.inf))),
+                    st.floats(lo - 30.0, lo),
+                    st.floats(hi, hi + 30.0),
+                    st.floats(-80.0, 80.0),
+                )
+            )
+        )
+    return levels, values, np.array(y)
+
+
+class TestBatchedAgainstReference:
+    """The batched score kernels equal the per-hour references bit for bit."""
+
+    # a drawn width may be subnormal, and the table's slope then overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    @given(scored_tables())
+    def test_crps_and_log_score(self, case):
+        levels, values, y = case
+        table = CDFTable.from_quantiles(levels, values)
+        refs = [reference_build_cdf(levels, v) for v in values]
+        expected = [reference_crps(r, t) for r, t in zip(refs, y.tolist())]
+        assert crps_batch(table, y).tolist() == expected
+        expected_log = np.array([reference_log_score(r, t) for r, t in zip(refs, y.tolist())])
+        assert log_score_batch(table, y).tobytes() == expected_log.tobytes()
+        for i, t in enumerate(y.tolist()):
+            d = table.row(i)
+            assert crps(d, t) == expected[i]
+            if not d.is_degenerate:
+                assert log_score(d, t) == expected_log[i]
+
+    @given(
+        st.integers(1, 20).flatmap(
+            lambda k: st.lists(
+                st.lists(st.floats(-50.0, 50.0), min_size=k, max_size=k), min_size=1, max_size=5
+            )
+        ),
+        st.floats(-80.0, 80.0),
+    )
+    def test_crps_ensemble(self, members, y):
+        members = np.array(members)
+        ys = y + np.arange(len(members), dtype=float)
+        expected = [reference_crps_ensemble(m, t) for m, t in zip(members, ys.tolist())]
+        assert crps_ensemble_batch(members, ys).tolist() == expected
+        assert [crps_ensemble(m, t) for m, t in zip(members, ys.tolist())] == expected
