@@ -341,7 +341,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         ["valid_time", "level", "value_degC"],
         _repeat_each(times, config.levels.size),
         _fmt_column(config.levels) * n,
-        _fmt_column(horizon.quantiles),
+        _fmt_column(cdfs.values),
     )
     bounds = cdfs.quantile(np.tile(list(_INTERVAL_COLUMNS.values()), (n, 1)))
     _write_columns(

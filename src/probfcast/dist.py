@@ -63,11 +63,13 @@ def _tail_rates(values: np.ndarray, probs: np.ndarray):
     rows = np.arange(n)
     if probs[0] > 0.0:
         j = wide.argmax(axis=1)
-        rate = dp[j] / width[rows, j] / probs[0]
+        with np.errstate(over="ignore"):  # a subnormal width: the rate is inf, so the fallback
+            rate = dp[j] / width[rows, j] / probs[0]
         lower = np.where(np.isfinite(rate) & (rate > 0.0), rate, probs[0] / _FALLBACK_TAIL_SCALE)
     if probs[-1] < 1.0:
         j = wide.shape[1] - 1 - wide[:, ::-1].argmax(axis=1)
-        rate = dp[j] / width[rows, j] / (1.0 - probs[-1])
+        with np.errstate(over="ignore"):
+            rate = dp[j] / width[rows, j] / (1.0 - probs[-1])
         fallback = (1.0 - probs[-1]) / _FALLBACK_TAIL_SCALE
         upper = np.where(np.isfinite(rate) & (rate > 0.0), rate, fallback)
     return lower, upper
@@ -134,9 +136,10 @@ class CDFTable:
             raise ValueError("lower tail carries mass but has no positive decay rate")
         if p[-1] < 1.0 and not np.all(self.upper_rate[live] > 0.0):
             raise ValueError("upper tail carries mass but has no positive decay rate")
-        # a jump's zero-width segment gets an infinite slope
+        # a jump's zero-width segment gets an infinite slope, and so does a subnormal width
         slopes = np.full(width.shape, np.inf)
-        self._slopes = np.divide(np.diff(p), width, out=slopes, where=width > 0)
+        with np.errstate(over="ignore"):
+            self._slopes = np.divide(np.diff(p), width, out=slopes, where=width > 0)
 
     @classmethod
     def from_quantiles(cls, levels, values) -> "CDFTable":
@@ -330,14 +333,6 @@ class PiecewiseCDF:
     def is_degenerate(self) -> bool:
         return self.values.size == 1
 
-    @property
-    def lower_tail_mass(self) -> float:
-        return 0.0 if self.is_degenerate else float(self.probs[0])
-
-    @property
-    def upper_tail_mass(self) -> float:
-        return 0.0 if self.is_degenerate else float(1.0 - self.probs[-1])
-
     @classmethod
     def from_knots(cls, values, probs) -> "PiecewiseCDF":
         """Build a distribution from explicit CDF knots.
@@ -365,11 +360,6 @@ class PiecewiseCDF:
         """Inverse CDF on (0, 1); every level within a jump gives the jump's value."""
         pv = np.atleast_1d(np.asarray(p, dtype=float))
         return _match(self.table.quantile(pv.reshape(1, -1)).reshape(pv.shape), p)
-
-    def density(self, x):
-        """Predictive density: piecewise constant interior, exponential tails."""
-        out = _exp(self.log_density(x))
-        return float(out) if np.ndim(x) == 0 else out
 
     def log_density(self, x):
         """Log density (at a knot, the segment above's), in log space in the tails."""

@@ -17,7 +17,12 @@ training costs a few numpy calls per preorder position rather than a Python
 call per node.  Tree t's in-bag rows fill one buffer range; a node is a
 (lo, hi) range of it, and a split partitions that range stably in place, so
 the leaves come out in preorder with their rows in node order.  The result
-equals, array for array, growing each tree by depth-first recursion.
+equals, array for array, growing each tree by depth-first recursion.  The
+step count follows the deepest preorder, not the number of trees, so
+:func:`train_many` grows several forests in one pass (a backtest grows a
+chunk of scenarios' forests at once), and each forest equals the one
+:func:`train`, its one-table case, grows alone: a tree's steps read only its
+own rows, seeds and table.
 
 Leaves keep the in-bag rows that reached them, so a query returns a weighted
 empirical distribution of training errors rather than a mean: row weights
@@ -56,7 +61,7 @@ from __future__ import annotations
 import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +76,7 @@ __all__ = [
     "Forest",
     "OOBCoverage",
     "train",
+    "train_many",
     "predict_weights",
     "predict_quantiles",
     "predict_quantiles_batch",
@@ -94,6 +100,9 @@ class ForestConfig:
     replace: bool = False
 
     def validate(self, n_rows: int) -> None:
+        """Raise unless a forest of this config can grow on a table of ``n_rows`` rows."""
+        if n_rows == 0:
+            raise DataError("cannot train on an empty error table")
         if self.num_trees < 1:
             raise ConfigError("num_trees must be >= 1")
         if not 1 <= self.mtry <= _N_COVARIATES:
@@ -240,26 +249,53 @@ def _best_cuts(keys: np.ndarray, y: np.ndarray, seg: np.ndarray, size: np.ndarra
 
 
 def train(table: ErrorTable, config: ForestConfig) -> Forest:
-    """Grow a forest on an error table; deterministic given (table, config).
+    """Grow a forest on an error table; deterministic given (table, config)."""
+    return train_many([table], [config])[0]
+
+
+def train_many(tables: Sequence[ErrorTable], configs: Sequence[ForestConfig]) -> List[Forest]:
+    """Grow one forest per (table, config) pair, every tree of them in one lock-step pass.
+
+    Each forest equals ``train(table, config)`` alone, array for array: its
+    trees draw from their own seeds over their own table, and a tree's cut
+    search never looks past its own rows.  The configs may differ in
+    ``seed``, ``num_trees`` and ``replace``, which act tree by tree; the
+    fields that shape a step (``mtry``, ``min_node_size``, ``sample_count``)
+    must agree.  Label codes stay each table's own, so ties rank as alone:
+    a node's labels are counted in a row as wide as the widest table's label
+    set, where the codes a narrower table lacks stay empty and are cut off
+    its ``cat_left``.
 
     Node ids are assigned at pop time, so they run in preorder: a split's
     left child is the next id, and a right child writes its id into its
     parent when it is popped.
     """
-    if table.n_rows == 0:
-        raise DataError("cannot train on an empty error table")
-    config.validate(table.n_rows)
-    T, n, mns, mtry = config.num_trees, config.sample_count, config.min_node_size, config.mtry
-    n_labels = len(table.label_set)
-    inbag = np.empty((T, n), dtype=np.int64)
+    if len(tables) != len(configs) or not tables:
+        raise ValueError("train_many needs one config per table, and at least one table")
+    shape = {(c.mtry, c.min_node_size, c.sample_count) for c in configs}
+    if len(shape) > 1:
+        raise ConfigError("forests grown together must share mtry, min_node_size and sample_count")
+    for table, config in zip(tables, configs):
+        config.validate(table.n_rows)
+    n, mns, mtry = configs[0].sample_count, configs[0].min_node_size, configs[0].mtry
+    n_labels = max(len(table.label_set) for table in tables)
+    tree_counts = np.array([config.num_trees for config in configs])
+    T = int(tree_counts.sum())
+    inbag = np.empty((T, n), dtype=np.int64)  # row ids into each tree's own table
     draw = np.empty((T, 2 * n), dtype=np.int64)  # covariate of the k-th eligible node
-    for t in range(T):
-        rng = np.random.default_rng(config.seed + t)
-        inbag[t] = rng.choice(table.n_rows, size=n, replace=config.replace)
-        draw[t] = rng.integers(0, 2**32, size=2 * n, dtype=np.uint32) >> 31
-    lead = table.lead_hours[inbag].ravel()
-    code = table.label_codes[inbag].ravel()
-    y = table.errors[inbag].ravel()
+    lead, code = np.empty((T, n), dtype=np.int64), np.empty((T, n), dtype=np.int64)
+    y = np.empty((T, n))
+    first_tree = np.cumsum(tree_counts) - tree_counts
+    for table, config, t0 in zip(tables, configs, first_tree.tolist()):
+        for t in range(config.num_trees):
+            rng = np.random.default_rng(config.seed + t)
+            inbag[t0 + t] = rng.choice(table.n_rows, size=n, replace=config.replace)
+            draw[t0 + t] = rng.integers(0, 2**32, size=2 * n, dtype=np.uint32) >> 31
+        own = slice(t0, t0 + config.num_trees)
+        lead[own], code[own], y[own] = (
+            column[inbag[own]] for column in (table.lead_hours, table.label_codes, table.errors)
+        )
+    lead, code, y = lead.ravel(), code.ravel(), y.ravel()
     buf = np.arange(T * n)  # tree t's rows fill buf[t * n : (t + 1) * n]
 
     cap = 2 * n - 1  # nodes a tree of n rows can have
@@ -289,14 +325,6 @@ def train(table: ErrorTable, config: ForestConfig) -> Forest:
         eligible = np.flatnonzero(
             (size >= 2 * mns) & (np.minimum.reduceat(ys, start) != np.maximum.reduceat(ys, start))
         )
-        # Rank each node's labels by mean error; ties go to the lower code.
-        cell = np.repeat(np.arange(tr.size) * n_labels, size) + code[rows]
-        count = np.bincount(cell, minlength=tr.size * n_labels)
-        mean = np.bincount(cell, weights=ys, minlength=count.size) / np.maximum(count, 1)
-        present = np.flatnonzero(count)
-        by_mean = present[np.argsort(mean[present], kind="stable")]
-        rank = np.empty(count.size, dtype=np.int64)
-        rank[by_mean[np.argsort(by_mean // n_labels, kind="stable")]] = np.arange(present.size)
         # One cut request per (node, covariate) tried, the lead first.
         if mtry == 1:
             node, cov = eligible, draw[tr[eligible], n_drawn[tr[eligible]]]
@@ -306,8 +334,23 @@ def train(table: ErrorTable, config: ForestConfig) -> Forest:
         req_size = size[node]
         req_idx = _gather_ranges(start[node], req_size)
         req_seg = np.repeat(np.arange(node.size), req_size)
-        keys = np.where(cov[req_seg] == 0, lead[rows[req_idx]], rank[cell[req_idx]])
-        cost, n_left, last_key, next_key = _best_cuts(keys, ys[req_idx], req_seg, req_size, mns)
+        req_rows, req_ys = rows[req_idx], ys[req_idx]
+        keys = lead[req_rows]
+        # A label request's key is the label's rank by mean error in the node;
+        # ties go to the lower code.
+        by_label = np.flatnonzero(cov[req_seg])
+        lab_req = np.flatnonzero(cov)
+        cell = np.repeat(np.arange(lab_req.size) * n_labels, req_size[lab_req])
+        cell += code[req_rows[by_label]]
+        count = np.bincount(cell, minlength=lab_req.size * n_labels)
+        total = np.bincount(cell, weights=req_ys[by_label], minlength=count.size)
+        mean = total / np.maximum(count, 1)
+        present = np.flatnonzero(count)
+        by_mean = present[np.argsort(mean[present], kind="stable")]
+        rank = np.empty(count.size, dtype=np.int64)
+        rank[by_mean[np.argsort(by_mean // n_labels, kind="stable")]] = np.arange(present.size)
+        keys[by_label] = rank[cell]
+        cost, n_left, last_key, next_key = _best_cuts(keys, req_ys, req_seg, req_size, mns)
         # The label replaces the lead only at a strictly smaller cost.
         pick = np.arange(0, node.size, mtry) + np.argmin(cost.reshape(-1, mtry), axis=1)
         pick = pick[np.isfinite(cost[pick])]
@@ -319,8 +362,9 @@ def train(table: ErrorTable, config: ForestConfig) -> Forest:
         first_right = next_key[pick].astype(float)
         threshold[ts[lead_cut], sid[lead_cut]] = 0.5 * (last_left + first_right)[lead_cut]
         cat_index[ts[lab], sid[lab]] = n_cats[ts[lab]]
-        cat_left[ts[lab], n_cats[ts[lab]]] = (count.reshape(-1, n_labels)[s[lab]] > 0) & (
-            rank.reshape(-1, n_labels)[s[lab]] <= last_left[lab, None]
+        slot = np.searchsorted(lab_req, pick[lab])  # each label split's row of count and rank
+        cat_left[ts[lab], n_cats[ts[lab]]] = (count.reshape(-1, n_labels)[slot] > 0) & (
+            rank.reshape(-1, n_labels)[slot] <= last_left[lab, None]
         )
         n_cats[ts[lab]] += 1
         # Partition each split range stably in place: left rows first.
@@ -338,14 +382,21 @@ def train(table: ErrorTable, config: ForestConfig) -> Forest:
         stack[ts, d + 1] = np.column_stack([lo[s], lo[s] + nl, np.full(s.size, -1)])
         depth[ts] += 2
 
-    node = np.arange(cap) < n_nodes[:, None]
-    arrays = _Tree(
-        *(a[node] for a in (feature, threshold, cat_index, left, right, leaf_start, leaf_count)),
-        leaf_rows=inbag.ravel()[buf].astype(np.int32),
-        cat_left=cat_left[np.arange(n) < n_cats[:, None]],
-        inbag=inbag.ravel().astype(np.int32),
-    )
-    return Forest(config, table, arrays, n_nodes, n_cats)
+    # buf holds flat (tree, draw) positions, and inbag maps them to each table's own rows.
+    leaf_rows = inbag.ravel()[buf].reshape(T, n).astype(np.int32)
+    per_node = (feature, threshold, cat_index, left, right, leaf_start, leaf_count)
+    forests = []
+    for table, config, t0 in zip(tables, configs, first_tree.tolist()):
+        own = slice(t0, t0 + config.num_trees)
+        node = np.arange(cap) < n_nodes[own, None]
+        arrays = _Tree(
+            *(a[own][node] for a in per_node),
+            leaf_rows=leaf_rows[own].ravel(),
+            cat_left=cat_left[own][np.arange(n) < n_cats[own, None], : len(table.label_set)],
+            inbag=inbag[own].ravel().astype(np.int32),
+        )
+        forests.append(Forest(config, table, arrays, n_nodes[own].copy(), n_cats[own].copy()))
+    return forests
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +412,7 @@ class _Stack:
     leaf row of one tree, weighted by 1 / leaf size.  Equal errors keep tree
     order, then leaf order.  ``leaf_pos[leaf_bounds[c * T + t] :
     leaf_bounds[c * T + t + 1]]`` are the positions of tree t's entries for
-    covariate c.
+    covariate c, when asked for.
     """
 
     n_trees: int
@@ -370,7 +421,7 @@ class _Stack:
     values: np.ndarray  # their errors
     weights: np.ndarray
     leaf_bounds: np.ndarray
-    leaf_pos: np.ndarray
+    leaf_pos: Optional[np.ndarray]
 
 
 def _route(forest: Forest, lead_q: np.ndarray, code_q: np.ndarray) -> np.ndarray:
@@ -395,8 +446,13 @@ def _route(forest: Forest, lead_q: np.ndarray, code_q: np.ndarray) -> np.ndarray
     return node.reshape(T, lead_q.size)
 
 
-def _gather(forest: Forest, lead, code) -> Tuple[_Stack, np.ndarray]:
-    """Stack every tree's leaf rows per distinct (lead, code) pair; and each input's pair."""
+def _gather(forest: Forest, lead, code, positions: bool = False) -> Tuple[_Stack, np.ndarray]:
+    """Stack every tree's leaf rows per distinct (lead, code) pair; and each input's pair.
+
+    Out-of-bag coverage asks for each entry's stack position too.  The
+    stack-sized arrays are freed as soon as they have served, since they set
+    the peak memory of a prediction.
+    """
     # np.unique orders complex numbers by real part, then imaginary part.
     pairs, inverse = np.unique(
         np.asarray(lead, dtype=float) + 1j * np.asarray(code), return_inverse=True
@@ -414,17 +470,25 @@ def _gather(forest: Forest, lead, code) -> Tuple[_Stack, np.ndarray]:
     rank = np.empty(leaf_rows.size, dtype=np.int64)
     rank[np.argsort(forest.table.errors[leaf_rows], kind="stable")] = np.arange(leaf_rows.size)
     leaf_bounds = np.concatenate([[0], np.cumsum(counts)])
-    seg_len = np.diff(leaf_bounds[::T])
-    order = np.argsort(np.repeat(np.arange(n), seg_len) * leaf_rows.size + rank[entry])
-    leaf_pos = np.empty(order.size, dtype=np.int64)
-    leaf_pos[order] = np.arange(order.size)
-    rows = leaf_rows[entry[order]]
+    key = np.repeat(np.arange(n) * leaf_rows.size, np.diff(leaf_bounds[::T]))
+    key += rank[entry]
+    order = np.argsort(key)
+    del key
+    entry = entry[order]
+    weights = np.repeat(1.0 / counts, counts)[order]
+    leaf_pos = None
+    if positions:
+        leaf_pos = np.empty(order.size, dtype=np.int64)
+        leaf_pos[order] = np.arange(order.size)
+    del order
+    rows = leaf_rows[entry]
+    del entry
     return _Stack(
         n_trees=T,
         bounds=leaf_bounds[::T],
         rows=rows,
         values=forest.table.errors[rows],
-        weights=np.repeat(1.0 / counts, counts)[order],
+        weights=weights,
         leaf_bounds=leaf_bounds,
         leaf_pos=leaf_pos,
     ), inverse.reshape(-1)
@@ -525,7 +589,7 @@ def oob_coverage(
     live = kept[drop_row] > 0
     slot, drop_tree, kept = np.searchsorted(scored, drop_row[live]), drop_tree[live], kept[scored]
 
-    stack, combo = _gather(forest, table.lead_hours, table.label_codes)
+    stack, combo = _gather(forest, table.lead_hours, table.label_codes, positions=True)
     sums, err, seg = _running_sums(stack.bounds, stack.weights), table.errors[scored], combo[scored]
     start, length = stack.bounds[seg], np.diff(stack.bounds)[seg]
     # Flat stack positions of the entries of each scored row's in-bag trees.

@@ -149,14 +149,15 @@ def crps_batch(cdfs: CDFTable, y) -> np.ndarray:
     right = wide & (yy <= a)  # observation at or left of segment: target function is 1
     left = wide & (yy >= b)  # observation at or right of segment: target is 0
     inside = wide & ~(right | left)
-    s = slopes[right]
-    total += _row_sums(right, (_cube(pb[right] - 1.0) - _cube(pa[right] - 1.0)) / (3.0 * s))
-    s = slopes[left]
-    total += _row_sums(left, (_cube(pb[left]) - _cube(pa[left])) / (3.0 * s))
-    s, pa_in = slopes[inside], pa[inside]
-    fy = pa_in + s * (yy[inside] - a[inside])
-    total += _row_sums(inside, (_cube(fy) - _cube(pa_in)) / (3.0 * s))
-    total += _row_sums(inside, (_cube(pb[inside] - 1.0) - _cube(fy - 1.0)) / (3.0 * s))
+    with np.errstate(over="ignore"):  # 3 x a slope past 6e307 is inf, and its term 0.0
+        s = slopes[right]
+        total += _row_sums(right, (_cube(pb[right] - 1.0) - _cube(pa[right] - 1.0)) / (3.0 * s))
+        s = slopes[left]
+        total += _row_sums(left, (_cube(pb[left]) - _cube(pa[left])) / (3.0 * s))
+        s, pa_in = slopes[inside], pa[inside]
+        fy = pa_in + s * (yy[inside] - a[inside])
+        total += _row_sums(inside, (_cube(fy) - _cube(pa_in)) / (3.0 * s))
+        total += _row_sums(inside, (_cube(pb[inside] - 1.0) - _cube(fy - 1.0)) / (3.0 * s))
 
     # Upper tail: 1 - F = q * exp(-mu * (x - vK)) on [vK, inf).
     q, vk = float(1.0 - p[-1]), v[:, -1]

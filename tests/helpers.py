@@ -12,6 +12,19 @@ from probfcast.ingest import Dataset, Forecasts, Observations, hour_index, hour_
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def tail_masses(d):
+    """Probability mass in a distribution's lower and upper exponential tails."""
+    if d.is_degenerate:
+        return 0.0, 0.0
+    return float(d.probs[0]), float(1.0 - d.probs[-1])
+
+
+def density(d, x):
+    """Predictive density of a ``PiecewiseCDF``: the exp of its log density."""
+    out = _reference_exp(np.atleast_1d(d.log_density(x)))
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
 def integrate_density(d, n_interior=100_000, n_tail=5_000, efolds=12.0):
     """Unit-mass check: piece-aligned trapezoid plus analytic tail remainders.
 
@@ -21,20 +34,21 @@ def integrate_density(d, n_interior=100_000, n_tail=5_000, efolds=12.0):
     error budget.  The mass beyond `efolds` e-foldings is added analytically.
     """
     v = d.values
+    lower_mass, upper_mass = tail_masses(d)
     pieces = []
-    if d.lower_tail_mass > 0:
+    if lower_mass > 0:
         pieces.append((v[0] - efolds / d.lower_rate, v[0], n_tail))
     total_len = v[-1] - v[0]
     for a, b in zip(v[:-1], v[1:]):
         n = max(8, int(round(n_interior * (b - a) / total_len)))
         pieces.append((a, b, n))
-    if d.upper_tail_mass > 0:
+    if upper_mass > 0:
         pieces.append((v[-1], v[-1] + efolds / d.upper_rate, n_tail))
     area = 0.0
     for a, b, n in pieces:
         xs = np.linspace(a, np.nextafter(b, a), n)
-        area += _trapezoid(d.density(xs), xs)
-    remainder = (d.lower_tail_mass + d.upper_tail_mass) * np.exp(-efolds)
+        area += _trapezoid(density(d, xs), xs)
+    remainder = (lower_mass + upper_mass) * np.exp(-efolds)
     return area + remainder
 
 
@@ -77,7 +91,8 @@ class ReferenceCDF:
     def slopes(self):
         width = np.diff(self.values)
         slopes = np.full(width.size, np.inf)
-        return np.divide(np.diff(self.probs), width, out=slopes, where=width > 0)
+        with np.errstate(over="ignore"):  # a subnormal width: an infinite slope, a jump
+            return np.divide(np.diff(self.probs), width, out=slopes, where=width > 0)
 
 
 def reference_build_cdf(levels, values):
@@ -92,17 +107,17 @@ def reference_build_cdf(levels, values):
     if values[0] == values[-1]:
         return ReferenceCDF(values[-1:], np.array([1.0]), float("nan"), float("nan"))
     wide = np.diff(values) > 0
-    slopes = np.diff(probs)[wide] / np.diff(values)[wide]
-    lower_rate = float("nan")
-    if probs[0] > 0.0:
-        lower_rate = slopes[0] / probs[0]
-        if not np.isfinite(lower_rate) or lower_rate <= 0.0:
-            lower_rate = probs[0] / _FALLBACK_TAIL_SCALE
-    upper_rate = float("nan")
-    if probs[-1] < 1.0:
-        upper_rate = slopes[-1] / (1.0 - probs[-1])
-        if not np.isfinite(upper_rate) or upper_rate <= 0.0:
-            upper_rate = (1.0 - probs[-1]) / _FALLBACK_TAIL_SCALE
+    lower_rate = upper_rate = float("nan")
+    with np.errstate(over="ignore"):  # a subnormal width: an infinite slope, and rate
+        slopes = np.diff(probs)[wide] / np.diff(values)[wide]
+        if probs[0] > 0.0:
+            lower_rate = slopes[0] / probs[0]
+        if probs[-1] < 1.0:
+            upper_rate = slopes[-1] / (1.0 - probs[-1])
+    if probs[0] > 0.0 and not (np.isfinite(lower_rate) and lower_rate > 0.0):
+        lower_rate = probs[0] / _FALLBACK_TAIL_SCALE
+    if probs[-1] < 1.0 and not (np.isfinite(upper_rate) and upper_rate > 0.0):
+        upper_rate = (1.0 - probs[-1]) / _FALLBACK_TAIL_SCALE
     return ReferenceCDF(values, probs, lower_rate, upper_rate)
 
 
@@ -253,19 +268,21 @@ def reference_crps(d, y):
     wide = v[1:] > v[:-1]
     a, b = v[:-1][wide], v[1:][wide]
     pa, pb = p[:-1][wide], p[1:][wide]
-    s = (pb - pa) / (b - a)
+    with np.errstate(over="ignore"):  # a subnormal width: a jump
+        s = (pb - pa) / (b - a)
     finite = np.isfinite(s)
     a, b, pa, pb, s = a[finite], b[finite], pa[finite], pb[finite], s[finite]
     right = y <= a
     left = y >= b
     inside = ~(right | left)
     cube = _reference_cube
-    total += _reference_sum((cube(pb[right] - 1.0) - cube(pa[right] - 1.0)) / (3.0 * s[right]))
-    total += _reference_sum((cube(pb[left]) - cube(pa[left])) / (3.0 * s[left]))
-    if inside.any():
-        fy = pa[inside] + s[inside] * (y - a[inside])
-        total += _reference_sum((cube(fy) - cube(pa[inside])) / (3.0 * s[inside]))
-        total += _reference_sum((cube(pb[inside] - 1.0) - cube(fy - 1.0)) / (3.0 * s[inside]))
+    with np.errstate(over="ignore"):  # 3 x a slope past 6e307 is inf, and its term 0.0
+        total += _reference_sum((cube(pb[right] - 1.0) - cube(pa[right] - 1.0)) / (3.0 * s[right]))
+        total += _reference_sum((cube(pb[left]) - cube(pa[left])) / (3.0 * s[left]))
+        if inside.any():
+            fy = pa[inside] + s[inside] * (y - a[inside])
+            total += _reference_sum((cube(fy) - cube(pa[inside])) / (3.0 * s[inside]))
+            total += _reference_sum((cube(pb[inside] - 1.0) - cube(fy - 1.0)) / (3.0 * s[inside]))
 
     q = float(1.0 - p[-1])
     if q > 0.0:

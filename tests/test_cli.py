@@ -18,7 +18,16 @@ from helpers import (
 from probfcast import cli, pipeline, qrf
 from probfcast.cli import _run_config, build_parser, main
 from probfcast.combine import DEFAULT_LEVELS
-from probfcast.ingest import Dataset, format_hour, load_forecasts, load_observations, parse_hour
+from probfcast.ingest import (
+    Dataset,
+    format_hour,
+    hour_index,
+    load_forecasts,
+    load_observations,
+    parse_hour,
+    write_forecasts,
+    write_observations,
+)
 
 
 def read_csv(path):
@@ -151,7 +160,7 @@ class TestForecast:
         horizon = pipeline.run_scenario(dataset, origin, config)
         rows = read_csv(tmp_path / "quantiles.csv")
         values = np.array([float(r["value_degC"]) for r in rows])
-        assert values.tobytes() == horizon.quantiles.ravel().tobytes()
+        assert values.tobytes() == horizon.cdfs.values.ravel().tobytes()
         levels = [float(r["level"]) for r in rows]
         assert levels == np.tile(config.levels, len(horizon.lead_hours)).tolist()
         times = [r["valid_time"] for r in rows[:: config.levels.size]]
@@ -278,6 +287,46 @@ class TestEvaluate:
         assert self.evaluate(data_dir, b) == 0
         for rel in [p.relative_to(a) for p in a.rglob("*.csv")] + [Path("summary.txt")]:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+    def test_reports_equal_at_one_and_two_jobs(self, data_dir, tmp_path):
+        # Five scenarios split 3 + 2 over two workers, so their chunks of
+        # forests grown together differ from the serial run's.
+        extra = ["--scenarios", "5", "--min-training-rows", "500", "--trees", "20"]
+        for jobs in ("1", "2"):
+            argv = run_args(data_dir, tmp_path / jobs, [*extra, "--jobs", jobs])
+            assert main(["evaluate", *argv]) == 0
+        a, b = tmp_path / "1", tmp_path / "2"
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        for rel in files:
+            if rel != Path("timings.txt"):
+                assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_first_failing_scenario_is_reported(self, data_dir, tmp_path, capsys):
+        """Scenario 0 fails in scoring and scenario 1 in preparation: the report
+        names scenario 0's failure, as when each scenario runs alone in turn."""
+        extra = ["--scenarios", "2", "--min-training-rows", "500"]
+        args = build_parser().parse_args(["evaluate", *run_args(data_dir, "", extra)])
+        config = _run_config(args)
+        fc = load_forecasts(data_dir / "forecasts.csv")
+        obs = load_observations(data_dir / "observations.csv")
+        first, second = pipeline.draw_origins(Dataset(fc, obs), config)
+        assert first != second
+        # An hour of scenario 0's horizon loses its observation ...
+        missing = first + timedelta(hours=5)
+        obs = obs.take(obs.hour != hour_index(missing))
+        # ... and eur_uk keeps its runs from scenario 1's origin on, but no training rows.
+        gone = (fc.model == fc.models.index("eur_uk")) & (fc.init < hour_index(second))
+        fc = fc.take(~gone)
+        data = tmp_path / "data"
+        data.mkdir()
+        write_forecasts(data / "forecasts.csv", fc)
+        write_observations(data / "observations.csv", obs)
+        assert main(["evaluate", *run_args(data, tmp_path / "out", extra)]) == 2
+        err = capsys.readouterr().err
+        assert f"no observation to score at {missing.isoformat()}" in err
+        assert "eur_uk" not in err
 
 
 class TestExitCodes:

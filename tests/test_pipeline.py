@@ -121,14 +121,14 @@ class TestRunScenario:
         horizon = run_scenario(dataset, origin, SMALL)
         assert horizon.origin == origin
         assert horizon.lead_hours.tolist() == list(range(1, 169))
-        assert horizon.quantiles.shape == (168, SMALL.levels.size)
+        assert horizon.cdfs.values.shape == (168, SMALL.levels.size)
         assert len(horizon.cdfs) == len(horizon.contributors) == 168
         assert horizon.members.shape == (horizon.contributors.sum(),)
         assert np.all(horizon.contributors >= 1)
         assert np.all(np.isfinite(horizon.observations))
         assert set(horizon.timings) == {"prepare", "train", "predict", "score"}
         levels = np.tile(SMALL.levels, (168, 1))
-        np.testing.assert_array_equal(horizon.cdfs.quantile(levels), horizon.quantiles)
+        np.testing.assert_array_equal(horizon.cdfs.quantile(levels), horizon.cdfs.values)
 
     def test_contributor_counts_fall_with_lead(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
@@ -158,7 +158,7 @@ class TestStageTwo:
         expected = reference_combined(ds, origin, cfg)
         assert horizon.lead_hours.tolist() == sorted(expected)
         for lead, values, count in zip(
-            horizon.lead_hours.tolist(), horizon.quantiles, horizon.contributors.tolist()
+            horizon.lead_hours.tolist(), horizon.cdfs.values, horizon.contributors.tolist()
         ):
             np.testing.assert_array_equal(values, expected[lead][0])
             assert count == expected[lead][1]
@@ -245,8 +245,8 @@ class TestBatchedAgainstReference:
     """Stage 2's averaging and score_scenario, all hours at once, against the
     per-hour oracles bit for bit."""
 
-    # a drawn width may be subnormal, and the table's slope then overflows
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    # a drawn width may be subnormal: the table's slope then overflows, quietly
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.lists(hour_cases(), min_size=1, max_size=8), st.integers(0, 3))
     def test_score_scenario_matches_per_hour_oracles(self, cases, gap):
         n = len(cases)
@@ -260,7 +260,6 @@ class TestBatchedAgainstReference:
         horizon = Horizon(
             origin=ORIGIN,
             lead_hours=lead_hours,
-            quantiles=quantiles,
             contributors=counts,
             cdfs=CDFTable.from_quantiles(LEVELS7, quantiles),
             members=np.concatenate(members),

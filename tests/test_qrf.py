@@ -89,6 +89,12 @@ def assert_same_trees(got, expected):
             assert x.tobytes() == y.tobytes(), (t, f.name)
 
 
+def archive_arrays(forest):
+    """The arrays ``save_forest`` writes of a forest's trees, by name."""
+    counts = {"node_counts": forest.node_counts, "cat_counts": forest.cat_counts}
+    return {**vars(forest.arrays), **counts}
+
+
 def random_table(rng, n=400, n_labels=3, lead_max=168):
     leads = rng.integers(0, lead_max + 1, size=n)
     labels = [f"m{int(i)}" for i in rng.integers(0, n_labels, size=n)]
@@ -233,6 +239,83 @@ TREE_DIGESTS = {
         "inbag": ("<i4", "8b56a6656626c4e171e81dcf74e2f9ed3a5ead6695ed992ebd1e4ef174136edc"),
     },
 }
+
+
+@st.composite
+def train_many_cases(draw):
+    """Error tables of different row counts and label sets, in label orders of
+    their own, with configs that share what shapes a lock-step pass; and a
+    random split of them into chunks."""
+    mtry, mns = draw(st.integers(1, 2)), draw(st.sampled_from([1, 3]))
+    sample_count = draw(st.integers(1, 12))
+    tables, configs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        replace = draw(st.booleans())
+        n = draw(st.integers(1 if replace else sample_count, 24))
+        label_set = tuple(draw(st.permutations("abcde"))[: draw(st.integers(1, 5))])
+        codes = draw(st.lists(st.integers(0, len(label_set) - 1), min_size=n, max_size=n))
+        leads = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        errors = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]), min_size=n, max_size=n))
+        tables.append(ErrorTable(leads, codes, errors, label_set))
+        config = ForestConfig(
+            num_trees=draw(st.integers(1, 8)),
+            mtry=mtry,
+            min_node_size=mns,
+            sample_count=sample_count,
+            seed=draw(st.integers(0, 1000)),
+            replace=replace,
+        )
+        configs.append(config)
+    cuts = sorted(draw(st.sets(st.integers(1, len(tables) - 1))) if len(tables) > 1 else [])
+    return tables, configs, [0, *cuts, len(tables)]
+
+
+class TestTrainMany:
+    @given(case=train_many_cases())
+    def test_train_many_equals_each_forest_grown_alone(self, case):
+        """Every chunk's forests, archive arrays and counts, bit for bit as ``train``
+        alone, and tree by tree as the per-node recursion."""
+        tables, configs, bounds = case
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            grown = qrf.train_many(tables[lo:hi], configs[lo:hi])
+            assert len(grown) == hi - lo
+            for forest, table, config in zip(grown, tables[lo:hi], configs[lo:hi]):
+                alone = train(table, config)
+                assert forest.table is table and forest.config == config
+                got, expected = archive_arrays(forest), archive_arrays(alone)
+                for name, a in expected.items():
+                    b = got[name]
+                    assert (b.dtype, b.shape) == (a.dtype, a.shape), name
+                    assert b.tobytes() == a.tobytes(), name
+                assert_same_trees(forest.trees, reference_train(table, config))
+
+    def test_train_many_on_pinned_configs_matches_the_reference_grower(self):
+        """A chunk of the pinned tables, one with a label fewer, against the per-node recursion."""
+        rng = np.random.default_rng(43)
+        wide = random_table(rng, n=300, n_labels=6)
+        narrow = random_table(rng, n=200, n_labels=5)
+        configs = [
+            ForestConfig(num_trees=n, mtry=2, sample_count=64, seed=s)
+            for n, s in ((12, 3), (7, 1_000_003))
+        ]
+        for forest, table, config in zip(
+            qrf.train_many([wide, narrow], configs), (wide, narrow), configs
+        ):
+            assert forest.arrays.cat_left.shape[1] == len(table.label_set)
+            assert_same_trees(forest.trees, reference_train(table, config))
+
+    def test_train_many_rejects_configs_that_cannot_share_a_pass(self):
+        table = random_table(np.random.default_rng(0), n=50)
+        base = ForestConfig(num_trees=3, sample_count=10)
+        for other in (dict(mtry=2), dict(min_node_size=2), dict(sample_count=11)):
+            with pytest.raises(ConfigError):
+                qrf.train_many([table, table], [base, dataclasses.replace(base, **other)])
+        with pytest.raises(ValueError):
+            qrf.train_many([table, table], [base])
+        with pytest.raises(ValueError):
+            qrf.train_many([], [])
+        with pytest.raises(ConfigError):  # each config is checked against its own table
+            qrf.train_many([table, random_table(np.random.default_rng(1), n=5)], [base, base])
 
 
 class TestWeights:
@@ -501,7 +584,7 @@ class TestKernelAgainstReference:
         in-bag trees' entries is within the bound of the kept entries' own sum."""
         table = random_table(np.random.default_rng(4), n=600)
         forest = train(table, ForestConfig(num_trees=60, sample_count=64, seed=3))
-        stack, combo = qrf._gather(forest, table.lead_hours, table.label_codes)
+        stack, combo = qrf._gather(forest, table.lead_hours, table.label_codes, positions=True)
         sums, T = qrf._running_sums(stack.bounds, stack.weights), forest.num_trees
         trees = forest.trees
         in_trees = [[t for t in range(T) if r in trees[t].inbag] for r in range(table.n_rows)]

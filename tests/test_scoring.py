@@ -355,8 +355,8 @@ def scored_tables(draw):
 class TestBatchedAgainstReference:
     """The batched score kernels equal the per-hour references bit for bit."""
 
-    # a drawn width may be subnormal, and the table's slope then overflows
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    # a drawn width may be subnormal: the table's slope then overflows, quietly
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(scored_tables())
     def test_crps_and_log_score(self, case):
         levels, values, y = case
