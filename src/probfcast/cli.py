@@ -22,17 +22,15 @@ directory.  Exit codes: 0 success, 1 usage/config error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import itertools
-import math
 import os
 import sys
 import time
 import traceback
 from datetime import timedelta
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,11 +39,15 @@ from .combine import check_levels
 from .exceptions import ConfigError, DataError
 from .ingest import (
     Dataset,
+    _csv_lines,
+    float_texts,
     format_hour,
     hour_time,
     load_forecasts,
     load_observations,
     parse_hour,
+    quote_field,
+    write_csv,
     write_forecasts,
     write_observations,
 )
@@ -97,20 +99,6 @@ class _RunConfigFile(argparse.Action):
             if getattr(namespace, dest, None) is None:
                 setattr(namespace, dest, value)
         setattr(namespace, self.dest, path)
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x))
-
-
-def _fmt_column(values: np.ndarray) -> List[str]:
-    """``_fmt`` of every entry of a float array, in order."""
-    text = list(map(repr, values.ravel().tolist()))
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        text[i] = ""
-    return text
 
 
 def _default_out() -> str:
@@ -186,6 +174,16 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _out_file(flag: str, path: Optional[str]) -> Optional[Path]:
+    """An output file's path, None if not given; checked before any input is read."""
+    if not path:
+        return None
+    parent = Path(path).parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise ConfigError(f"{flag} {path}: directory {parent} does not exist or is not writable")
+    return Path(path)
+
+
 def _load_dataset(args: argparse.Namespace) -> Dataset:
     if not args.forecasts or not args.observations:
         raise ConfigError("--forecasts and --observations are required")
@@ -198,13 +196,6 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
         observations=load_observations(opath),
         site_id=fpath.stem,
     )
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +230,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_oob(path: Path, oob: qrf.OOBCoverage) -> None:
-    header = ["lead_hours", "n"] + [f"cov{round(w * 100):d}" for w in oob.intervals]
-    rows = [
-        [int(lead), int(n)] + [_fmt(c) for c in cov_row]
-        for lead, n, cov_row in zip(oob.lead_hours, oob.n_rows, oob.coverage)
-    ]
-    _write_csv(path, header, rows)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = _run_config(args)
     out = _out_dir(args)
+    dump_path = _out_file("--dump-errors", args.dump_errors)
+    save_path = _out_file("--save", args.save) or out / "forest.npz"
     dataset = _load_dataset(args)
     if args.origin:
         origin = parse_hour(args.origin)
@@ -259,24 +243,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         raise DataError("dataset has no observations")
     table, _ = pipeline.prepare_training(dataset, origin, config)
-    if args.dump_errors:
-        _write_csv(
-            Path(args.dump_errors),
+    if dump_path:
+        write_csv(
+            dump_path,
             ["lead_hours", "model_label", "error_degC"],
-            # Errors are finite, so repr equals _fmt.
-            zip(
-                table.lead_hours.tolist(),
-                np.array(table.label_set, dtype=object)[table.label_codes],
-                map(repr, table.errors.tolist()),
-            ),
+            map(str, table.lead_hours.tolist()),
+            np.array(list(map(quote_field, table.label_set)), dtype=object)[table.label_codes],
+            float_texts(table.errors),
         )
     t0 = time.perf_counter()
     forest = qrf.train(table, config.forest_config())
     train_seconds = time.perf_counter() - t0
-    save_path = Path(args.save) if args.save else out / "forest.npz"
     save_path = qrf.save_forest(save_path, forest)
     oob = qrf.oob_coverage(forest, scoring.DEFAULT_INTERVALS)
-    _write_oob(out / "oob_coverage.csv", oob)
+    write_csv(
+        out / "oob_coverage.csv",
+        ["lead_hours", "n"] + [f"cov{round(w * 100):d}" for w in oob.intervals],
+        map(str, oob.lead_hours.tolist()),
+        map(str, oob.n_rows.tolist()),
+        *map(float_texts, oob.coverage.T),
+    )
     with open(out / "timings.txt", "w") as fh:
         fh.write(f"train_seconds={train_seconds:.3f}\n")
         fh.write(f"train_rows={table.n_rows}\n")
@@ -301,20 +287,6 @@ _INTERVAL_COLUMNS = {"median": 0.5, "lo80": 0.1, "hi80": 0.9, "lo95": 0.025, "hi
 _SAMPLE_BLOCK_ENTRIES = 1 << 16
 
 
-def _csv_lines(*columns: Iterable[str]) -> str:
-    """Rows of text fields, one field per column, joined as ``csv.writer``
-    joins them: commas between fields and ``\\r\\n`` after each row.  No
-    field may need quoting."""
-    text = "\r\n".join(map(",".join, zip(*columns)))
-    return text + "\r\n" if text else text
-
-
-def _write_columns(path: Path, header: Sequence[str], *columns: Iterable[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write(_csv_lines(*columns))
-
-
 def _repeat_each(items: Sequence[str], times: int) -> Iterable[str]:
     return itertools.chain.from_iterable(map(itertools.repeat, items, itertools.repeat(times)))
 
@@ -336,51 +308,43 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         raise DataError(f"no forecast product at lead hour {h_probe}")
     n, draws = len(leads), config.draws
     times = [format_hour(origin + timedelta(hours=h)) for h in leads]
-    _write_columns(
+    write_csv(
         out / "quantiles.csv",
         ["valid_time", "level", "value_degC"],
         _repeat_each(times, config.levels.size),
-        _fmt_column(config.levels) * n,
-        _fmt_column(cdfs.values),
+        float_texts(config.levels) * n,
+        float_texts(cdfs.values),
     )
     bounds = cdfs.quantile(np.tile(list(_INTERVAL_COLUMNS.values()), (n, 1)))
-    _write_columns(
-        out / "intervals.csv",
-        ["valid_time", *_INTERVAL_COLUMNS],
-        times,
-        *map(_fmt_column, bounds.T),
-    )
+    header = ["valid_time", *_INTERVAL_COLUMNS]
+    write_csv(out / "intervals.csv", header, times, *map(float_texts, bounds.T))
     seeds = [config.seed + 7 * h + 1 for h in leads]
     below = np.empty(n)
     step = max(1, _SAMPLE_BLOCK_ENTRIES // draws)
     draw_text = [str(i) for i in range(draws)]
     with open(out / "samples.csv", "w", newline="") as fh:
-        fh.write("valid_time,draw,value_degC\r\n")
+        fh.write(_csv_lines(["valid_time"], ["draw"], ["value_degC"]))
         for a in range(0, n, step):
             b = min(a + step, n)
             values = cdfs[a:b].sample(draws, seeds[a:b])
             below[a:b] = np.mean(values < config.threshold, axis=1)
             fh.write(
                 _csv_lines(
-                    _repeat_each(times[a:b], draws), draw_text * (b - a), _fmt_column(values)
+                    _repeat_each(times[a:b], draws), draw_text * (b - a), float_texts(values)
                 )
             )
-    _write_columns(
+    write_csv(
         out / "prob_below.csv",
         ["valid_time", "prob_below", "prob_below_sampled"],
         times,
-        _fmt_column(cdfs.prob_below(config.threshold)),
-        _fmt_column(below),
+        float_texts(cdfs.prob_below(config.threshold)),
+        float_texts(below),
     )
     if h_probe is not None:
         d = cdfs.row(leads.index(h_probe))
-        lo = float(d.quantile(0.001))
-        hi = float(d.quantile(0.999))
-        xs = np.linspace(lo, hi, 500)
-        _write_csv(
-            out / "cdf_probe.csv",
-            ["value_degC", "cdf"],
-            [[_fmt(x), _fmt(p)] for x, p in zip(xs, d.cdf(xs))],
+        xs = np.linspace(float(d.quantile(0.001)), float(d.quantile(0.999)), 500)
+        write_csv(
+            out / "cdf_probe.csv", ["value_degC", "cdf"], float_texts(xs), float_texts(d.cdf(xs))
         )
     print(f"forecast products for origin {format_hour(origin)} written to {out}")
     print(f"  covered hours: {len(leads)} of {config.horizon_hours}")
@@ -390,20 +354,6 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
-
-
-_RAW_HEADER = ["valid_time", "lead_hours", "crps", "log_score", "abs_err_median"]
-
-
-def _score_rows(scores: scoring.Scores) -> Iterable[Sequence]:
-    return zip(
-        map(format_hour, map(hour_time, scores.valid_hours.tolist())),
-        scores.lead_hours.tolist(),
-        map(_fmt, scores.crps.tolist()),
-        map(_fmt, scores.log_score.tolist()),
-        map(_fmt, scores.abs_error_median.tolist()),
-        *scores.hits.T.astype(int).tolist(),
-    )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -417,53 +367,59 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scen_dir = out / "scenarios"
     scen_dir.mkdir(exist_ok=True)
     for r in results:
-        _write_csv(
-            scen_dir / f"scenario_{r.index:03d}_scores.csv",
-            _RAW_HEADER + [f"hit{round(w * 100):d}" for w in r.scores.intervals],
-            _score_rows(r.scores),
-        )
-        _write_csv(
-            scen_dir / f"scenario_{r.index:03d}_raw.csv", _RAW_HEADER, _score_rows(r.raw_scores)
-        )
+        for name, s in (("scores", r.scores), ("raw", r.raw_scores)):
+            write_csv(
+                scen_dir / f"scenario_{r.index:03d}_{name}.csv",
+                ["valid_time", "lead_hours", "crps", "log_score", "abs_err_median"]
+                + [f"hit{round(w * 100):d}" for w in s.intervals],
+                map(format_hour, map(hour_time, s.valid_hours.tolist())),
+                map(str, s.lead_hours.tolist()),
+                *map(float_texts, (s.crps, s.log_score, s.abs_error_median)),
+                *(map(str, hits) for hits in s.hits.T.astype(int).tolist()),
+            )
     scores = scoring.Scores.concat([r.scores for r in results])
     raw = scoring.Scores.concat([r.raw_scores for r in results])
-    _write_csv(
+    # the forecast's rows, then the raw comparator's with its metrics prefixed
+    ours, theirs = scoring.aggregate_by_lead(scores), scoring.aggregate_by_lead(raw)
+    lead, mean, sd, n = (np.concatenate([ours[k], theirs[k]]) for k in (0, 2, 3, 4))
+    write_csv(
         out / "aggregates.csv",
         ["lead_hours", "metric", "mean", "sd", "n"],
-        (
-            [lead, prefix + metric, _fmt(mean), _fmt(sd), n]
-            for prefix, table in (("", scores), ("raw_", raw))
-            for lead, metric, mean, sd, n in scoring.aggregate_by_lead(table)
-        ),
+        map(str, lead.tolist()),
+        ours[1] + ["raw_" + m for m in theirs[1]],
+        float_texts(mean),
+        float_texts(sd),
+        map(str, n.tolist()),
     )
-    _write_csv(
+    write_csv(
         out / "points.csv",
         ["lead_hours", "metric", "scenario", "value"],
-        (
-            [lead, "crps", r.index, _fmt(value)]
-            for r in results
-            for lead, value in zip(r.scores.lead_hours.tolist(), r.scores.crps.tolist())
-        ),
+        map(str, scores.lead_hours.tolist()),
+        itertools.repeat("crps"),
+        [str(r.index) for r in results for _ in range(len(r.scores))],
+        float_texts(scores.crps),
     )
 
     summary: Dict[str, object] = {
         "n_scenarios": len(results),
         "seed": config.seed,
-        "train_rows_mean": _fmt(float(np.mean([r.train_rows for r in results]))),
+        "train_rows_mean": float(np.mean([r.train_rows for r in results])),
         "skipped_rows_total": sum(r.skipped_rows for r in results),
         "unscored_hours_total": sum(r.unscored_hours for r in results),
         "degenerate_hours_total": sum(r.degenerate_hours for r in results),
-        "mean_crps": _fmt(scoring.finite_mean(scores.crps)),
-        "mean_crps_raw": _fmt(scoring.finite_mean(raw.crps)),
-        "mean_log_score": _fmt(scoring.finite_mean(scores.log_score)),
-        "mean_log_score_raw": _fmt(scoring.finite_mean(raw.log_score)),
-        "mean_abs_err_median": _fmt(scoring.mae_median(scores)),
-        "mean_abs_err_median_raw": _fmt(scoring.mae_median(raw)),
+        "mean_crps": scoring.finite_mean(scores.crps),
+        "mean_crps_raw": scoring.finite_mean(raw.crps),
+        "mean_log_score": scoring.finite_mean(scores.log_score),
+        "mean_log_score_raw": scoring.finite_mean(raw.log_score),
+        "mean_abs_err_median": scoring.mae_median(scores),
+        "mean_abs_err_median_raw": scoring.mae_median(raw),
     }
     for w in scoring.DEFAULT_INTERVALS:
-        summary[f"coverage_{round(w * 100):d}"] = _fmt(scoring.interval_coverage(scores, w))
+        summary[f"coverage_{round(w * 100):d}"] = scoring.interval_coverage(scores, w)
     with open(out / "summary.txt", "w") as fh:
         for key, value in summary.items():
+            if isinstance(value, float):  # written as its CSV field would be
+                (value,) = float_texts([value])
             fh.write(f"{key}={value}\n")
     with open(out / "timings.txt", "w") as fh:
         fh.write(f"wall_seconds={wall:.3f}\n")
@@ -472,9 +428,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             fh.write(f"{stage}_seconds={total:.3f}\n")
     print(f"evaluated {len(results)} scenarios in {wall:.1f}s")
     for w in scoring.DEFAULT_INTERVALS:
-        print(f"  {round(w * 100):d}% coverage: {scoring.interval_coverage(scores, w):.3f}")
-    print(f"  mean CRPS: {scoring.finite_mean(scores.crps):.3f}"
-          f" (raw comparator {scoring.finite_mean(raw.crps):.3f})")
+        print(f"  {round(w * 100):d}% coverage: {summary[f'coverage_{round(w * 100):d}']:.3f}")
+    print(f"  mean CRPS: {summary['mean_crps']:.3f}"
+          f" (raw comparator {summary['mean_crps_raw']:.3f})")
     print(f"  reports in {out}")
     return 0
 

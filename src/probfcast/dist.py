@@ -229,14 +229,15 @@ class CDFTable:
         below = live & (idx == 0)
         above = live & (idx == p.size)
         mid = live & ~(below | above)
-        if below.any() and p[0] > 0.0:
-            r = np.nonzero(below)[0]
-            rate = self.lower_rate[r]
-            out[below] = _log(p[0] * rate) + rate * (x[below] - v[r, 0])
-        if above.any() and p[-1] < 1.0:
-            r = np.nonzero(above)[0]
-            rate = self.upper_rate[r]
-            out[above] = _log((1.0 - p[-1]) * rate) - rate * (x[above] - v[r, -1])
+        with np.errstate(over="ignore"):  # a steep tail's rate x distance: -inf, the limit
+            if below.any() and p[0] > 0.0:
+                r = np.nonzero(below)[0]
+                rate = self.lower_rate[r]
+                out[below] = _log(p[0] * rate) + rate * (x[below] - v[r, 0])
+            if above.any() and p[-1] < 1.0:
+                r = np.nonzero(above)[0]
+                rate = self.upper_rate[r]
+                out[above] = _log((1.0 - p[-1]) * rate) - rate * (x[above] - v[r, -1])
         if mid.any():
             r = np.nonzero(mid)[0]
             out[mid] = _log(self._slopes[r, idx[mid] - 1])

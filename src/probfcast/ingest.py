@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,9 @@ __all__ = [
     "load_observations",
     "write_forecasts",
     "write_observations",
+    "write_csv",
+    "float_texts",
+    "quote_field",
     "slice_scenario",
 ]
 
@@ -551,28 +554,54 @@ def _hour_text(hour: int) -> str:
     return format_hour(hour_time(hour))
 
 
+def _csv_lines(*columns: Iterable[str]) -> str:
+    """Rows of fields, one per column, joined by commas and ended by ``\\r\\n``;
+    free text goes through :func:`quote_field` first."""
+    text = "\r\n".join(map(",".join, zip(*columns)))
+    return text + "\r\n" if text else text
+
+
+def write_csv(path: str | Path, header: Sequence[str], *columns: Iterable[str]) -> None:
+    """Write ``header``, then a row per entry of the text ``columns``: every CSV
+    the program writes, inputs and reports alike, as the ``csv`` module would."""
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_lines(*zip(header)))
+        fh.write(_csv_lines(*columns))
+
+
+def float_texts(values) -> List[str]:
+    """Each entry of a float array in order: its ``repr``, or empty for NaN."""
+    values = np.asarray(values, dtype=float)
+    text = list(map(repr, values.ravel().tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        text[i] = ""
+    return text
+
+
+def quote_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as the ``csv`` module's default
+    writer quotes it: inside ``"``, with each ``"`` doubled, when it holds
+    ``,``, ``"``, ``\\r`` or ``\\n``."""
+    quote = any(c in text for c in ',"\r\n')
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
 def write_forecasts(path: str | Path, forecasts: Forecasts) -> None:
     fc = forecasts
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FORECAST_HEADER)
-        writer.writerows(
-            zip(
-                _map_distinct(fc.models.__getitem__, fc.model),
-                _map_distinct(lambda k: "" if k < 0 else str(k), fc.member),
-                _map_distinct(_hour_text, fc.init),
-                _map_distinct(_hour_text, fc.valid),
-                map(repr, fc.value.tolist()),
-            )
-        )
+    write_csv(
+        path,
+        FORECAST_HEADER,
+        _map_distinct(lambda k: quote_field(fc.models[k]), fc.model),
+        _map_distinct(lambda k: "" if k < 0 else str(k), fc.member),
+        _map_distinct(_hour_text, fc.init),
+        _map_distinct(_hour_text, fc.valid),
+        float_texts(fc.value),
+    )
 
 
 def write_observations(path: str | Path, observations: Observations) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBSERVATION_HEADER)
-        hours = _map_distinct(_hour_text, observations.hour)
-        writer.writerows(zip(hours, map(repr, observations.value.tolist())))
+    hours = _map_distinct(_hour_text, observations.hour)
+    write_csv(path, OBSERVATION_HEADER, hours, float_texts(observations.value))
 
 
 def slice_scenario(dataset: Dataset, window: ScenarioWindow) -> Tuple[Dataset, Dataset]:

@@ -365,43 +365,46 @@ def score_scenario(horizon: Horizon, config: RunConfig, index: int) -> ScenarioR
 _CHUNK = 3
 
 
-def _run_chunk(args) -> List[ScenarioResult]:
+def _run_chunk(args) -> Tuple[List[ScenarioResult], Optional[Exception]]:
     """Score scenarios in order, growing each ``_CHUNK`` of their forests together.
 
-    A scenario whose preparation fails lets the scenarios before it in its
-    chunk finish first, so the first failure in scenario order is raised, as
-    when each forest grows alone.
+    Returns the results up to the first failure in scenario order, and that
+    failure or None.  A scenario whose preparation fails lets the scenarios
+    before it in its chunk finish first, as when each forest grows alone.
     """
     dataset, origins_with_index, config = args
     results: List[ScenarioResult] = []
-    for at in range(0, len(origins_with_index), _CHUNK):
-        chunk = origins_with_index[at : at + _CHUNK]
-        prepared: list = []
-        failure: Optional[Exception] = None
-        for i, origin in chunk:
-            try:
-                ready = prepare_scenario(dataset, origin, config)
-                config.forest_config(i).validate(ready.table.n_rows)
-            except Exception as exc:  # raised once the scenarios before it are scored
-                failure = exc
-                break
-            prepared.append(ready)
-        chunk = chunk[: len(prepared)]
-        if chunk:
-            t0 = time.perf_counter()
-            forests: list = qrf.train_many(
-                [p.table for p in prepared], [config.forest_config(i) for i, _ in chunk]
-            )
-            share = (time.perf_counter() - t0) / len(chunk)  # the pass's time, split evenly
-            for p in prepared:
-                p.timings["train"] = share
-        for j, (i, origin) in enumerate(chunk):
-            horizon = run_scenario(dataset, origin, config, i, prepared[j], forests[j])
-            prepared[j] = forests[j] = None  # free each forest and table once it has served
-            results.append(score_scenario(horizon, config, i))
-        if failure is not None:
-            raise failure
-    return results
+    try:
+        for at in range(0, len(origins_with_index), _CHUNK):
+            chunk = origins_with_index[at : at + _CHUNK]
+            prepared: list = []
+            failure: Optional[Exception] = None
+            for i, origin in chunk:
+                try:
+                    ready = prepare_scenario(dataset, origin, config)
+                    config.forest_config(i).validate(ready.table.n_rows)
+                except Exception as exc:  # raised once the scenarios before it are scored
+                    failure = exc
+                    break
+                prepared.append(ready)
+            chunk = chunk[: len(prepared)]
+            if chunk:
+                t0 = time.perf_counter()
+                forests: list = qrf.train_many(
+                    [p.table for p in prepared], [config.forest_config(i) for i, _ in chunk]
+                )
+                share = (time.perf_counter() - t0) / len(chunk)  # the pass's time, split evenly
+                for p in prepared:
+                    p.timings["train"] = share
+            for j, (i, origin) in enumerate(chunk):
+                horizon = run_scenario(dataset, origin, config, i, prepared[j], forests[j])
+                prepared[j] = forests[j] = None  # free each forest and table once it has served
+                results.append(score_scenario(horizon, config, i))
+            if failure is not None:
+                raise failure
+    except Exception as exc:
+        return results, exc
+    return results, None
 
 
 def run_scenarios(
@@ -410,19 +413,23 @@ def run_scenarios(
     """Evaluate many seeded scenarios, optionally across a process pool.
 
     Results are returned in scenario order regardless of worker scheduling,
-    so downstream reports are identical for any ``jobs`` setting.
+    so downstream reports are identical for any ``jobs`` setting.  So is a
+    failure: the first in scenario order is raised.
     """
     if origins is None:
         origins = draw_origins(dataset, config)
     indexed = list(enumerate(origins))
-    if config.jobs <= 1 or len(indexed) == 1:
-        return _run_chunk((dataset, indexed, config))
-    from concurrent.futures import ProcessPoolExecutor
+    jobs = max(1, min(config.jobs, len(indexed)))
+    shares = [indexed[i::jobs] for i in range(jobs)]
+    if jobs <= 1:
+        parts = [_run_chunk((dataset, indexed, config))]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    jobs = min(config.jobs, len(indexed))
-    chunks = [(dataset, indexed[i::jobs], config) for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_run_chunk, chunks))
-    merged: List[ScenarioResult] = [r for part in parts for r in part]
-    merged.sort(key=lambda r: r.index)
-    return merged
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_run_chunk, [(dataset, share, config) for share in shares]))
+    # Each share stops at its own first failure, in the scenario after its last result.
+    failures = [(share[len(done)][0], exc) for share, (done, exc) in zip(shares, parts) if exc]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return sorted((r for done, _ in parts for r in done), key=lambda r: r.index)

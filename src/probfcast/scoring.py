@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .combine import hour_blocks
 from .dist import CDFTable, DegenerateDistributionError, PiecewiseCDF, _exp
 
 __all__ = [
@@ -280,13 +281,15 @@ def mae_median(scores: Scores) -> float:
     return float(np.mean(scores.abs_error_median))
 
 
-def aggregate_by_lead(scores: Scores) -> List[Tuple[int, str, float, float, int]]:
-    """(lead, metric, mean, sd, n) rows: leads ascending, each lead's metrics by name.
-
-    NaN values (absent log scores) are left out of their own metric only.
-    Metric ``hitNN`` is the coverage of the NN % central interval.  Rows are
-    grouped by a stable sort on lead, so each group keeps the row order.
-    """
+def aggregate_by_lead(scores: Scores) -> Tuple[np.ndarray, List[str], np.ndarray, ...]:
+    """Columns (lead, metric, mean, sd, n), an entry per lead and metric:
+    leads ascending, each lead's metrics by name (``hitNN``: the coverage of
+    the NN % central interval).  Each mean and sd (``ddof=1``, or 0.0 below
+    two values) is over a metric's finite values at a lead, in row order,
+    and n counts them: a NaN log score is left out of its own metric only,
+    and a lead without any has a NaN mean.  Leads with the same count share
+    one ``np.mean`` and one ``np.std`` along axis 1, which equal the calls
+    on each lead's values alone."""
     if len(scores) == 0:
         raise ValueError("no scores")
     columns = {
@@ -296,15 +299,19 @@ def aggregate_by_lead(scores: Scores) -> List[Tuple[int, str, float, float, int]
     }
     for j, w in enumerate(scores.intervals):
         columns[f"hit{round(w * 100):d}"] = scores.hits[:, j].astype(float)
+    names = sorted(columns)
     order = np.argsort(scores.lead_hours, kind="stable")
-    leads, starts = np.unique(scores.lead_hours[order], return_index=True)
-    ends = np.append(starts[1:], order.size)
-    by_lead = {name: columns[name][order] for name in sorted(columns)}
-    rows = []
-    for lead, a, b in zip(leads.tolist(), starts.tolist(), ends.tolist()):
-        for name, values in by_lead.items():
-            group = values[a:b]
-            finite = group[np.isfinite(group)]
-            sd = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
-            rows.append((lead, name, finite_mean(finite), sd, int(finite.size)))
-    return rows
+    leads, lead_of = np.unique(scores.lead_hours[order], return_inverse=True)
+    shape = (leads.size, len(names))
+    mean, sd, n = np.full(shape, np.nan), np.zeros(shape), np.zeros(shape, dtype=np.int64)
+    for j, name in enumerate(names):
+        values = columns[name][order]
+        finite = np.isfinite(values)
+        kept = values[finite]  # still grouped by lead, in row order
+        n[:, j] = np.bincount(lead_of[finite], minlength=leads.size)
+        for group, block in hour_blocks(n[:, j]):
+            if block.shape[1]:
+                mean[group, j] = np.mean(kept[block], axis=1)
+            if block.shape[1] > 1:
+                sd[group, j] = np.std(kept[block], axis=1, ddof=1)
+    return np.repeat(leads, len(names)), names * leads.size, mean.ravel(), sd.ravel(), n.ravel()

@@ -214,10 +214,12 @@ def reference_log_density(d, x):
     below = idx == 0
     above = idx == v.size
     mid = ~(below | above)
-    if below.any() and p[0] > 0.0:
-        out[below] = math.log(p[0] * d.lower_rate) + d.lower_rate * (xv[below] - v[0])
-    if above.any() and p[-1] < 1.0:
-        out[above] = math.log((1.0 - p[-1]) * d.upper_rate) - d.upper_rate * (xv[above] - v[-1])
+    with np.errstate(over="ignore"):  # a steep tail's rate x distance: -inf, the limit
+        if below.any() and p[0] > 0.0:
+            out[below] = math.log(p[0] * d.lower_rate) + d.lower_rate * (xv[below] - v[0])
+        if above.any() and p[-1] < 1.0:
+            lam = d.upper_rate
+            out[above] = math.log((1.0 - p[-1]) * lam) - lam * (xv[above] - v[-1])
     if mid.any():
         out[mid] = _reference_log(d.slopes[idx[mid] - 1])
     return out
@@ -317,6 +319,32 @@ def reference_vincentize(values):
     """Per-hour quantile average of a (k x levels) block: each level's mean
     over its values in sorted order."""
     return np.mean(np.sort(np.asarray(values, dtype=float), axis=0), axis=0)
+
+
+def reference_aggregate_by_lead(scores):
+    """Per-lead summaries of a ``Scores`` table as (lead, metric, mean, sd, n)
+    rows, one lead and metric at a time: leads ascending, each lead's metrics
+    by name, over the finite values in row order."""
+    columns = {
+        "crps": scores.crps,
+        "log_score": scores.log_score,
+        "abs_error_median": scores.abs_error_median,
+    }
+    for j, w in enumerate(scores.intervals):
+        columns[f"hit{round(w * 100):d}"] = scores.hits[:, j].astype(float)
+    order = np.argsort(scores.lead_hours, kind="stable")
+    leads, starts = np.unique(scores.lead_hours[order], return_index=True)
+    ends = np.append(starts[1:], order.size)
+    by_lead = {name: columns[name][order] for name in sorted(columns)}
+    rows = []
+    for lead, a, b in zip(leads.tolist(), starts.tolist(), ends.tolist()):
+        for name, values in by_lead.items():
+            group = values[a:b]
+            finite = group[np.isfinite(group)]
+            mean = float(np.mean(finite)) if finite.size else float("nan")
+            sd = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
+            rows.append((lead, name, mean, sd, int(finite.size)))
+    return rows
 
 
 @dataclass(frozen=True, slots=True)

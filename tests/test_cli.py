@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import filecmp
 import hashlib
+import io
+import shutil
 from datetime import timedelta
 from pathlib import Path
 
@@ -118,6 +120,31 @@ class TestTrain:
             qrf.predict_quantiles_batch(again, leads, labels, DEFAULT_LEVELS),
         )
 
+    @pytest.mark.parametrize("flag, name", [("--dump-errors", "x.csv"), ("--save", "f.npz")])
+    def test_output_file_in_missing_directory_is_config_error(self, tmp_path, capsys, flag, name):
+        # The inputs are absent too: reading them first would exit 2.
+        path, absent = tmp_path / "missing" / name, str(tmp_path / "absent.csv")
+        argv = ["train", "--forecasts", absent, "--observations", absent]
+        assert main([*argv, "--out", str(tmp_path / "out"), flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} {path}" in err and "does not exist" in err
+
+    def test_error_dump_quotes_labels_as_the_csv_module(self, data_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        text = (data_dir / "forecasts.csv").read_bytes()
+        (data / "forecasts.csv").write_bytes(text.replace(b"\nglu,", b'\n"eur,""uk""",'))
+        shutil.copy(data_dir / "observations.csv", data / "observations.csv")
+        dump = tmp_path / "out" / "errors.csv"
+        extra = ["--trees", "5", "--train-days", "7", "--dump-errors", str(dump)]
+        assert main(["train", *run_args(data, tmp_path / "out", extra)]) == 0
+        with open(dump, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert 'eur,"uk"' in {row[1] for row in rows[1:]}
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer).writerows(rows)
+        assert dump.read_bytes() == buffer.getvalue().encode()
+
 
 class TestForecast:
     def test_products_written(self, data_dir, tmp_path):
@@ -205,11 +232,6 @@ class TestForecast:
             assert float(probs[t]["prob_below_sampled"]) == float(np.mean(expected < 3.5))
             for column, level in cli._INTERVAL_COLUMNS.items():
                 assert float(intervals[t][column]) == reference_quantile(ref, [level])[0]
-
-    def test_fmt_column_is_fmt_of_each_entry(self):
-        values = np.array([[1.5, np.nan, -0.0], [np.inf, 1e-300, 0.1 + 0.2]])
-        assert cli._fmt_column(values) == [cli._fmt(x) for x in values.ravel().tolist()]
-        assert cli._fmt_column(values)[1] == ""
 
     @pytest.mark.parametrize("hour, flags", [("0", []), ("500", []), ("25", ["--horizon", "24"])])
     def test_probe_hour_outside_horizon_exits_before_reading(self, tmp_path, hour, flags):
@@ -303,10 +325,11 @@ class TestEvaluate:
             if rel != Path("timings.txt"):
                 assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
-    def test_first_failing_scenario_is_reported(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_first_failing_scenario_is_reported(self, data_dir, tmp_path, capsys, jobs):
         """Scenario 0 fails in scoring and scenario 1 in preparation: the report
         names scenario 0's failure, as when each scenario runs alone in turn."""
-        extra = ["--scenarios", "2", "--min-training-rows", "500"]
+        extra = ["--scenarios", "2", "--min-training-rows", "500", "--jobs", jobs]
         args = build_parser().parse_args(["evaluate", *run_args(data_dir, "", extra)])
         config = _run_config(args)
         fc = load_forecasts(data_dir / "forecasts.csv")

@@ -13,6 +13,7 @@ from helpers import (
     reference_build_cdf,
     reference_cdf,
     reference_crps,
+    reference_log_density,
     reference_prob_below,
     reference_quantile,
     reference_sample,
@@ -292,6 +293,18 @@ class TestEvaluation:
     def test_interior_density_is_segment_slope(self):
         d = PiecewiseCDF.from_knots([0.0, 1.0], [0.4, 0.6])
         assert density(d, 0.5) == pytest.approx(0.2, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_density_far_out_in_a_steep_tail(self):
+        # A boundary width of 1e-306 gives tail rates of 4e306: 100 degrees out,
+        # the tail term passes the largest float, and the log density is -inf.
+        levels = np.array([0.1, 0.5, 0.9])
+        rows = np.array([[0.0, 1e-306, 1.0], [-1.0, 0.0, 1e-306]])
+        xs = np.array([[-100.0], [100.0]])
+        got = CDFTable.from_quantiles(levels, rows).log_density(xs)
+        assert got.tolist() == [[-math.inf], [-math.inf]]
+        refs = [reference_build_cdf(levels, v) for v in rows]
+        assert_rows_equal(got, [reference_log_density(r, x) for r, x in zip(refs, xs)])
 
     def test_log_density_linear_in_tail(self):
         d = simple_dist()

@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -180,6 +182,51 @@ class TestRoundTrip:
         expected = sorted(forecast_records(ds.forecasts), key=repr)
         assert sorted(forecast_records(fc), key=repr) == expected
         assert observation_records(obs) == observation_records(ds.observations)
+
+
+def csv_module_text(rows):
+    """``rows`` as the ``csv`` module's default writer writes them."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+FREE_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "é", "雪", "a", "_"]))
+
+
+class TestCsvWriter:
+    def test_float_texts_are_repr_or_empty_for_nan(self):
+        values = np.array([[1.5, np.nan, -0.0], [np.inf, 1e-300, 0.1 + 0.2]])
+        expected = ["1.5", "", "-0.0", "inf", "1e-300", "0.30000000000000004"]
+        assert ingest.float_texts(values) == expected
+        assert ingest.float_texts([np.nan]) == [""]
+
+    # A row of one empty field is the csv module's one special case ('""'); no
+    # file the program writes has fewer than two columns.
+    @given(st.lists(st.lists(FREE_TEXT, min_size=2, max_size=4), min_size=1, max_size=4))
+    def test_quoted_lines_equal_the_csv_module(self, rows):
+        width = min(map(len, rows))
+        rows = [row[:width] for row in rows]
+        columns = [[ingest.quote_field(text) for text in column] for column in zip(*rows)]
+        assert ingest._csv_lines(*columns) == csv_module_text(rows)
+
+    def test_model_id_with_comma_and_quotes_round_trips(self, tmp_path):
+        ds = synthesize_dataset(SynthConfig(span_days=3), seed=4)
+        write_forecasts(tmp_path / "plain.csv", ds.forecasts)
+        quoted = tmp_path / "quoted.csv"
+        text = (tmp_path / "plain.csv").read_bytes()
+        quoted.write_bytes(text.replace(b"\nglu,", b'\n"eur,""uk""",'))
+        fc = load_forecasts(quoted)
+        assert 'eur,"uk"' in fc.models and "glu" not in fc.models
+        path = tmp_path / "written.csv"
+        write_forecasts(path, fc)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert path.read_bytes() == csv_module_text(rows).encode()
+        again = load_forecasts(path)
+        assert forecast_records(again) == forecast_records(fc)
+        write_forecasts(tmp_path / "again.csv", again)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def tiny_dataset():

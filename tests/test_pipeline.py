@@ -178,7 +178,7 @@ class TestStageTwo:
 class TestRunScenarios:
     def test_full_lead_axis_aggregates(self, dataset):
         results = run_scenarios(dataset, SMALL)
-        rows = aggregate_by_lead(Scores.concat([res.scores for res in results]))
+        rows = list(zip(*aggregate_by_lead(Scores.concat([res.scores for res in results]))))
         assert sorted({row[0] for row in rows}) == list(range(1, 169))
         assert all(row[4] == SMALL.n_scenarios for row in rows if row[1] == "crps")
 
@@ -206,6 +206,25 @@ class TestRunScenarios:
         assert far.size and np.all(np.isnan(far))
         near = raw.log_score[(raw.lead_hours >= 2) & (raw.lead_hours <= 40)]
         assert np.any(np.isfinite(near))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_in_scenario_order_at_any_jobs(self, dataset, jobs):
+        """Scenario 1 fails in preparation and scenario 2 in scoring.  At two
+        jobs, scenarios 0 and 2 share a worker, whose failure comes back first;
+        scenario 1's is still the one raised."""
+        origins = admissible_origins(dataset, SMALL)
+        first, middle, last = origins[0], origins[len(origins) // 2], origins[-1]
+        fc, obs = dataset.forecasts, dataset.observations
+        # eur_uk keeps its runs from the middle origin on, so it has a run there
+        # but no training rows; the first origin has no eur_uk run at all.
+        fc = fc.take((fc.model != fc.models.index("eur_uk")) | (fc.init >= hour_index(middle)))
+        # An hour of the last origin's horizon, after the middle one's, loses its observation.
+        missing = last + timedelta(hours=5)
+        assert missing > middle + timedelta(hours=SMALL.horizon_hours)
+        obs = obs.take(obs.hour != hour_index(missing))
+        config = RunConfig(num_trees=20, sample_count=64, min_training_rows=500, jobs=jobs)
+        with pytest.raises(DataError, match=r"eur_uk.*no training rows"):
+            run_scenarios(Dataset(fc, obs), config, [first, middle, last])
 
 
 LEVELS7 = np.array([0.025, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975])

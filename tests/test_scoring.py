@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     random_quantile_vector,
+    reference_aggregate_by_lead,
     reference_build_cdf,
     reference_crps,
     reference_crps_ensemble,
@@ -173,6 +174,11 @@ def scores(leads, hits=(), crps_vals=1.0, log_vals=0.5, abs_errs=0.7, intervals=
     )
 
 
+def aggregate_rows(s):
+    """``aggregate_by_lead``'s columns as (lead, metric, mean, sd, n) rows."""
+    return list(zip(*aggregate_by_lead(s)))
+
+
 def by_metric(rows, metric):
     return [row for row in rows if row[1] == metric]
 
@@ -212,7 +218,7 @@ class TestCoverageAndMae:
 
 class TestAggregateByLead:
     def test_single_record_per_lead(self):
-        rows = aggregate_by_lead(scores([1, 2, 3], [[True]] * 3, crps_vals=[1.0, 2.0, 3.0]))
+        rows = aggregate_rows(scores([1, 2, 3], [[True]] * 3, crps_vals=[1.0, 2.0, 3.0]))
         crps_rows = by_metric(rows, "crps")
         assert [r[0] for r in crps_rows] == [1, 2, 3]
         assert [r[2] for r in crps_rows] == [1.0, 2.0, 3.0]
@@ -220,7 +226,7 @@ class TestAggregateByLead:
 
     def test_full_scale_shape(self):
         leads = [lead for _ in range(200) for lead in range(1, 169)]
-        rows = aggregate_by_lead(scores(leads, [[True]] * len(leads)))
+        rows = aggregate_rows(scores(leads, [[True]] * len(leads)))
         assert [r[1] for r in rows[:4]] == ["abs_error_median", "crps", "hit50", "log_score"]
         assert len(rows) == 168 * 4
         assert all(r[4] == 200 for r in rows)
@@ -244,7 +250,7 @@ class TestAggregateByLead:
             s.hits[perm],
             s.intervals,
         )
-        a, b = aggregate_by_lead(s), aggregate_by_lead(shuffled)
+        a, b = aggregate_rows(s), aggregate_rows(shuffled)
         for x, y in zip(by_metric(a, "crps"), by_metric(b, "crps")):
             assert x[0] == y[0]
             assert x[2] == pytest.approx(y[2], rel=1e-12)
@@ -252,19 +258,19 @@ class TestAggregateByLead:
     def test_groups_keep_row_order(self):
         # crps 0.1, 0.2, 0.3 at lead 1 sum differently in other orders
         s = scores([2, 1, 1, 2, 1], [[True]] * 5, crps_vals=[5.0, 0.1, 0.2, 7.0, 0.3])
-        lead_one = by_metric(aggregate_by_lead(s), "crps")[0]
+        lead_one = by_metric(aggregate_rows(s), "crps")[0]
         assert lead_one[2] == float(np.mean(np.array([0.1, 0.2, 0.3])))
         assert lead_one[3] == float(np.std(np.array([0.1, 0.2, 0.3]), ddof=1))
 
     def test_nan_log_scores_excluded_from_their_metric_only(self):
         s = scores([1, 1], [[True], [True]], log_vals=[0.5, float("nan")])
-        rows = {r[1]: r for r in aggregate_by_lead(s)}
+        rows = {r[1]: r for r in aggregate_rows(s)}
         assert rows["log_score"][4] == 1
         assert rows["crps"][4] == 2
         assert rows["log_score"][2] == 0.5
 
     def test_no_hit_columns_for_the_raw_comparator(self):
-        rows = aggregate_by_lead(scores([1, 2], intervals=()))
+        rows = aggregate_rows(scores([1, 2], intervals=()))
         assert {r[1] for r in rows} == {"abs_error_median", "crps", "log_score"}
 
 
@@ -352,8 +358,47 @@ def scored_tables(draw):
     return levels, values, np.array(y)
 
 
+@st.composite
+def lead_score_tables(draw):
+    """Scores of 1-250 rows per lead, the leads' rows shuffled together, with
+    NaN and a few infinite log scores, and one lead whose log scores are all
+    NaN.  Values span six decades, so sums of them round."""
+    counts = draw(st.lists(st.integers(1, 250), min_size=1, max_size=6))
+    intervals = draw(st.sampled_from([(), (0.5,), (0.5, 0.8, 0.9, 0.95)]))
+    nan_share = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    leads = np.repeat(rng.choice(np.arange(1, 169), len(counts), replace=False), counts)
+    rng.shuffle(leads)
+    n = leads.size
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    log = rng.normal(size=n) * scale
+    log[rng.random(n) < nan_share] = np.nan
+    log[rng.random(n) < 0.02] = -np.inf
+    log[leads == leads[0]] = np.nan
+    return Scores(
+        leads,
+        np.arange(n),
+        rng.exponential(size=n) * scale,
+        log,
+        rng.exponential(size=n),
+        rng.random((n, len(intervals))) < 0.8,
+        intervals,
+    )
+
+
 class TestBatchedAgainstReference:
-    """The batched score kernels equal the per-hour references bit for bit."""
+    """The batched score kernels and the per-lead aggregation equal the
+    per-hour and per-lead references bit for bit."""
+
+    @given(lead_score_tables())
+    def test_aggregate_by_lead(self, s):
+        lead, metric, mean, sd, n = aggregate_by_lead(s)
+        ref_lead, ref_metric, ref_mean, ref_sd, ref_n = zip(*reference_aggregate_by_lead(s))
+        assert lead.tolist() == list(ref_lead)
+        assert metric == list(ref_metric)
+        assert mean.tobytes() == np.array(ref_mean).tobytes()
+        assert sd.tobytes() == np.array(ref_sd).tobytes()
+        assert n.tolist() == list(ref_n)
 
     # a drawn width may be subnormal: the table's slope then overflows, quietly
     @pytest.mark.filterwarnings("error::RuntimeWarning")
