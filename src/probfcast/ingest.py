@@ -28,6 +28,7 @@ fixes the error-table row order and with it every seeded result downstream.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -555,10 +556,9 @@ def _hour_text(hour: int) -> str:
 
 
 def _csv_lines(*columns: Iterable[str]) -> str:
-    """Rows of fields, one per column, joined by commas and ended by ``\\r\\n``;
-    free text goes through :func:`quote_field` first."""
-    text = "\r\n".join(map(",".join, zip(*columns)))
-    return text + "\r\n" if text else text
+    """Rows of fields, one per column, joined by commas, each ended by ``\\r\\n`` (the
+    empty last item ends the last row, with no copy); :func:`quote_field` free text."""
+    return "\r\n".join(itertools.chain(map(",".join, zip(*columns)), [""]))
 
 
 def write_csv(path: str | Path, header: Sequence[str], *columns: Iterable[str]) -> None:
