@@ -163,8 +163,12 @@ def _run_config(args: argparse.Namespace) -> pipeline.RunConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _out_path(args: argparse.Namespace) -> Path:
+    return Path(_default_out() if args.out is None else args.out)
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(_default_out() if args.out is None else args.out)
+    out = _out_path(args)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -174,11 +178,14 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _out_file(flag: str, path: Optional[str]) -> Optional[Path]:
-    """An output file's path, None if not given; checked before any input is read."""
+def _out_file(flag: str, path: Optional[str], out: Path) -> Optional[Path]:
+    """An output file's path, None if not given; checked before any input is
+    read and before the ``--out`` directory ``out``, which may hold it, is made."""
     if not path:
         return None
     parent = Path(path).parent
+    if parent.resolve() == out.resolve():
+        return Path(path)
     if not (parent.is_dir() and os.access(parent, os.W_OK)):
         raise ConfigError(f"{flag} {path}: directory {parent} does not exist or is not writable")
     return Path(path)
@@ -232,9 +239,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _run_config(args)
+    dump_path = _out_file("--dump-errors", args.dump_errors, _out_path(args))
+    save_path = _out_file("--save", args.save, _out_path(args))
     out = _out_dir(args)
-    dump_path = _out_file("--dump-errors", args.dump_errors)
-    save_path = _out_file("--save", args.save) or out / "forest.npz"
+    save_path = save_path or out / "forest.npz"
     dataset = _load_dataset(args)
     if args.origin:
         origin = parse_hour(args.origin)

@@ -191,18 +191,20 @@ class CDFTable:
         below = live & (idx == 0)
         above = live & (idx == p.size)
         mid = live & ~(below | above)
-        if below.any():
-            if p[0] > 0.0:
-                r = np.nonzero(below)[0]
-                out[below] = p[0] * _exp(self.lower_rate[r] * (x[below] - v[r, 0]))
-            else:
-                out[below] = 0.0
-        if above.any():
-            if p[-1] < 1.0:
-                r = np.nonzero(above)[0]
-                out[above] = 1.0 - (1.0 - p[-1]) * _exp(-self.upper_rate[r] * (x[above] - v[r, -1]))
-            else:
-                out[above] = 1.0
+        with np.errstate(over="ignore"):  # a steep tail's rate x distance: exp gives the limit
+            if below.any():
+                if p[0] > 0.0:
+                    r = np.nonzero(below)[0]
+                    out[below] = p[0] * _exp(self.lower_rate[r] * (x[below] - v[r, 0]))
+                else:
+                    out[below] = 0.0
+            if above.any():
+                if p[-1] < 1.0:
+                    r = np.nonzero(above)[0]
+                    rate = self.upper_rate[r]
+                    out[above] = 1.0 - (1.0 - p[-1]) * _exp(-rate * (x[above] - v[r, -1]))
+                else:
+                    out[above] = 1.0
         if mid.any():
             r = np.nonzero(mid)[0]
             seg = idx[mid] - 1

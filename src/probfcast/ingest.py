@@ -14,9 +14,9 @@ times must fall within [0, 168] hours, values must be finite, and a
 ``load_forecasts`` parses a file in the shape :func:`write_forecasts`
 writes (CRLF lines, or all LF lines; unquoted fields; ``YYYY-MM-DDTHH:00Z``
 times; see :func:`_forecast_columns`) with numpy over its raw bytes, in
-bounded blocks.  Any other valid CSV loads through the ``csv`` row parser
-to the same columns, and so does any file with a bad row, so a load error
-always names ``file:line``.
+bounded blocks, converting each distinct date and model id once.  Any other
+valid CSV loads through the ``csv`` row parser to the same columns, and so
+does any file with a bad row, so a load error always names ``file:line``.
 
 In memory a dataset is struct-of-arrays: times are int64 whole hours since
 the Unix epoch, a forecast's model is an index into the sorted ``models``
@@ -28,10 +28,11 @@ fixes the error-table row order and with it every seeded result downstream.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import os
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -271,10 +272,7 @@ def load_forecasts(path: str | Path) -> Forecasts:
     columns = _forecast_columns(path)
     if columns is None:
         return _load_forecast_rows(path)
-    models, model, member, init, valid, value = columns
-    return _sorted_forecasts(
-        path, models, model, member, init, valid, value, np.arange(2, value.size + 2)
-    )
+    return _sorted_forecasts(path, *columns, np.arange(2, columns[-1].size + 2))
 
 
 def _load_forecast_rows(path: str | Path) -> Forecasts:
@@ -318,30 +316,44 @@ def _load_forecast_rows(path: str | Path) -> Forecasts:
             f"{path}:{lines[i]}: lead hour {lead[i]} outside [0, {MAX_LEAD_HOURS}]"
         )
     value_a = _values(path, texts, lines)
-    return _sorted_forecasts(
-        path,
-        models,
-        np.array(model, dtype=np.int64),
-        np.array(member, dtype=np.int64),
-        init_a,
-        valid_a,
-        value_a,
-        np.array(lines, dtype=np.int64),
-    )
+    model_a, member_a, lines_a = (np.array(c, dtype=np.int64) for c in (model, member, lines))
+    return _sorted_forecasts(path, models, model_a, member_a, init_a, valid_a, value_a, lines_a)
 
 
 def _sorted_forecasts(path, models: Dict[str, int], model, member, init, valid, value, lines):
     """Rows in canonical order, model codes renumbered by name; ``models``
-    maps each name to the code ``model`` uses, ``lines`` each row's line."""
+    maps each name to the code ``model`` uses, ``lines`` each row's line.
+
+    One stable sort of an int64 key over (model, member, init, lead) orders
+    rows as the columns would, as valid = init + lead; equal keys are
+    duplicates.  Spans whose product passes int64 (members near 1e9 over
+    millennia of inits) sort the columns instead."""
     names = sorted(models)
     rename = np.empty(len(names), dtype=np.int64)
     rename[[models[m] for m in names]] = np.arange(len(names))
     model = rename[model]
-    order = np.lexsort((valid, init, member, model))
-    fc = Forecasts(
-        tuple(names), model[order], member[order], init[order], valid[order], value[order]
-    )
-    _reject_duplicate_keys(path, fc, lines[order])
+    low = int(init.min()) if init.size else 0
+    members, inits = int(member.max(initial=-1)) + 2, int(init.max(initial=low)) - low + 1
+    if len(names) * members * inits * (MAX_LEAD_HOURS + 1) < 2**63:
+        key = ((model * members + member + 1) * inits + init - low) * (MAX_LEAD_HOURS + 1)
+        key += valid - init
+        order = np.argsort(key, kind="stable")
+        same = np.diff(key[order]) == 0
+    else:
+        order = np.lexsort((valid, init, member, model))
+        same = np.all([np.diff(c[order]) == 0 for c in (model, member, init, valid)], axis=0)
+    fc = Forecasts(tuple(names), *(c[order] for c in (model, member, init, valid, value)))
+    lines = lines[order]
+    dup = np.flatnonzero(same) + 1  # a repeated key sits next to its first occurrence
+    if dup.size:
+        i = int(dup[np.argmin(lines[dup])])
+        label = "" if fc.member[i] < 0 else f" member {fc.member[i]}"
+        raise DataError(
+            f"{path}:{lines[i]}: duplicate forecast {fc.models[fc.model[i]]}{label}"
+            f" init {format_hour(hour_time(fc.init[i]))}"
+            f" valid {format_hour(hour_time(fc.valid[i]))}"
+            f" (first seen on line {lines[i - 1]})"
+        )
     return fc
 
 
@@ -359,7 +371,7 @@ _VALUE_BYTE[list(b"0123456789.eE+-\0")] = True  # NUL: padding, as the file has 
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12]
 _STAMP_FIXED = [4, 7, 10, 13, 14, 15, 16]
 _STAMP_TEMPLATE = np.frombuffer(b"--T:00Z", dtype=np.uint8)
-_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_EPOCH_DAY = EPOCH.toordinal()
 
 
 def _read_padded(path) -> Tuple[np.ndarray, int]:
@@ -385,8 +397,16 @@ def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
 def _field_strings(buf, starts, lengths) -> np.ndarray:
     """Fields as NUL-padded byte strings (the file holds no NUL)."""
     g = _windows(buf, starts, max(int(lengths.max()), 1))
-    g[np.arange(g.shape[1]) >= lengths[:, None]] = 0
+    g *= np.arange(g.shape[1]) < lengths[:, None]
     return g.view(f"S{g.shape[1]}").ravel()
+
+
+def _run_codes(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct values, each entry's index into them), sorting only
+    the heads of the runs of equal values ``column`` comes in."""
+    heads = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+    distinct, inverse = np.unique(column[heads], return_inverse=True)
+    return distinct, np.repeat(inverse, np.diff(heads, append=column.size))
 
 
 def _stamp_hours(buf, starts) -> Optional[np.ndarray]:
@@ -395,26 +415,19 @@ def _stamp_hours(buf, starts) -> Optional[np.ndarray]:
     g = _windows(buf, starts, 17)
     if not (g[:, _STAMP_FIXED] == _STAMP_TEMPLATE).all():
         return None
-    d = g[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
-    if not ((d >= 0) & (d <= 9)).all():
+    d = (g[:, _STAMP_DIGITS] - np.uint8(ord("0"))).T.astype(np.int32)  # a non-digit wraps past 9
+    if not (d <= 9).all():
         return None
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month = d[:, 4] * 10 + d[:, 5]
-    day = d[:, 6] * 10 + d[:, 7]
-    hour = d[:, 8] * 10 + d[:, 9]
-    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23)).all():
+    ymd = functools.reduce(lambda n, x: n * 10 + x, d[:8])  # YYYYMMDD
+    hour = d[8] * 10 + d[9]
+    if not (hour <= 23).all():
         return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if not (day <= _DAYS_IN_MONTH[month - 1] + ((month == 2) & leap)).all():
+    dates, inverse = _run_codes(ymd)
+    try:
+        days = [date(x // 10000, x // 100 % 100, x % 100).toordinal() for x in dates.tolist()]
+    except ValueError:
         return None
-    # Days from 1970-01-01 in the proleptic Gregorian calendar, counting
-    # years from March so that a leap day ends its year.
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    return days * 24 + hour
+    return (np.array(days) - _EPOCH_DAY)[inverse] * 24 + hour
 
 
 def _forecast_columns(path):
@@ -426,8 +439,11 @@ def _forecast_columns(path):
     model id of at most 64 bytes; a member empty or of 1-9 digits; both
     times as ``YYYY-MM-DDTHH:00Z``; a value of at most 32 bytes from
     ``[0-9.eE+-]``.  Lines are found in 4 MiB scans and fields parsed 32,768
-    lines at a time, so no per-file matrix is built.  ``models`` maps model
-    ids to the codes of ``model``, as :func:`_sorted_forecasts` takes them.
+    lines at a time, so no per-file matrix is built.  In a block, each
+    distinct date is checked and converted once, by ``datetime.date``, and
+    each distinct model id decoded once; members are read one digit place
+    at a time.  ``models`` maps model ids to the codes of ``model``, as
+    :func:`_sorted_forecasts` takes them.
     """
     buf, size = _read_padded(path)
     data = buf[:size]
@@ -478,17 +494,19 @@ def _forecast_columns(path):
         width = c[:, 1] - c[:, 0] - 1
         if width.max() > 9:
             return None
-        d = _windows(buf, c[:, 0] + 1, 9).astype(np.int64) - ord("0")
-        place = width[:, None] - 1 - np.arange(9)  # power of ten of each digit
-        d[place < 0] = 0
-        if not ((d >= 0) & (d <= 9)).all():
-            return None
-        member[rows] = np.where(width > 0, (d * 10 ** np.maximum(place, 0)).sum(axis=1), -1)
+        number = np.where(width > 0, 0, -1)
+        for place in range(width.max()):
+            long = np.flatnonzero(width > place)
+            digit = buf[c[long, 0] + 1 + place] - np.uint8(ord("0"))
+            if not (digit <= 9).all():
+                return None
+            number[long] = number[long] * 10 + digit
+        member[rows] = number
 
         width = c[:, 0] - starts
         if width.max() > _MAX_MODEL_BYTES:
             return None
-        names, inverse = np.unique(_field_strings(buf, starts, width), return_inverse=True)
+        names, inverse = _run_codes(_field_strings(buf, starts, width))
         try:
             codes = [models.setdefault(x.decode("ascii"), len(models)) for x in names.tolist()]
         except UnicodeDecodeError:
@@ -499,35 +517,15 @@ def _forecast_columns(path):
         if width.min() < 1 or width.max() > _MAX_VALUE_BYTES:
             return None
         texts = _field_strings(buf, c[:, 3] + 1, width)
-        if not _VALUE_BYTE[texts.view(np.uint8)].all():
+        if not _VALUE_BYTE.take(texts.view(np.uint8)).all():
             return None
         try:
-            value[rows] = np.fromiter(map(float, texts.tolist()), dtype=float, count=starts.size)
+            value[rows] = texts.astype(float)
         except ValueError:
             return None
         if not np.isfinite(value[rows]).all():
             return None
     return models, model, member, init, valid, value
-
-
-def _reject_duplicate_keys(path, fc: Forecasts, lines: np.ndarray) -> None:
-    """Rows sorted by key: a repeated key sits next to its first occurrence."""
-    same = (
-        (fc.model[1:] == fc.model[:-1])
-        & (fc.member[1:] == fc.member[:-1])
-        & (fc.init[1:] == fc.init[:-1])
-        & (fc.valid[1:] == fc.valid[:-1])
-    )
-    dup = np.flatnonzero(same) + 1
-    if dup.size:
-        i = int(dup[np.argmin(lines[dup])])
-        member = "" if fc.member[i] < 0 else f" member {fc.member[i]}"
-        raise DataError(
-            f"{path}:{lines[i]}: duplicate forecast {fc.models[fc.model[i]]}{member}"
-            f" init {format_hour(hour_time(fc.init[i]))}"
-            f" valid {format_hour(hour_time(fc.valid[i]))}"
-            f" (first seen on line {lines[i - 1]})"
-        )
 
 
 def load_observations(path: str | Path) -> Observations:

@@ -130,7 +130,8 @@ def crps_batch(cdfs: CDFTable, y) -> np.ndarray:
         total[at] += m * m / (2.0 * lam[at])
         lo = ~at
         lam, y_lo, v0_lo = lam[lo], y[lo], v0[lo]
-        e1 = _exp(lam * (y_lo - v0_lo))
+        with np.errstate(over="ignore"):  # a steep tail's rate x distance: e1 is 0, the limit
+            e1 = _exp(lam * (y_lo - v0_lo))
         e2 = e1 * e1
         total[lo] += m * m * e2 / (2.0 * lam)
         upper = m * m / (2.0 * lam) - 2.0 * m / lam + v0_lo
@@ -169,7 +170,8 @@ def crps_batch(cdfs: CDFTable, y) -> np.ndarray:
         hi = ~at
         mu = mu[hi]
         delta = y[hi] - vk[hi]
-        e1 = _exp(-mu * delta)
+        with np.errstate(over="ignore"):
+            e1 = _exp(-mu * delta)
         e2 = e1 * e1
         total[hi] += delta - 2.0 * q * (1.0 - e1) / mu + q * q * (1.0 - e2) / (2.0 * mu)
         total[hi] += q * q * e2 / (2.0 * mu)

@@ -140,16 +140,18 @@ def reference_cdf(d, x):
     below = idx == 0
     above = idx == v.size
     mid = ~(below | above)
-    if below.any():
-        if p[0] > 0.0:
-            out[below] = p[0] * _reference_exp(d.lower_rate * (xv[below] - v[0]))
-        else:
-            out[below] = 0.0
-    if above.any():
-        if p[-1] < 1.0:
-            out[above] = 1.0 - (1.0 - p[-1]) * _reference_exp(-d.upper_rate * (xv[above] - v[-1]))
-        else:
-            out[above] = 1.0
+    with np.errstate(over="ignore"):  # a steep tail's rate x distance: exp gives the limit
+        if below.any():
+            if p[0] > 0.0:
+                out[below] = p[0] * _reference_exp(d.lower_rate * (xv[below] - v[0]))
+            else:
+                out[below] = 0.0
+        if above.any():
+            if p[-1] < 1.0:
+                lam = d.upper_rate
+                out[above] = 1.0 - (1.0 - p[-1]) * _reference_exp(-lam * (xv[above] - v[-1]))
+            else:
+                out[above] = 1.0
     if mid.any():
         seg = idx[mid] - 1
         dx, slope = xv[mid] - v[seg], d.slopes[seg]
@@ -258,7 +260,8 @@ def reference_crps(d, y):
         if y >= v[0]:
             total += m * m / (2.0 * lam)
         else:
-            e1 = math.exp(lam * (y - v[0]))
+            with np.errstate(over="ignore"):  # a steep tail's rate x distance: e1 is 0
+                e1 = math.exp(lam * (y - v[0]))
             e2 = e1 * e1
             total += m * m * e2 / (2.0 * lam)
             upper = m * m / (2.0 * lam) - 2.0 * m / lam + v[0]
@@ -293,7 +296,8 @@ def reference_crps(d, y):
             total += q * q / (2.0 * mu)
         else:
             delta = y - v[-1]
-            e1 = math.exp(-mu * delta)
+            with np.errstate(over="ignore"):
+                e1 = math.exp(-mu * delta)
             e2 = e1 * e1
             total += delta - 2.0 * q * (1.0 - e1) / mu + q * q * (1.0 - e2) / (2.0 * mu)
             total += q * q * e2 / (2.0 * mu)

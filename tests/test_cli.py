@@ -129,6 +129,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"{flag} {path}" in err and "does not exist" in err
 
+    @pytest.mark.parametrize("flag, name", [("--dump-errors", "x.csv"), ("--save", "f.npz")])
+    def test_rejected_output_file_leaves_no_out_directory(self, tmp_path, flag, name):
+        absent = str(tmp_path / "absent.csv")
+        out, path = tmp_path / "out", tmp_path / "missing" / name
+        argv = ["train", "--forecasts", absent, "--observations", absent, "--out", str(out)]
+        assert main([*argv, flag, str(path)]) == 1
+        assert not out.exists()
+
+    def test_output_files_may_go_in_the_out_directory_it_creates(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        # --out is relative and the file paths spell the same directory
+        # differently; it does not exist until train makes it.
+        monkeypatch.chdir(tmp_path)
+        extra = ["--trees", "5", "--train-days", "7"]
+        extra += ["--dump-errors", "run/errors.csv", "--save", str(tmp_path / "run" / "f.npz")]
+        assert main(["train", *run_args(data_dir, "run", extra)]) == 0
+        assert {p.name for p in (tmp_path / "run").iterdir()} >= {"errors.csv", "f.npz"}
+
     def test_error_dump_quotes_labels_as_the_csv_module(self, data_dir, tmp_path):
         data = tmp_path / "data"
         data.mkdir()

@@ -26,7 +26,7 @@ from probfcast.dist import (
     PiecewiseCDF,
     build_cdf,
 )
-from probfcast.scoring import crps, crps_mc
+from probfcast.scoring import crps, crps_batch, crps_mc
 
 
 def simple_dist():
@@ -305,6 +305,23 @@ class TestEvaluation:
         assert got.tolist() == [[-math.inf], [-math.inf]]
         refs = [reference_build_cdf(levels, v) for v in rows]
         assert_rows_equal(got, [reference_log_density(r, x) for r, x in zip(refs, xs)])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cdf_and_crps_far_out_in_a_steep_tail(self):
+        # The same tails: the CDF takes its limits, 0 below and 1 above, and
+        # the CRPS stays finite, each equal to its oracle.
+        levels = np.array([0.1, 0.5, 0.9])
+        rows = np.array([[0.0, 1e-306, 1.0], [-1.0, 0.0, 1e-306]])
+        xs = np.array([[-100.0], [100.0]])
+        table = CDFTable.from_quantiles(levels, rows)
+        refs = [reference_build_cdf(levels, v) for v in rows]
+        got = table.cdf(xs)
+        assert got.tolist() == [[0.0], [1.0]]
+        assert_rows_equal(got, [reference_cdf(r, x) for r, x in zip(refs, xs)])
+        assert table.prob_below(-100.0)[0] == 0.0 and table.prob_below(100.0)[1] == 1.0
+        scores = crps_batch(table, xs[:, 0])
+        assert np.isfinite(scores).all()
+        assert_rows_equal(scores, [reference_crps(r, x) for r, x in zip(refs, xs[:, 0])])
 
     def test_log_density_linear_in_tail(self):
         d = simple_dist()

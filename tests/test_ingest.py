@@ -403,6 +403,7 @@ SUB_HOURLY_STAMPS = ("2020-01-01T06:30Z", "2020-01-01T06:01Z")
 IMPOSSIBLE_DATES = (
     "2021-02-29T00:00Z",
     "1900-02-29T06:00Z",
+    "2100-02-29T00:00Z",
     "2020-04-31T00:00Z",
     "2020-02-30T12:00Z",
     "2020-00-10T00:00Z",
@@ -526,6 +527,20 @@ def assert_loads_as_row_parser(path):
     return got
 
 
+def hour_of(text):
+    return ingest.hour_index(ingest.parse_hour(text))
+
+
+def assert_canonical_order(fc, rows):
+    """``fc`` holds the text ``rows``, stably sorted by model, member (none
+    first), init and valid."""
+    want = [(r[0], int(r[1] or -1), hour_of(r[2]), hour_of(r[3]), float(r[4])) for r in rows]
+    want.sort(key=lambda r: r[:4])
+    got = zip(fc.model.tolist(), fc.member.tolist(), fc.init.tolist(), fc.valid.tolist())
+    assert [(fc.models[m], k, i, v) for m, k, i, v in got] == [r[:4] for r in want]
+    assert fc.value.tolist() == [r[4] for r in want]
+
+
 class TestFastPathMatchesRowParser:
     """load_forecasts gives the row parser's columns, bit for bit, or its
     DataError text, whichever path it takes."""
@@ -564,6 +579,82 @@ class TestFastPathMatchesRowParser:
         path.write_bytes(path.read_bytes().replace(b"\r\n", end.encode()))
         assert ingest._forecast_columns(path) is not None
         assert_loads_as_row_parser(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"])
+    def test_runs_and_a_duplicate_across_blocks(self, tmp_path, monkeypatch, end):
+        # Blocks of 7 lines: the 40-row glu run, its init date and the 24-hour
+        # runs of its valid dates cross block edges, and so do enuk's.
+        monkeypatch.setattr(ingest, "_BLOCK_LINES", 7)
+        rows = [["glu", "", stamp(0), stamp(lead), f"{lead}.5"] for lead in range(40)]
+        rows += [["enuk", k, stamp(18), stamp(18 + lead), "1"] for k in "01" for lead in range(9)]
+        path = tmp_path / "f.csv"
+        path.write_text(csv_text(rows, end), newline="")
+        assert ingest._forecast_columns(path) is not None
+        assert_loads_as_row_parser(path)
+        assert_canonical_order(load_forecasts(path), rows)
+        # Line 2's key again on line 60, eight blocks later.
+        path.write_text(csv_text(rows + [rows[0][:4] + ["9"]], end), newline="")
+        assert ingest._forecast_columns(path) is not None
+        got = assert_loads_as_row_parser(path)
+        assert got.startswith(f"{path}:60: duplicate forecast glu init") and "line 2)" in got
+
+    def test_sort_keeps_line_order_among_equal_keys(self, tmp_path):
+        # Every key twice, the second half in reverse: line n + 2 repeats line
+        # n + 1, and only a stable sort keeps each first occurrence first.
+        keys = [(h // 100 * 24, h // 100 * 24 + h % 100) for h in range(3000)]
+        rows = [["glu", "", stamp(i), stamp(v), "1"] for i, v in keys]
+        rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        path = tmp_path / "f.csv"
+        path.write_text(csv_text(rows + rows[::-1], "\n"), newline="")
+        got = assert_loads_as_row_parser(path)
+        assert got.startswith(f"{path}:3002: duplicate") and got.endswith("on line 3001)")
+
+    def test_rows_in_reverse_canonical_order(self, tmp_path):
+        ds = synthesize_dataset(SynthConfig(span_days=3), seed=4)
+        path = tmp_path / "f.csv"
+        write_forecasts(path, ds.forecasts)
+        write_forecasts(path, load_forecasts(path))
+        header, *lines = path.read_bytes().split(b"\r\n")[:-1]
+        path.write_bytes(b"\r\n".join([header, *lines[::-1], b""]))
+        assert ingest._forecast_columns(path) is not None
+        assert_loads_as_row_parser(path)
+        assert_canonical_order(load_forecasts(path), [x.decode().split(",") for x in lines])
+
+    def test_members_and_calendar_edges(self, tmp_path):
+        # IMPOSSIBLE_DATES holds the invalid leap days, 1900-02-29 and 2100-02-29.
+        rows = [
+            ["enuk", "123456789", "2000-02-28T12:00Z", "2000-02-29T06:00Z", "1"],
+            ["enuk", "007", "0001-01-01T00:00Z", "0001-01-01T05:00Z", "2"],
+            ["enuk", "0", "9999-12-31T00:00Z", "9999-12-31T23:00Z", "3"],
+            ["glu", "", "2000-02-29T23:00Z", "2000-03-01T00:00Z", "4"],
+        ]
+        path = tmp_path / "f.csv"
+        path.write_text(csv_text(rows, "\n"), newline="")
+        assert ingest._forecast_columns(path) is not None
+        assert_loads_as_row_parser(path)
+        assert_canonical_order(load_forecasts(path), rows)
+
+    def test_key_spans_past_int64_sort_the_columns(self, tmp_path, monkeypatch):
+        # Members up to 999,999,999 and inits from year 1 to 9999: the packed
+        # key's span, 1e9 x 8.8e7 hours x 169 leads, passes 2**63.
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        rows = [
+            ["enuk", "999999999", "9999-12-31T00:00Z", "9999-12-31T01:00Z", "1"],
+            ["enuk", "0", "9999-12-31T00:00Z", "9999-12-31T01:00Z", "2"],
+            ["enuk", "999999999", "0001-01-01T00:00Z", "0001-01-01T03:00Z", "3"],
+            ["enuk", "999999999", "0001-01-01T00:00Z", "0001-01-01T02:00Z", "4"],
+            ["glu", "", "5000-06-15T12:00Z", "5000-06-15T12:00Z", "5"],
+        ]
+        path = tmp_path / "f.csv"
+        path.write_text(csv_text(rows, "\r\n"), newline="")
+        assert ingest._forecast_columns(path) is not None
+        assert_canonical_order(load_forecasts(path), rows)
+        assert calls
+        path.write_text(csv_text(rows + [rows[2][:4] + ["6"]], "\r\n"), newline="")
+        got = assert_loads_as_row_parser(path)
+        assert got.startswith(f"{path}:7: duplicate forecast enuk member 999999999")
 
     @pytest.mark.parametrize(
         "text",
