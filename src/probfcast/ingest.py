@@ -339,13 +339,14 @@ def _sorted_forecasts(path, models: Dict[str, int], model, member, init, valid, 
         key += valid - init
         order = np.argsort(key, kind="stable")
         same = np.diff(key[order]) == 0
+        del key  # before the sorted columns are made, which may reuse its memory
     else:
         order = np.lexsort((valid, init, member, model))
         same = np.all([np.diff(c[order]) == 0 for c in (model, member, init, valid)], axis=0)
     fc = Forecasts(tuple(names), *(c[order] for c in (model, member, init, valid, value)))
-    lines = lines[order]
     dup = np.flatnonzero(same) + 1  # a repeated key sits next to its first occurrence
     if dup.size:
+        lines = lines[order]
         i = int(dup[np.argmin(lines[dup])])
         label = "" if fc.member[i] < 0 else f" member {fc.member[i]}"
         raise DataError(
