@@ -84,7 +84,9 @@ def parse_hour(text: str) -> datetime:
 
 
 def format_hour(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%MZ")
+    """``YYYY-MM-DDTHH:MMZ`` in UTC; the year keeps four digits, as parse_hour needs."""
+    ts = ts.astimezone(timezone.utc)
+    return f"{ts.year:04d}-{ts:%m-%dT%H:%M}Z"
 
 
 def hour_index(ts: datetime) -> int:
@@ -241,6 +243,8 @@ def _member_at(path, lineno: int, text: str) -> int:
         raise DataError(f"{path}:{lineno}: {exc}") from None
     if member < 0:
         raise DataError(f"{path}:{lineno}: member must be non-negative")
+    if member >= 10**18:  # members are int64
+        raise DataError(f"{path}:{lineno}: member {text.strip()} has more than 18 digits")
     return member
 
 

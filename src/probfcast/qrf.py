@@ -29,18 +29,22 @@ empirical distribution of training errors rather than a mean: row weights
 average, over trees, the indicator of sharing the query's leaf divided by the
 leaf size.  Each distinct (lead, label) pair is routed through all trees at
 once, and the leaf rows it reaches are gathered into one stack sorted by error
-(ties in tree, then leaf order).  One running-sum path serves prediction and
-out-of-bag coverage: each stack's ``np.cumsum`` of weights, built flat, and
-one binary-lifting search.  A quantile is the smallest error whose running
-weight reaches level x number of trees, or the last past the total.  With cw
-the running weight of the ``kept`` trees where a row is out of bag, q_lo <=
-its error e exactly when cw at the last entry <= e reaches lo x kept; e <=
-q_hi exactly when cw at the last entry < e is below hi x kept and a kept entry
-follows, since a target past the total clamps q_hi to the last kept entry
-(lo < 0.5 never passes it).  A row in-bag in no tree reads its pair's
-full-forest sums, which are exact; any other row subtracts its in-bag trees'
-entries from them, and reads exact kept sums when a target lies within
-``_SUM_ERROR`` x (n + 1) x number of trees (n stack entries) of that estimate.
+(ties in tree, then leaf order).  Routing and the ranking of leaf rows by error
+run once per call; the stacks are then built, summed and searched one block of
+whole pairs at a time, so memory follows the block size, not the number of
+pairs.  One running-sum path serves prediction and out-of-bag coverage: each
+stack's ``np.cumsum`` of weights, taken row-wise over its block's zero-padded
+(pairs x longest stack) matrix, and one binary-lifting search.  A quantile is
+the smallest error whose running weight reaches level x number of trees, or
+the last past the total.  With cw the running weight of the ``kept`` trees
+where a row is out of bag, q_lo <= its error e exactly when cw at the last
+entry <= e reaches lo x kept; e <= q_hi exactly when cw at the last entry < e
+is below hi x kept and a kept entry follows, since a target past the total
+clamps q_hi to the last kept entry (lo < 0.5 never passes it).  A row in-bag
+in no tree reads its pair's full-forest sums, which are exact; any other row
+subtracts its in-bag trees' entries from them, and reads exact kept sums when
+a target lies within ``_SUM_ERROR`` x (n + 1) x number of trees (n stack
+entries) of that estimate.
 
 Determinism contract: tree t uses ``numpy.random.default_rng(seed + t)``.
 It draws its in-bag rows with ``rng.choice(n_rows, sample_count, replace)``
@@ -61,7 +65,7 @@ from __future__ import annotations
 import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -404,18 +408,24 @@ def train_many(tables: Sequence[ErrorTable], configs: Sequence[ForestConfig]) ->
 # ---------------------------------------------------------------------------
 
 
+# The most cells of a block's padded (pairs x longest stack) matrix.  Larger
+# blocks were no faster on the synthetic set's forests, and peaked higher.
+_BLOCK_CELLS = 1 << 17
+
+
 @dataclass(eq=False)
 class _Stack:
-    """Every tree's leaf rows for each distinct covariate, sorted by error.
+    """Every tree's leaf rows for each pair of one block, sorted by error.
 
-    Covariate c owns entries ``bounds[c]:bounds[c + 1]``; each entry is one
-    leaf row of one tree, weighted by 1 / leaf size.  Equal errors keep tree
-    order, then leaf order.  ``leaf_pos[leaf_bounds[c * T + t] :
-    leaf_bounds[c * T + t + 1]]`` are the positions of tree t's entries for
-    covariate c, when asked for.
+    The block's i-th pair is ``pairs[i]`` and owns entries ``bounds[i]:bounds[i
+    + 1]``; each entry is one leaf row of one tree, weighted by 1 / leaf size.
+    Equal errors keep tree order, then leaf order.  ``leaf_pos[leaf_bounds[i *
+    T + t] : leaf_bounds[i * T + t + 1]]`` are the positions of tree t's
+    entries for the i-th pair, when asked for.
     """
 
     n_trees: int
+    pairs: np.ndarray  # ids of the distinct (lead, code) pairs
     bounds: np.ndarray
     rows: np.ndarray  # table row ids
     values: np.ndarray  # their errors
@@ -446,64 +456,93 @@ def _route(forest: Forest, lead_q: np.ndarray, code_q: np.ndarray) -> np.ndarray
     return node.reshape(T, lead_q.size)
 
 
-def _gather(forest: Forest, lead, code, positions: bool = False) -> Tuple[_Stack, np.ndarray]:
-    """Stack every tree's leaf rows per distinct (lead, code) pair; and each input's pair.
+def _gather(
+    forest: Forest, lead, code, positions: bool = False
+) -> Tuple[int, np.ndarray, Iterator[_Stack]]:
+    """Stack every tree's leaf rows per distinct (lead, code) pair, one block of pairs at a time.
 
-    Out-of-bag coverage asks for each entry's stack position too.  The
-    stack-sized arrays are freed as soon as they have served, since they set
-    the peak memory of a prediction.
+    Returns the number of distinct pairs, each input's pair, and the blocks'
+    stacks.  The pairs are routed and the leaf rows ranked by error once, up
+    front; each block then gathers and sorts only its own entries, so the
+    stack-sized arrays, which set the peak memory of a prediction, live one
+    block at a time.  Pairs are taken in order of stack length, and a block
+    takes the next pairs while its padded (pairs x longest stack) matrix
+    holds at most ``_BLOCK_CELLS`` cells; a longer pair is a block of its
+    own.  Out-of-bag coverage asks for each entry's stack position too.
     """
     # np.unique orders complex numbers by real part, then imaginary part.
     pairs, inverse = np.unique(
         np.asarray(lead, dtype=float) + 1j * np.asarray(code), return_inverse=True
     )
-    a, n, T = forest.arrays, pairs.size, forest.num_trees
-    leaf_rows = a.leaf_rows
+    a, T = forest.arrays, forest.num_trees
+    leaf = _route(forest, pairs.real, pairs.imag.astype(np.int64)).T
     leaf_off = np.repeat(np.arange(T) * forest.config.sample_count, forest.node_counts)
-    leaf_start = a.leaf_start + leaf_off
-    leaf_count = a.leaf_count.astype(np.int64)
-    leaf = _route(forest, pairs.real, pairs.imag.astype(np.int64)).T.reshape(-1)
-    counts = leaf_count[leaf]
-    entry = _gather_ranges(leaf_start[leaf], counts)
+    first, counts = (a.leaf_start + leaf_off)[leaf], a.leaf_count.astype(np.int64)[leaf]
     # An entry's rank among all leaf rows by (error, tree, leaf order) is
-    # unique, so one unstable sort of (covariate, rank) orders every stack.
-    rank = np.empty(leaf_rows.size, dtype=np.int64)
-    rank[np.argsort(forest.table.errors[leaf_rows], kind="stable")] = np.arange(leaf_rows.size)
+    # unique, so one unstable sort of (pair, rank) orders a block's stacks.
+    rank = np.empty(a.leaf_rows.size, dtype=np.int64)
+    rank[np.argsort(forest.table.errors[a.leaf_rows], kind="stable")] = np.arange(rank.size)
+    length = counts.sum(axis=1)
+    by_length = np.argsort(length, kind="stable")
+
+    def blocks() -> Iterator[_Stack]:
+        i, size = 0, length[by_length]
+        while i < size.size:
+            part = size[i : i + _BLOCK_CELLS]  # a block has at most _BLOCK_CELLS pairs
+            cells = np.arange(1, part.size + 1) * part
+            j = i + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+            yield _block_stack(forest, rank, by_length[i:j], first, counts, positions)
+            i = j
+
+    return pairs.size, inverse.reshape(-1), blocks()
+
+
+def _block_stack(
+    forest: Forest,
+    rank: np.ndarray,
+    pairs: np.ndarray,
+    first: np.ndarray,
+    counts: np.ndarray,
+    positions: bool,
+) -> _Stack:
+    """The stacks of one block of pairs; first and counts: (pairs, trees) leaf ranges."""
+    T, leaf_rows = forest.num_trees, forest.arrays.leaf_rows
+    counts = counts[pairs].ravel()
+    entry = _gather_ranges(first[pairs].ravel(), counts)
     leaf_bounds = np.concatenate([[0], np.cumsum(counts)])
-    key = np.repeat(np.arange(n) * leaf_rows.size, np.diff(leaf_bounds[::T]))
+    key = np.repeat(np.arange(pairs.size) * leaf_rows.size, np.diff(leaf_bounds[::T]))
     key += rank[entry]
     order = np.argsort(key)
     del key
-    entry = entry[order]
-    weights = np.repeat(1.0 / counts, counts)[order]
     leaf_pos = None
     if positions:
         leaf_pos = np.empty(order.size, dtype=np.int64)
         leaf_pos[order] = np.arange(order.size)
-    del order
-    rows = leaf_rows[entry]
-    del entry
+    rows = leaf_rows[entry[order]]
     return _Stack(
         n_trees=T,
+        pairs=pairs,
         bounds=leaf_bounds[::T],
         rows=rows,
         values=forest.table.errors[rows],
-        weights=weights,
+        weights=np.repeat(1.0 / counts, counts)[order],
         leaf_bounds=leaf_bounds,
         leaf_pos=leaf_pos,
-    ), inverse.reshape(-1)
+    )
 
 
 def _running_sums(bounds: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each segment ``bounds[i]:bounds[i + 1]``'s ``np.cumsum`` of weights, flat."""
+    """Each segment ``bounds[i]:bounds[i + 1]``'s ``np.cumsum`` of weights, flat.
+
+    Segment i fills row i of a zero-padded (segments x longest) matrix, whose
+    row-wise ``np.cumsum`` adds each row's values in the order a 1-D
+    ``np.cumsum`` of the segment does.
+    """
     length = np.diff(bounds)
-    order = np.argsort(-length, kind="stable")
-    longer = np.searchsorted(-length[order], -np.arange(length.max(initial=0)))
-    first, sums = bounds[order], weights.copy()
-    for k in range(1, longer.size):  # a step per position
-        at = first[: longer[k]] + k  # segments longer than k
-        sums[at] += sums[at - 1]
-    return sums
+    mask = np.arange(length.max(initial=0)) < length[:, None]
+    pad = np.zeros(mask.shape)
+    pad[mask] = weights
+    return np.cumsum(pad, axis=1, out=pad)[mask]
 
 
 def _segment_counts(a: np.ndarray, start: np.ndarray, length: np.ndarray, v: np.ndarray):
@@ -521,7 +560,7 @@ def _segment_counts(a: np.ndarray, start: np.ndarray, length: np.ndarray, v: np.
 def predict_weights(forest: Forest, x: CovariateVector) -> np.ndarray:
     """Per-training-row weights at covariates x; non-negative, summing to 1."""
     code = forest.label_code(x.model_label)
-    stack, _ = _gather(forest, [x.lead_hours], [code])
+    (stack,) = _gather(forest, [x.lead_hours], [code])[2]  # one pair, one block
     w = np.zeros(forest.table.n_rows)
     np.add.at(w, stack.rows, stack.weights)  # per row: tree order, as in the stack
     return w / forest.num_trees
@@ -547,12 +586,15 @@ def predict_quantiles_batch(
     code_q = np.array([forest.label_code(lab) for lab in labels], dtype=np.int64)
     if lead_q.size != code_q.size:
         raise ValueError("lead_hours and labels must have the same length")
-    stack, inverse = _gather(forest, lead_q, code_q)
-    start, length = stack.bounds[:-1, None], np.diff(stack.bounds)[:, None]
-    sums = _running_sums(stack.bounds, stack.weights)
-    # The first entry whose running sum reaches level x trees; past the total, the last one.
-    count = _segment_counts(sums, start, length, stack.n_trees * levels)
-    return stack.values[start + np.minimum(count, length - 1)][inverse]
+    n_pairs, inverse, blocks = _gather(forest, lead_q, code_q)
+    q = np.empty((n_pairs, levels.size))
+    for stack in blocks:
+        start, length = stack.bounds[:-1, None], np.diff(stack.bounds)[:, None]
+        sums = _running_sums(stack.bounds, stack.weights)
+        # The first entry whose running sum reaches level x trees; past the total, the last one.
+        count = _segment_counts(sums, start, length, stack.n_trees * levels)
+        q[stack.pairs] = stack.values[start + np.minimum(count, length - 1)]
+    return q[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +631,39 @@ def oob_coverage(
     live = kept[drop_row] > 0
     slot, drop_tree, kept = np.searchsorted(scored, drop_row[live]), drop_tree[live], kept[scored]
 
-    stack, combo = _gather(forest, table.lead_hours, table.label_codes, positions=True)
-    sums, err, seg = _running_sums(stack.bounds, stack.weights), table.errors[scored], combo[scored]
+    n_pairs, combo, blocks = _gather(forest, table.lead_hours, table.label_codes, positions=True)
+    err, seg = table.errors[scored], combo[scored]
+    block_of, local = np.full(n_pairs, -1), np.empty(n_pairs, dtype=np.int64)
+    hits, fallback = np.empty((scored.size, k), dtype=bool), 0
+    for b, stack in enumerate(blocks):
+        block_of[stack.pairs], local[stack.pairs] = b, np.arange(stack.pairs.size)
+        mine = np.flatnonzero(block_of[seg] == b)  # the scored rows whose pair is in the block
+        dropped = np.flatnonzero(block_of[seg[slot]] == b)
+        hits[mine], n = _oob_hits(
+            stack, err[mine], kept[mine], local[seg[mine]],
+            np.searchsorted(mine, slot[dropped]), drop_tree[dropped], lo, hi,
+        )
+        fallback += n
+
+    leads, pos, count = np.unique(table.lead_hours[scored], return_inverse=True, return_counts=True)
+    # One count per (lead, interval) cell; sums of 0.0 and 1.0 are exact in any order.
+    cells = (pos[:, None] * k + np.arange(k)).ravel()
+    cov = np.bincount(cells, hits.ravel(), leads.size * k).reshape(leads.size, k) / count[:, None]
+    return OOBCoverage(leads, count, cov, intervals, table.n_rows - scored.size, fallback)
+
+
+def _oob_hits(stack: _Stack, err, kept, seg, slot, tree, lo, hi) -> Tuple[np.ndarray, int]:
+    """Interval hits of the out-of-bag rows whose pairs lie in one block; and their fallback count.
+
+    Row i has error ``err[i]``, is out of bag in ``kept[i]`` trees and reads
+    the block's ``seg[i]``-th stack; it is in-bag in tree ``tree[j]`` for each
+    j with ``slot[j] == i``.
+    """
+    T, n = stack.n_trees, err.size
+    sums = _running_sums(stack.bounds, stack.weights)
     start, length = stack.bounds[seg], np.diff(stack.bounds)[seg]
-    # Flat stack positions of the entries of each scored row's in-bag trees.
-    g = seg[slot] * T + drop_tree
+    # Flat stack positions of the entries of each row's in-bag trees.
+    g = seg[slot] * T + tree
     n_g = stack.leaf_bounds[g + 1] - stack.leaf_bounds[g]
     at, owner = stack.leaf_pos[_gather_ranges(stack.leaf_bounds[g], n_g)], np.repeat(slot, n_g)
 
@@ -602,8 +672,8 @@ def oob_coverage(
 
     def kept_sum(count):  # estimated kept running sum over the first count entries; any kept after?
         first = at < (start + count)[owner]
-        dropped = np.bincount(owner, np.where(first, stack.weights[at], 0.0), scored.size)
-        later = length - count - np.bincount(owner[~first], minlength=scored.size)
+        dropped = np.bincount(owner, np.where(first, stack.weights[at], 0.0), n)
+        later = length - count - np.bincount(owner[~first], minlength=n)
         return sum_upto(sums, start, count) - dropped, later > 0
 
     # Errors are finite, so an entry is at or below e exactly when it is below the next float.
@@ -611,8 +681,8 @@ def oob_coverage(
     below, upto = _segment_counts(stack.values, start[:, None], length[:, None], v).T
     (cw_lo, _), (cw_hi, more_hi) = kept_sum(upto), kept_sum(below)
     bound = np.where(kept < T, _SUM_ERROR * (length + 1) * T, -np.inf)
-    near = np.zeros(scored.size, dtype=bool)
-    for i in range(k):
+    near = np.zeros(n, dtype=bool)
+    for i in range(lo.size):
         near |= (np.abs([cw_lo - kept * lo[i], cw_hi - kept * hi[i]]) <= bound).any(axis=0)
     # Near rows read exact kept sums: their segments again, in-bag trees' entries set to 0.0.
     fallback, mine = np.flatnonzero(near), np.flatnonzero(near[owner])
@@ -622,15 +692,11 @@ def oob_coverage(
     exact = _running_sums(np.append(f_start, w.size), w)
     for cw, c in ((cw_lo, upto), (cw_hi, below)):
         cw[fallback] = sum_upto(exact, f_start, c[fallback])
-    hits = np.empty((scored.size, k), dtype=bool)
-    for i in range(k):  # a difference of floats is >= 0.0 exactly when the first is >= the second
+    hits = np.empty((n, lo.size), dtype=bool)
+    # A difference of floats is >= 0.0 exactly when the first is >= the second.
+    for i in range(lo.size):
         hits[:, i] = (cw_lo - kept * lo[i] >= 0.0) & (cw_hi - kept * hi[i] < 0.0) & more_hi
-
-    leads, pos, count = np.unique(table.lead_hours[scored], return_inverse=True, return_counts=True)
-    # One count per (lead, interval) cell; sums of 0.0 and 1.0 are exact in any order.
-    cells = (pos[:, None] * k + np.arange(k)).ravel()
-    cov = np.bincount(cells, hits.ravel(), leads.size * k).reshape(leads.size, k) / count[:, None]
-    return OOBCoverage(leads, count, cov, intervals, table.n_rows - scored.size, fallback.size)
+    return hits, fallback.size
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,21 @@ class TestExitCodes:
         assert rc == 2
         assert f"{paths[bad_file]}:3: value_degC must be finite" in capsys.readouterr().err
 
+    def test_member_of_more_than_18_digits_is_data_error_with_line(
+        self, data_dir, tmp_path, capsys
+    ):
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text(
+            "model_id,member,init_time,valid_time,value_degC\n"
+            "enuk,1,2020-01-01T00:00Z,2020-01-01T01:00Z,1.5\n"
+            "enuk,99999999999999999999,2020-01-01T00:00Z,2020-01-01T01:00Z,1.5\n"
+        )
+        argv = ["--forecasts", str(forecasts), "--observations", str(data_dir / "observations.csv")]
+        assert main(["train", *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{forecasts}:3: member 99999999999999999999 has more than 18 digits" in err
+        assert "Traceback" not in err
+
 
 # RunConfig field -> (config key, value); every field has a flag on some command.
 RUN_OPTIONS = {

@@ -150,6 +150,23 @@ class TestLoadForecasts:
         with pytest.raises(DataError, match="member"):
             load_forecasts(p)
 
+    @pytest.mark.parametrize(
+        "member", ["999999999999999999", "1000000000000000000", "99999999999999999999"]
+    )
+    def test_member_of_more_than_18_digits_rejected(self, tmp_path, member):
+        p = write(
+            tmp_path,
+            "f.csv",
+            FC_HEADER
+            + "glm,,2020-01-01T00:00Z,2020-01-01T01:00Z,1.0\n"
+            + f"enuk,{member},2020-01-01T00:00Z,2020-01-01T01:00Z,1.0\n",
+        )
+        if len(member) <= 18:
+            assert forecast_records(load_forecasts(p))[0].member == int(member)
+        else:
+            with pytest.raises(DataError, match=f":3: member {member} has more than 18 digits"):
+                load_forecasts(p)
+
 
 class TestLoadObservations:
     def test_duplicate_valid_time_names_timestamp(self, tmp_path):
@@ -182,6 +199,24 @@ class TestRoundTrip:
         expected = sorted(forecast_records(ds.forecasts), key=repr)
         assert sorted(forecast_records(fc), key=repr) == expected
         assert observation_records(obs) == observation_records(ds.observations)
+
+    def test_years_before_1000_round_trip(self, tmp_path):
+        text = (
+            FC_HEADER
+            + "glm,,0999-01-01T00:00Z,0999-01-01T01:00Z,1.5\n"
+            + "enuk,3,0999-01-01T00:00Z,0999-01-01T02:00Z,2.5\n"
+        )
+        fc = load_forecasts(write(tmp_path, "f.csv", text))
+        write_forecasts(tmp_path / "again.csv", fc)
+        assert "0999-01-01T02:00Z" in (tmp_path / "again.csv").read_text()
+        again = load_forecasts(tmp_path / "again.csv")
+        assert forecast_records(again) == forecast_records(fc)
+        dup = write(tmp_path, "dup.csv", text + "glm,,0999-01-01T00:00Z,0999-01-01T01:00Z,3.5\n")
+        with pytest.raises(
+            DataError,
+            match=r":4: duplicate forecast glm init 0999-01-01T00:00Z valid 0999-01-01T01:00Z",
+        ):
+            load_forecasts(dup)
 
 
 def csv_module_text(rows):

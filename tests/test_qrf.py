@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import tracemalloc
 import warnings
 import zipfile
 from unittest import mock
@@ -584,16 +585,20 @@ class TestKernelAgainstReference:
         in-bag trees' entries is within the bound of the kept entries' own sum."""
         table = random_table(np.random.default_rng(4), n=600)
         forest = train(table, ForestConfig(num_trees=60, sample_count=64, seed=3))
-        stack, combo = qrf._gather(forest, table.lead_hours, table.label_codes, positions=True)
-        sums, T = qrf._running_sums(stack.bounds, stack.weights), forest.num_trees
-        trees = forest.trees
+        _, combo, blocks = qrf._gather(forest, table.lead_hours, table.label_codes, positions=True)
+        stacks = {}
+        for stack in blocks:
+            sums = qrf._running_sums(stack.bounds, stack.weights)
+            stacks.update((p, (stack, sums, i)) for i, p in enumerate(stack.pairs.tolist()))
+        T, trees = forest.num_trees, forest.trees
         in_trees = [[t for t in range(T) if r in trees[t].inbag] for r in range(table.n_rows)]
         worst = 0.0
         for r in [r for r in range(table.n_rows) if in_trees[r]][:80]:
-            b0, b1 = stack.bounds[combo[r]], stack.bounds[combo[r] + 1]
+            stack, sums, i = stacks[combo[r]]
+            b0, b1 = stack.bounds[i], stack.bounds[i + 1]
             kept, dropped = stack.weights[b0:b1].copy(), np.zeros(b1 - b0)
             for t in in_trees[r]:
-                g = combo[r] * T + t
+                g = i * T + t
                 at = stack.leaf_pos[stack.leaf_bounds[g] : stack.leaf_bounds[g + 1]] - b0
                 dropped[at], kept[at] = kept[at], 0.0
             gap = np.abs((sums[b0:b1] - np.cumsum(dropped)) - np.cumsum(kept))
@@ -601,13 +606,22 @@ class TestKernelAgainstReference:
         assert 0.0 < worst <= 1.0, worst
 
     def test_running_sums_are_each_segments_cumsum(self):
+        """Bit for bit, per block and over every block's segments at once, whose
+        padded rows are as wide as the longest stack."""
         table = random_table(np.random.default_rng(5), n=300)
         forest = train(table, ForestConfig(num_trees=30, sample_count=50, seed=2))
-        stack, _ = qrf._gather(forest, table.lead_hours, table.label_codes)
-        segments = np.split(stack.weights, stack.bounds[1:-1])
-        expected = np.concatenate([np.cumsum(w) for w in segments])
+        blocks = list(qrf._gather(forest, table.lead_hours, table.label_codes)[2])
+        segments = []
+        for stack in blocks:
+            own = np.split(stack.weights, stack.bounds[1:-1])
+            expected = np.concatenate([np.cumsum(w) for w in own])
+            assert qrf._running_sums(stack.bounds, stack.weights).tobytes() == expected.tobytes()
+            segments += own
         assert np.unique([w.size for w in segments]).size > 1
-        assert qrf._running_sums(stack.bounds, stack.weights).tobytes() == expected.tobytes()
+        bounds = np.cumsum([0] + [w.size for w in segments])
+        expected = np.concatenate([np.cumsum(w) for w in segments])
+        got = qrf._running_sums(bounds, np.concatenate(segments))
+        assert got.tobytes() == expected.tobytes()
 
     def test_rows_in_bag_in_every_tree_are_covered(self):
         # the explicit example above must exercise skipped rows
@@ -616,6 +630,105 @@ class TestKernelAgainstReference:
             ForestConfig(num_trees=3, sample_count=5, seed=1),
         )
         assert reference_oob_coverage(forest, DEFAULT_INTERVALS)[3] >= 1
+
+
+def single_leaf_forest(table, num_trees=250):
+    """Trees of one leaf each: 128 rows cannot split at min_node_size=100, so every
+    (lead, label) pair's stack holds num_trees x 128 entries."""
+    forest = train(table, ForestConfig(num_trees=num_trees, min_node_size=100, seed=1))
+    assert (forest.node_counts == 1).all()
+    return forest
+
+
+class TestBlocks:
+    """Prediction and OOB coverage one block of (lead, label) pairs at a time."""
+
+    LEVELS, INTERVALS = TestKernelAgainstReference.LEVELS, TestKernelAgainstReference.INTERVALS
+
+    def predict_and_oob(self, forest, leads, labels):
+        batch = predict_quantiles_batch(forest, leads, labels, self.LEVELS)
+        try:
+            oob = oob_coverage(forest, intervals=self.INTERVALS)
+        except DataError:
+            return batch, None
+        return batch, (oob.lead_hours, oob.n_rows, oob.coverage, oob.skipped, oob.fallback)
+
+    def assert_same(self, got, expected):
+        (batch, oob), (batch0, oob0) = got, expected
+        assert batch.tobytes() == batch0.tobytes()
+        assert (oob is None) == (oob0 is None)
+        for x, y in zip(oob or (), oob0 or ()):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    # One cell sends each pair to a block of its own; one cell less than the
+    # longest stack makes that pair a block past the limit, and groups shorter
+    # pairs.  An infinite rounding bound sends every row to the exact fallback.
+    @given(case=forest_cases() | leaf_one_cases(), forced=st.booleans())
+    def test_block_size_changes_no_prediction_or_oob(self, case, forced):
+        leads, labels, errors, config = case
+        forest = train(make_table(leads, labels, errors), config)
+        table = forest.table
+        q_leads = list(table.lead_hours) + [9]
+        q_labels = [table.label_set[c] for c in table.label_codes] + [table.label_set[-1]]
+        codes = [forest.label_code(lab) for lab in q_labels]
+        longest = max(np.diff(s.bounds).max() for s in qrf._gather(forest, q_leads, codes)[2])
+        with mock.patch.object(qrf, "_SUM_ERROR", np.inf if forced else qrf._SUM_ERROR):
+            expected = self.predict_and_oob(forest, q_leads, q_labels)
+            for cells in (1, max(1, longest - 1)):
+                with mock.patch.object(qrf, "_BLOCK_CELLS", cells):
+                    self.assert_same(self.predict_and_oob(forest, q_leads, q_labels), expected)
+        batch, oob = expected
+        ref = [
+            reference_quantiles(forest, lead, forest.label_code(lab), self.LEVELS)
+            for lead, lab in zip(q_leads, q_labels)
+        ]
+        np.testing.assert_array_equal(batch, np.array(ref))
+        if oob is None:
+            with pytest.raises(DataError, match="no out-of-bag rows"):
+                reference_oob_coverage(forest, self.INTERVALS)
+        else:
+            lead_hours, n_rows, coverage, skipped = reference_oob_coverage(forest, self.INTERVALS)
+            self.assert_same((batch, oob[:4]), (batch, (lead_hours, n_rows, coverage, skipped)))
+
+    def test_single_leaf_forest_blocks_match_reference(self):
+        """Stacks of 32,000 entries, several pairs to a block and several blocks."""
+        rng = np.random.default_rng(41)
+        forest = single_leaf_forest(random_table(rng, n=20_000))
+        leads = rng.integers(0, 169, size=60).tolist()
+        labels = [f"m{int(i)}" for i in rng.integers(0, 3, size=60)]
+        codes = [forest.label_code(lab) for lab in labels]
+        sizes = [s.pairs.size for s in qrf._gather(forest, leads, codes)[2]]
+        assert len(sizes) > 1 and max(sizes) > 1, sizes
+        ref = [
+            reference_quantiles(forest, lead, forest.label_code(lab), self.LEVELS)
+            for lead, lab in zip(leads, labels)
+        ]
+        batch = predict_quantiles_batch(forest, leads, labels, self.LEVELS)
+        np.testing.assert_array_equal(batch, ref)
+        # 15 pairs of 32,000-entry stacks, on a table small enough for the reference
+        forest = single_leaf_forest(random_table(rng, n=200, lead_max=4))
+        oob = oob_coverage(forest, intervals=self.INTERVALS)
+        lead_hours, n_rows, coverage, skipped = reference_oob_coverage(forest, self.INTERVALS)
+        np.testing.assert_array_equal(oob.lead_hours, lead_hours)
+        np.testing.assert_array_equal(oob.n_rows, n_rows)
+        assert oob.coverage.tobytes() == coverage.tobytes()
+        assert oob.skipped == skipped
+
+    def test_oob_peak_memory_is_bounded_by_the_block(self):
+        """40 pairs of 12,800-entry stacks: 512,000 entries.  Gathering every stack at
+        once, as one block, peaked at 74 MB here; blocks of 2**17 cells peak at 20 MB."""
+        leads = np.repeat(np.arange(40), 50)
+        errors = np.random.default_rng(0).normal(size=leads.size)
+        table = ErrorTable(leads, np.zeros(leads.size, dtype=np.int64), errors, ("a",))
+        forest = single_leaf_forest(table, num_trees=100)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            oob_coverage(forest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, peak
 
 
 class TestSerialisation:
