@@ -42,6 +42,31 @@ _U_MIN = np.nextafter(0.0, 1.0)
 _U_MAX = np.nextafter(1.0, 0.0)
 
 
+# The running-sum and sorted-search kernels of qrf, dist and scoring, one copy each.
+def _padded_cumsum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.cumsum`` of a zero matrix of ``mask``'s shape with ``values``
+    in its ``mask`` entries, in row order: each row adds its own values in
+    sequence, as a 1-D ``np.cumsum`` of them would, at any pad width."""
+    pad = np.zeros(mask.shape)
+    pad[mask] = values
+    return np.cumsum(pad, axis=1, out=pad)
+
+
+def _count_not_above(a: np.ndarray, start, length, v) -> np.ndarray:
+    """Entries not above ``v[i, j]`` in sorted ``a[start[i]:][:length[i]]``, start and
+    length columns (or a scalar length): each segment's ``np.searchsorted(side="right")``,
+    by one binary lifting over all segments.  A NaN in v counts every entry, as NaN
+    sorts last; below a finite v is not above ``np.nextafter(v, -np.inf)``."""
+    count = np.zeros(np.broadcast_shapes(np.shape(start), np.shape(v)), dtype=np.intp)
+    step = (1 << int(np.max(length, initial=0)).bit_length()) >> 1  # 0: every segment empty
+    while step:
+        cand = count + step
+        fits = (cand <= length) & ~(a[start + np.minimum(cand, length) - 1] > v)
+        count = np.where(fits, cand, count)
+        step >>= 1
+    return count
+
+
 class DegenerateDistributionError(ValueError):
     """Raised when a density-based quantity is requested from a point mass."""
 
@@ -73,24 +98,6 @@ def _tail_rates(values: np.ndarray, probs: np.ndarray):
         fallback = (1.0 - probs[-1]) / _FALLBACK_TAIL_SCALE
         upper = np.where(np.isfinite(rate) & (rate > 0.0), rate, fallback)
     return lower, upper
-
-
-def _right_index(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(values[i], x[i], side="right")`` for every row i at once.
-
-    The count of knots not above each entry of ``x`` (a NaN counts every
-    knot, as NaN sorts last), found by one bisection over all rows.
-    """
-    k = values.shape[1]
-    rows = np.arange(len(values))[:, None]
-    idx = np.zeros(x.shape, dtype=np.intp)
-    step = 1 << (k.bit_length() - 1)
-    while step:  # binary lifting: idx ends as the count of knots not above x
-        cand = idx + step
-        fits = (cand <= k) & ~(values[rows, np.minimum(cand, k) - 1] > x)
-        idx = np.where(fits, cand, idx)
-        step >>= 1
-    return idx
 
 
 @dataclass(eq=False)
@@ -181,16 +188,22 @@ class CDFTable:
 
     # -- evaluation: every argument and result is (rows x m) ---------------
 
+    def _locate(self, x):
+        """``x`` as floats, each entry's count of knots not above it in its
+        row, and the masks of the entries below, above and within the knots
+        of rows that are not point masses."""
+        x = np.asarray(x, dtype=float)
+        k = self.probs.size
+        idx = _count_not_above(self.values.ravel(), np.arange(len(self))[:, None] * k, k, x)
+        live = ~self.point_mass[:, None]
+        below, above = live & (idx == 0), live & (idx == k)
+        return x, idx, below, above, live & ~(below | above)
+
     def cdf(self, x) -> np.ndarray:
         """P(X <= x) of each row at its row of ``x``, right-continuous at a jump."""
-        x = np.asarray(x, dtype=float)
+        x, idx, below, above, mid = self._locate(x)
         v, p = self.values, self.probs
-        idx = _right_index(v, x)
         out = np.empty(x.shape)
-        live = ~self.point_mass[:, None]
-        below = live & (idx == 0)
-        above = live & (idx == p.size)
-        mid = live & ~(below | above)
         with np.errstate(over="ignore"):  # a steep tail's rate x distance: exp gives the limit
             if below.any():
                 if p[0] > 0.0:
@@ -223,14 +236,9 @@ class CDFTable:
         """Log density of each row at its row of ``x``: at a knot the segment
         above's, in log space in the tails, -inf in a tail without mass, NaN
         for a point mass."""
-        x = np.asarray(x, dtype=float)
+        x, idx, below, above, mid = self._locate(x)
         v, p = self.values, self.probs
-        idx = _right_index(v, x)
         out = np.full(x.shape, -np.inf)
-        live = ~self.point_mass[:, None]
-        below = live & (idx == 0)
-        above = live & (idx == p.size)
-        mid = live & ~(below | above)
         with np.errstate(over="ignore"):  # a steep tail's rate x distance: -inf, the limit
             if below.any() and p[0] > 0.0:
                 r = np.nonzero(below)[0]
@@ -349,8 +357,7 @@ class PiecewiseCDF:
             return cls(values, np.array([1.0]))
         if values.shape != probs.shape or not np.any(np.diff(values) > 0):
             return cls(values, probs)  # raises
-        lower, upper = _tail_rates(values[None, :], probs)
-        return cls(values, probs, float(lower[0]), float(upper[0]))
+        return CDFTable.from_quantiles(probs, values[None, :]).row(0)
 
     # -- evaluation --------------------------------------------------------
 
@@ -394,8 +401,7 @@ def build_cdf(q: QuantileVector) -> PiecewiseCDF:
     each quantile; a run of equal values is a jump over the run's levels, and
     the density integrates to one minus the jumps.  The tails are exponential
     (see the module docstring).  If the first and last values are equal the
-    result is a single point mass.
+    result is a single point mass.  The one-row case of
+    :meth:`CDFTable.from_quantiles`.
     """
-    if q.values[0] == q.values[-1]:
-        return PiecewiseCDF(q.values[-1:], np.array([1.0]))
-    return PiecewiseCDF.from_knots(q.values, q.levels)
+    return CDFTable.from_quantiles(q.levels, q.values[None, :]).row(0)

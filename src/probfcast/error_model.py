@@ -61,6 +61,8 @@ def rank_label_members(forecasts: Forecasts) -> Forecasts:
     ties fall back to the original member index.  Relabelled rows drop
     their member index, making the operation idempotent.  Rows without a
     member index keep their model, and row order/cardinality match the input.
+    A rank label equal to a model id in ``forecasts.models`` would pool two
+    systems under one label, so it is a :class:`DataError`.
     """
     fc = forecasts
     ens = np.flatnonzero(fc.member >= 0)
@@ -77,6 +79,11 @@ def rank_label_members(forecasts: Forecasts) -> Forecasts:
     width = int(rank.max()) + 1
     keys, key_of_row = np.unique(model * width + rank, return_inverse=True)
     rank_labels = [f"{fc.models[k // width]}_r{k % width}" for k in keys.tolist()]
+    for label, k in zip(rank_labels, keys.tolist()):
+        if label in fc.models:
+            raise DataError(
+                f"model id {label!r} equals a rank label of ensemble {fc.models[k // width]!r}"
+            )
     models = tuple(sorted(set(fc.models) | set(rank_labels)))
     code = {m: i for i, m in enumerate(models)}
     relabelled = np.array([code[m] for m in fc.models], dtype=np.int64)[fc.model]

@@ -7,9 +7,10 @@ timestamps:
   (``member`` empty for deterministic models)
 * ``observations.csv``: ``valid_time,value_degC``
 
-Sub-hourly timestamps are rejected rather than resampled, forecast lead
-times must fall within [0, 168] hours, values must be finite, and a
-(model, member, init, valid) key or an observation hour may appear once.
+Sub-hourly timestamps are rejected rather than resampled, a model id must
+not be empty, forecast lead times must fall within [0, 168] hours, values
+must be finite, and a (model, member, init, valid) key or an observation
+hour may appear once.
 
 ``load_forecasts`` parses a file in the shape :func:`write_forecasts`
 writes (CRLF lines, or all LF lines; unquoted fields; ``YYYY-MM-DDTHH:00Z``
@@ -291,6 +292,8 @@ def _load_forecast_rows(path: str | Path) -> Forecasts:
         ):
             code = models.get(model_id)
             if code is None:
+                if not model_id:
+                    raise DataError(f"{path}:{lineno}: empty model_id")
                 code = models[model_id] = len(models)
             k = members.get(member_s)
             if k is None:
@@ -441,7 +444,7 @@ def _forecast_columns(path):
 
     The shape: the header; every line ending in ``\\r\\n``, or every one in
     ``\\n``; no ``"``, NUL or blank line; four commas per line; an ASCII
-    model id of at most 64 bytes; a member empty or of 1-9 digits; both
+    model id of 1-64 bytes; a member empty or of 1-9 digits; both
     times as ``YYYY-MM-DDTHH:00Z``; a value of at most 32 bytes from
     ``[0-9.eE+-]``.  Lines are found in 4 MiB scans and fields parsed 32,768
     lines at a time, so no per-file matrix is built.  In a block, each
@@ -509,7 +512,7 @@ def _forecast_columns(path):
         member[rows] = number
 
         width = c[:, 0] - starts
-        if width.max() > _MAX_MODEL_BYTES:
+        if width.min() < 1 or width.max() > _MAX_MODEL_BYTES:
             return None
         names, inverse = _run_codes(_field_strings(buf, starts, width))
         try:

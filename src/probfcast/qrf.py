@@ -34,17 +34,18 @@ run once per call; the stacks are then built, summed and searched one block of
 whole pairs at a time, so memory follows the block size, not the number of
 pairs.  One running-sum path serves prediction and out-of-bag coverage: each
 stack's ``np.cumsum`` of weights, taken row-wise over its block's zero-padded
-(pairs x longest stack) matrix, and one binary-lifting search.  A quantile is
-the smallest error whose running weight reaches level x number of trees, or
-the last past the total.  With cw the running weight of the ``kept`` trees
-where a row is out of bag, q_lo <= its error e exactly when cw at the last
-entry <= e reaches lo x kept; e <= q_hi exactly when cw at the last entry < e
-is below hi x kept and a kept entry follows, since a target past the total
-clamps q_hi to the last kept entry (lo < 0.5 never passes it).  A row in-bag
-in no tree reads its pair's full-forest sums, which are exact; any other row
-subtracts its in-bag trees' entries from them, and reads exact kept sums when
-a target lies within ``_SUM_ERROR`` x (n + 1) x number of trees (n stack
-entries) of that estimate.
+(pairs x longest stack) matrix, and one binary-lifting search, the kernels
+``dist._padded_cumsum`` and ``dist._count_not_above`` that the CDF table and
+CRPS run too.  A quantile is the smallest error whose running weight reaches
+level x number of trees, or the last past the total.  With cw the running
+weight of the ``kept`` trees where a row is out of bag, q_lo <= its error e
+exactly when cw at the last entry <= e reaches lo x kept; e <= q_hi exactly
+when cw at the last entry < e is below hi x kept and a kept entry follows,
+since a target past the total clamps q_hi to the last kept entry (lo < 0.5
+never passes it).  A row in-bag in no tree reads its pair's full-forest sums,
+which are exact; any other row subtracts its in-bag trees' entries from them,
+and reads exact kept sums when a target lies within ``_SUM_ERROR`` x (n + 1)
+x number of trees (n stack entries) of that estimate.
 
 Determinism contract: tree t uses ``numpy.random.default_rng(seed + t)``.
 It draws its in-bag rows with ``rng.choice(n_rows, sample_count, replace)``
@@ -70,6 +71,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .combine import QuantileVector, check_levels
+from .dist import _count_not_above, _padded_cumsum
 from .error_model import ErrorTable
 from .exceptions import ConfigError, DataError
 from .scoring import DEFAULT_INTERVALS
@@ -216,10 +218,11 @@ def _best_cuts(keys: np.ndarray, y: np.ndarray, seg: np.ndarray, size: np.ndarra
     Request i owns the ``size[i]`` consecutive entries where ``seg == i``;
     keys are integers.  Candidate cuts fall between consecutive distinct keys
     and keep at least mns rows on each side.  Prefix sums run along the rows
-    of a zero-padded (requests x width) matrix, so each request adds its own
-    values in the order a 1-D ``np.cumsum`` would.  Returns per request the
-    cost at the first minimum (inf when no cut qualifies), the left size
-    there, and the last key on the left and the first on the right.
+    of a zero-padded (requests x width) matrix (:func:`_padded_cumsum`), so
+    each request adds its own values in the order a 1-D ``np.cumsum`` would.
+    Returns per request the cost at the first minimum (inf when no cut
+    qualifies), the left size there, and the last key on the left and the
+    first on the right.
     """
     lowest = keys.min(initial=0)
     span = keys.max(initial=0) - lowest + 1
@@ -228,15 +231,10 @@ def _best_cuts(keys: np.ndarray, y: np.ndarray, seg: np.ndarray, size: np.ndarra
     first = np.cumsum(size) - size
     col = np.arange(seg.size) - first[seg]
     r = np.arange(size.size)
-    pad = np.zeros((size.size, int(size.max(initial=2))))
-    pad[seg, col] = ys
-    c1 = np.cumsum(pad, axis=1)
-    tot1 = c1[r, size - 1][seg]
-    c1 = c1[seg, col]
-    pad[seg, col] = ys * ys
-    c2 = np.cumsum(pad, axis=1)
-    tot2 = c2[r, size - 1][seg]
-    c2 = c2[seg, col]
+    mask = np.arange(int(size.max(initial=2))) < size[:, None]  # entries come by seg, then col
+    c1, c2 = _padded_cumsum(mask, ys), _padded_cumsum(mask, ys * ys)
+    tot1, tot2 = c1[r, size - 1][seg], c2[r, size - 1][seg]
+    c1, c2 = c1[mask], c2[mask]
     # Cut after entry i: a left size of col[i] + 1.
     n_left = col + 1.0
     n_right = size[seg] - n_left
@@ -244,7 +242,7 @@ def _best_cuts(keys: np.ndarray, y: np.ndarray, seg: np.ndarray, size: np.ndarra
         (ks[:-1] != ks[1:]) & (n_left[:-1] >= mns) & (n_right[:-1] >= mns)
     )
     s_left, q_left, n_left, n_right = c1[ok], c2[ok], n_left[ok], n_right[ok]
-    cost = np.full(pad.shape, np.inf)
+    cost = np.full(mask.shape, np.inf)
     cost[seg[ok], col[ok]] = (q_left - s_left * s_left / n_left) + (
         (tot2[ok] - q_left) - (tot1[ok] - s_left) ** 2 / n_right
     )
@@ -532,29 +530,11 @@ def _block_stack(
 
 
 def _running_sums(bounds: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each segment ``bounds[i]:bounds[i + 1]``'s ``np.cumsum`` of weights, flat.
-
-    Segment i fills row i of a zero-padded (segments x longest) matrix, whose
-    row-wise ``np.cumsum`` adds each row's values in the order a 1-D
-    ``np.cumsum`` of the segment does.
-    """
+    """Each segment ``bounds[i]:bounds[i + 1]``'s ``np.cumsum`` of weights, flat:
+    segment i is row i of :func:`_padded_cumsum`'s (segments x longest) matrix."""
     length = np.diff(bounds)
     mask = np.arange(length.max(initial=0)) < length[:, None]
-    pad = np.zeros(mask.shape)
-    pad[mask] = weights
-    return np.cumsum(pad, axis=1, out=pad)[mask]
-
-
-def _segment_counts(a: np.ndarray, start: np.ndarray, length: np.ndarray, v: np.ndarray):
-    """Entries below ``v[i, j]`` in sorted ``a[start[i]:][:length[i]]``; start, length: columns."""
-    count = np.zeros(np.broadcast_shapes(start.shape, np.shape(v)), dtype=np.int64)
-    step = 1 << (int(length.max(initial=1)).bit_length() - 1)
-    while step:  # binary lifting: count ends as the number of entries below v
-        cand = count + step
-        below = (cand <= length) & (a[start + np.minimum(cand, length) - 1] < v)
-        count = np.where(below, cand, count)
-        step >>= 1
-    return count
+    return _padded_cumsum(mask, weights)[mask]
 
 
 def predict_weights(forest: Forest, x: CovariateVector) -> np.ndarray:
@@ -588,11 +568,13 @@ def predict_quantiles_batch(
         raise ValueError("lead_hours and labels must have the same length")
     n_pairs, inverse, blocks = _gather(forest, lead_q, code_q)
     q = np.empty((n_pairs, levels.size))
+    # The first entry whose running sum reaches level x trees; past the total, the last one.
+    # Sums and targets are finite, so a sum is below a target when not above the float before.
+    below = np.nextafter(forest.num_trees * levels, -np.inf)
     for stack in blocks:
         start, length = stack.bounds[:-1, None], np.diff(stack.bounds)[:, None]
         sums = _running_sums(stack.bounds, stack.weights)
-        # The first entry whose running sum reaches level x trees; past the total, the last one.
-        count = _segment_counts(sums, start, length, stack.n_trees * levels)
+        count = _count_not_above(sums, start, length, below)
         q[stack.pairs] = stack.values[start + np.minimum(count, length - 1)]
     return q[inverse]
 
@@ -676,9 +658,9 @@ def _oob_hits(stack: _Stack, err, kept, seg, slot, tree, lo, hi) -> Tuple[np.nda
         later = length - count - np.bincount(owner[~first], minlength=n)
         return sum_upto(sums, start, count) - dropped, later > 0
 
-    # Errors are finite, so an entry is at or below e exactly when it is below the next float.
-    v = np.column_stack([err, np.nextafter(err, np.inf)])
-    below, upto = _segment_counts(stack.values, start[:, None], length[:, None], v).T
+    # Errors are finite, so an entry is below e exactly when it is not above the float before.
+    v = np.column_stack([np.nextafter(err, -np.inf), err])
+    below, upto = _count_not_above(stack.values, start[:, None], length[:, None], v).T
     (cw_lo, _), (cw_hi, more_hi) = kept_sum(upto), kept_sum(below)
     bound = np.where(kept < T, _SUM_ERROR * (length + 1) * T, -np.inf)
     near = np.zeros(n, dtype=bool)

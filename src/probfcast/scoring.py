@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .combine import hour_blocks
-from .dist import CDFTable, DegenerateDistributionError, PiecewiseCDF, _exp
+from .dist import CDFTable, DegenerateDistributionError, PiecewiseCDF, _exp, _padded_cumsum
 
 __all__ = [
     "Scores",
@@ -95,14 +95,6 @@ def _cube(x: np.ndarray) -> np.ndarray:
     return x * x * x
 
 
-def _row_sums(mask: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Each row's sum of ``terms``, which fill the entries of ``mask`` in row
-    order, added in sequence along the row (an unmasked entry adds 0.0)."""
-    padded = np.zeros(mask.shape)
-    padded[mask] = terms
-    return np.cumsum(padded, axis=1)[:, -1]
-
-
 def crps_batch(cdfs: CDFTable, y) -> np.ndarray:
     """Exact CRPS of each row of ``cdfs`` at its observation in ``y`` (degC).
 
@@ -141,7 +133,8 @@ def crps_batch(cdfs: CDFTable, y) -> np.ndarray:
         lo = y < v0
         total[lo] += v0[lo] - y[lo]
 
-    # Segments; a jump adds nothing.
+    # Segments; a jump adds nothing.  Each row adds each part's terms in
+    # sequence: the last column of their padded running sums.
     slopes = cdfs._slopes[live]
     wide = np.isfinite(slopes)
     shape = slopes.shape
@@ -153,13 +146,15 @@ def crps_batch(cdfs: CDFTable, y) -> np.ndarray:
     inside = wide & ~(right | left)
     with np.errstate(over="ignore"):  # 3 x a slope past 6e307 is inf, and its term 0.0
         s = slopes[right]
-        total += _row_sums(right, (_cube(pb[right] - 1.0) - _cube(pa[right] - 1.0)) / (3.0 * s))
+        parts = [(right, (_cube(pb[right] - 1.0) - _cube(pa[right] - 1.0)) / (3.0 * s))]
         s = slopes[left]
-        total += _row_sums(left, (_cube(pb[left]) - _cube(pa[left])) / (3.0 * s))
+        parts.append((left, (_cube(pb[left]) - _cube(pa[left])) / (3.0 * s)))
         s, pa_in = slopes[inside], pa[inside]
         fy = pa_in + s * (yy[inside] - a[inside])
-        total += _row_sums(inside, (_cube(fy) - _cube(pa_in)) / (3.0 * s))
-        total += _row_sums(inside, (_cube(pb[inside] - 1.0) - _cube(fy - 1.0)) / (3.0 * s))
+        parts.append((inside, (_cube(fy) - _cube(pa_in)) / (3.0 * s)))
+        parts.append((inside, (_cube(pb[inside] - 1.0) - _cube(fy - 1.0)) / (3.0 * s)))
+        for mask, terms in parts:
+            total += _padded_cumsum(mask, terms)[:, -1]
 
     # Upper tail: 1 - F = q * exp(-mu * (x - vK)) on [vK, inf).
     q, vk = float(1.0 - p[-1]), v[:, -1]
@@ -193,13 +188,7 @@ def crps_mc(d: PiecewiseCDF, y: float, n: int, seed: int) -> float:
     """Monte Carlo CRPS estimate E|X - y| - 0.5 E|X - X'| from n seeded draws."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    x = d.sample(n, seed)
-    term1 = float(np.mean(np.abs(x - y)))
-    xs = np.sort(x)
-    k = np.arange(1, n + 1, dtype=float)
-    pair_sum = float(np.sum((2.0 * k - n - 1.0) * xs))  # sum over pairs of |xi - xj|
-    term2 = 2.0 * pair_sum / (n * n)
-    return term1 - 0.5 * term2
+    return crps_ensemble(d.sample(n, seed), y)
 
 
 def crps_ensemble_batch(members, y) -> np.ndarray:

@@ -529,6 +529,34 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    @pytest.mark.parametrize(
+        "model, new_id, message",
+        [
+            ("ukv", "enuk_r1", "model id 'enuk_r1' equals a rank label of ensemble 'enuk'"),
+            ("pvrn", "", "{path}:{line}: empty model_id"),
+        ],
+        ids=["rank_label", "empty"],
+    )
+    def test_model_id_faults_are_data_errors(
+        self, data_dir, tmp_path, capsys, command, model, new_id, message
+    ):
+        # A model renamed to an ensemble's rank label would pool two systems;
+        # a blanked one would load as a model named ''.
+        lines = (data_dir / "forecasts.csv").read_bytes().split(b"\r\n")
+        prefix = model.encode() + b","
+        line = 1 + next(i for i, x in enumerate(lines) if x.startswith(prefix))
+        rows = [new_id.encode() + x[len(model) :] if x.startswith(prefix) else x for x in lines]
+        path = tmp_path / "forecasts.csv"
+        path.write_bytes(b"\r\n".join(rows))
+        argv = ["--forecasts", str(path), "--observations", str(data_dir / "observations.csv")]
+        extra = ["--origin", "2020-02-05T00:00Z"] if command == "forecast" else []
+        assert main([command, *argv, "--out", str(tmp_path / "out"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert message.format(path=path, line=line) in err
+        assert "Traceback" not in err
+
+
 # RunConfig field -> (config key, value); every field has a flag on some command.
 RUN_OPTIONS = {
     "num_trees": ("trees", "7"),

@@ -22,6 +22,8 @@ from probfcast.combine import DEFAULT_LEVELS, QuantileVector
 from probfcast.dist import (
     _FALLBACK_TAIL_SCALE,
     CDFTable,
+    _count_not_above,
+    _padded_cumsum,
     DegenerateDistributionError,
     PiecewiseCDF,
     build_cdf,
@@ -394,3 +396,65 @@ class TestUnitMassInvariant:
             assert integrate_density(d, n_interior=200_000, n_tail=20_000, efolds=40.0) == (
                 pytest.approx(1.0, abs=1e-8)
             )
+
+
+# Rows of a padded matrix: each row's mask and values, its True entries in
+# any columns (not only a prefix, as in CRPS), the width drawn first.
+padded_rows = st.integers(0, 40).flatmap(
+    lambda width: st.lists(
+        st.lists(st.booleans(), min_size=width, max_size=width).flatmap(
+            lambda mask: st.tuples(
+                st.just(mask),
+                st.lists(  # + 0.0: a pad's 0.0 before a -0.0 gives 0.0 in the padded row
+                    st.floats(-1e6, 1e6).map(lambda x: x + 0.0),
+                    min_size=sum(mask),
+                    max_size=sum(mask),
+                ),
+            )
+        ),
+        max_size=8,
+    ).map(lambda rows: (width, rows))
+)
+# Sorted segments with ties and infinities; probes add NaN.
+knot = st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 2.0, np.inf]) | st.floats(-3.0, 3.0)
+segments = st.lists(st.lists(knot, max_size=6).map(sorted), min_size=1, max_size=6)
+probes = st.lists(knot | st.just(np.nan), min_size=1, max_size=5)
+
+
+class TestKernels:
+    """The shared running-sum and search kernels of qrf, dist and scoring,
+    against their 1-D numpy counterparts bit for bit."""
+
+    @given(padded_rows, st.integers(0, 5))
+    def test_padded_cumsum_is_each_rows_cumsum(self, drawn, extra):
+        width, rows = drawn
+        mask = np.array([m + [False] * extra for m, _ in rows], dtype=bool)
+        mask = mask.reshape(len(rows), width + extra)
+        values = np.array([x for _, v in rows for x in v], dtype=float)
+        got = _padded_cumsum(mask, values)
+        assert got.shape == mask.shape
+        for i, (m, v) in enumerate(rows):
+            dense = np.zeros(mask.shape[1])
+            dense[mask[i]] = v
+            assert got[i].tobytes() == np.cumsum(dense).tobytes()
+            assert got[i][mask[i]].tobytes() == np.cumsum(np.array(v, dtype=float)).tobytes()
+
+    @given(segments, probes, st.integers(0, 3))
+    def test_count_not_above_is_each_segments_searchsorted(self, segs, vs, gap):
+        # Segments lie apart, with -inf between them, which a read past a
+        # segment's end would count.
+        parts, start = [], []
+        for seg in segs:
+            start.append(sum(map(len, parts)))
+            parts += [np.array(seg, dtype=float), np.full(gap, -np.inf)]
+        a = np.concatenate(parts)
+        start, length = np.array(start)[:, None], np.array([len(x) for x in segs])[:, None]
+        v = np.tile(np.array(vs, dtype=float), (len(segs), 1))
+        got = _count_not_above(a, start, length, v)
+        expected = [np.searchsorted(np.array(seg, dtype=float), vs, side="right") for seg in segs]
+        assert got.tolist() == [e.tolist() for e in expected]
+        # Below a finite probe: not above the float before it, as qrf asks.
+        finite = np.isfinite(v)
+        below = _count_not_above(a, start, length, np.nextafter(v, -np.inf))
+        left = [np.searchsorted(np.array(seg, dtype=float), vs, side="left") for seg in segs]
+        assert below[finite].tolist() == np.array(left)[finite].tolist()

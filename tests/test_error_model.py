@@ -77,6 +77,18 @@ class TestRankLabelling:
         assert out[0].member is None
 
 
+    def test_rank_label_equal_to_a_model_id_is_data_error(self):
+        # enuk_r1 would pool the deterministic model with enuk's rank-1 members.
+        valid = T0 + timedelta(hours=6)
+        clash = ForecastRecord("enuk_r1", None, T0, valid, 9.0)
+        with pytest.raises(DataError, match="'enuk_r1' equals a rank label of ensemble 'enuk'"):
+            rank(member_records([2.0, 1.0]) + [clash])
+        # enuk_r3 names no rank of a two-member ensemble.
+        spare = ForecastRecord("enuk_r3", None, T0, valid, 9.0)
+        out = rank(member_records([2.0, 1.0]) + [spare])
+        assert [r.model_id for r in out] == ["enuk_r2", "enuk_r1", "enuk_r3"]
+
+
 class TestBuildErrorTable:
     def obs(self, hours, values):
         return [

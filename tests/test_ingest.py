@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -166,6 +167,18 @@ class TestLoadForecasts:
         else:
             with pytest.raises(DataError, match=f":3: member {member} has more than 18 digits"):
                 load_forecasts(p)
+
+
+    @pytest.mark.parametrize("model_id, end", [("", "\r\n"), ('""', "\r\n"), ('""', "\n")])
+    def test_empty_model_id_rejected_with_line(self, tmp_path, model_id, end):
+        # The first file has the canonical shape but for the empty field, so the
+        # fast path must decline it; the quoted ones go to the row parser anyway.
+        rows = [GOOD_ROWS[1], [model_id, "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1"]]
+        path = tmp_path / "f.csv"
+        path.write_text(csv_text(rows, end), newline="")
+        assert ingest._forecast_columns(path) is None
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}:3: empty model_id$"):
+            load_forecasts(path)
 
 
 class TestLoadObservations:
@@ -456,6 +469,7 @@ FAULTS = (
     "non-finite value",
     "duplicate key",
     "quoted model id",
+    "empty model id",
     "blank line",
     "four fields",
     "six fields",
@@ -463,7 +477,7 @@ FAULTS = (
 VALUE_TEXTS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
     ["0", "-0", "+1.5", "1.", ".5", "1e3", "1E-3", "-2.50", "007"]
 )
-MODEL_IDS = st.sampled_from(["glu", "ukv", "enuk", "a b", "m-1", ""])
+MODEL_IDS = st.sampled_from(["glu", "ukv", "enuk", "a b", "m-1"])  # "": the "empty model id" fault
 # Hours since 2000-01-01: around the 2000 leap day and the end of 2000.
 INIT_HOURS = st.sampled_from([0, 1404, 1416, 8772, 8778]) | st.integers(0, 9000)
 EPOCH_2000 = datetime(2000, 1, 1, tzinfo=UTC)
@@ -514,6 +528,8 @@ def forecast_files(draw):
         rows.insert(draw(st.integers(0, len(rows))), row[:4] + [draw(VALUE_TEXTS)])
     elif fault == "quoted model id":
         row[0] = f'"{row[0]}"'
+    elif fault == "empty model id":
+        row[0] = ""
     elif fault == "four fields":
         del row[draw(st.integers(0, 4))]
     elif fault == "six fields":
@@ -542,6 +558,7 @@ def faulty_rows():
         yield ["glu", "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", x]
     yield GOOD_ROWS[0][:4] + ["2.5"]
     yield ['"glu"', "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1"]
+    yield ["", "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1"]
     yield ["glu", "", "2020-01-01T00:00Z", "2020-01-01T03:00Z"]
     yield ["glu", "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1", "2"]
 
