@@ -5,10 +5,13 @@ Every stage of the pipeline exchanges predictive distributions as paired
 error quantiles per current model run, so combining the forecasts for an
 hour reduces to a per-level arithmetic mean over that hour's rows.
 Averaging quantile functions keeps the location, scale, and shape of the
-result close to the average of the inputs, and its calibration does not
-depend on how many forecasts happen to cover the hour.  A horizon's rows
-are averaged in groups of hours with the same number of rows
-(:func:`hour_blocks`), one (hours x rows x levels) block per group.
+result close to the average of the inputs.  Averaging the quantiles of
+forecasts whose errors are not fully correlated over-disperses the result
+(Lichtendahl, Grushka-Cockayne & Winkler 2013), so calibration can vary
+with the number of rows an hour has; ROADMAP item 11 tracks that
+diagnostic.  A horizon's rows are averaged in groups of hours with the same
+number of rows (:func:`hour_blocks`), one (hours x rows x levels) block per
+group.
 """
 
 from __future__ import annotations

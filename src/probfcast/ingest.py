@@ -149,14 +149,8 @@ class Forecasts:
 
     def take(self, rows: np.ndarray) -> "Forecasts":
         """The rows selected by an index or boolean mask, in their order."""
-        return Forecasts(
-            self.models,
-            self.model[rows],
-            self.member[rows],
-            self.init[rows],
-            self.valid[rows],
-            self.value[rows],
-        )
+        columns = (self.model, self.member, self.init, self.valid, self.value)
+        return Forecasts(self.models, *(c[rows] for c in columns))
 
 
 @dataclass(eq=False)
@@ -216,16 +210,31 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _rows(reader, path, header: List[str]):
-    """(line number, row) for each non-blank row after a checked header."""
-    if next(reader, None) != header:
-        raise DataError(f"{path}: expected header {','.join(header)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        yield lineno, row
+def _rows(path, header: List[str]):
+    """(line number, row) for each non-blank row of a UTF-8 CSV file after a checked header.
+
+    A byte that is not valid UTF-8 is a DataError naming its line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != header:
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    n = len(header)
+                    raise DataError(f"{path}:{lineno}: expected {n} fields, got {len(row)}")
+                yield lineno, row
+    except UnicodeDecodeError:  # raised a decoded chunk ahead of the rows: find the byte
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line, byte = data.count(b"\n", 0, exc.start) + 1, data[exc.start]
+            raise DataError(f"{path}:{line}: byte 0x{byte:02x} is not valid UTF-8") from None
+        raise
 
 
 def _hour_at(path, lineno: int, text: str) -> int:
@@ -286,30 +295,27 @@ def _load_forecast_rows(path: str | Path) -> Forecasts:
     members: Dict[str, int] = {}
     hours: Dict[str, int] = {}
     model, member, init, valid, texts, lines = [], [], [], [], [], []
-    with open(path, newline="") as fh:
-        for lineno, (model_id, member_s, init_s, valid_s, value_s) in _rows(
-            csv.reader(fh), path, FORECAST_HEADER
-        ):
-            code = models.get(model_id)
-            if code is None:
-                if not model_id:
-                    raise DataError(f"{path}:{lineno}: empty model_id")
-                code = models[model_id] = len(models)
-            k = members.get(member_s)
-            if k is None:
-                k = members[member_s] = _member_at(path, lineno, member_s)
-            i = hours.get(init_s)
-            if i is None:
-                i = hours[init_s] = _hour_at(path, lineno, init_s)
-            v = hours.get(valid_s)
-            if v is None:
-                v = hours[valid_s] = _hour_at(path, lineno, valid_s)
-            model.append(code)
-            member.append(k)
-            init.append(i)
-            valid.append(v)
-            texts.append(value_s)
-            lines.append(lineno)
+    for lineno, (model_id, member_s, init_s, valid_s, value_s) in _rows(path, FORECAST_HEADER):
+        code = models.get(model_id)
+        if code is None:
+            if not model_id:
+                raise DataError(f"{path}:{lineno}: empty model_id")
+            code = models[model_id] = len(models)
+        k = members.get(member_s)
+        if k is None:
+            k = members[member_s] = _member_at(path, lineno, member_s)
+        i = hours.get(init_s)
+        if i is None:
+            i = hours[init_s] = _hour_at(path, lineno, init_s)
+        v = hours.get(valid_s)
+        if v is None:
+            v = hours[valid_s] = _hour_at(path, lineno, valid_s)
+        model.append(code)
+        member.append(k)
+        init.append(i)
+        valid.append(v)
+        texts.append(value_s)
+        lines.append(lineno)
 
     init_a = np.array(init, dtype=np.int64)
     valid_a = np.array(valid, dtype=np.int64)
@@ -319,9 +325,7 @@ def _load_forecast_rows(path: str | Path) -> Forecasts:
         i = int(bad[0])
         if lead[i] < 0:
             raise DataError(f"{path}:{lines[i]}: negative lead time")
-        raise DataError(
-            f"{path}:{lines[i]}: lead hour {lead[i]} outside [0, {MAX_LEAD_HOURS}]"
-        )
+        raise DataError(f"{path}:{lines[i]}: lead hour {lead[i]} outside [0, {MAX_LEAD_HOURS}]")
     value_a = _values(path, texts, lines)
     model_a, member_a, lines_a = (np.array(c, dtype=np.int64) for c in (model, member, lines))
     return _sorted_forecasts(path, models, model_a, member_a, init_a, valid_a, value_a, lines_a)
@@ -540,18 +544,17 @@ def load_observations(path: str | Path) -> Observations:
     """Load observations.csv; duplicate valid_times are rejected."""
     seen: Dict[int, int] = {}
     hours, texts, lines = [], [], []
-    with open(path, newline="") as fh:
-        for lineno, (valid_s, value_s) in _rows(csv.reader(fh), path, OBSERVATION_HEADER):
-            hour = _hour_at(path, lineno, valid_s)
-            if hour in seen:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate observation at {format_hour(hour_time(hour))}"
-                    f" (first seen on line {seen[hour]})"
-                )
-            seen[hour] = lineno
-            hours.append(hour)
-            texts.append(value_s)
-            lines.append(lineno)
+    for lineno, (valid_s, value_s) in _rows(path, OBSERVATION_HEADER):
+        hour = _hour_at(path, lineno, valid_s)
+        if hour in seen:
+            raise DataError(
+                f"{path}:{lineno}: duplicate observation at {format_hour(hour_time(hour))}"
+                f" (first seen on line {seen[hour]})"
+            )
+        seen[hour] = lineno
+        hours.append(hour)
+        texts.append(value_s)
+        lines.append(lineno)
     values = _values(path, texts, lines)
     order = np.argsort(hours)
     return Observations(np.array(hours, dtype=np.int64)[order], values[order])

@@ -4,19 +4,21 @@ One forest is trained per scenario over all model labels jointly (the label
 is a covariate); a backtest grows the forests of ``_CHUNK`` scenarios in one
 :func:`~probfcast.qrf.train_many` pass, each equal to the forest grown
 alone, then predicts and scores those scenarios in turn.  Stage 2 then works
-on columns: the forest is queried once per distinct (lead, label) pair of
-the current model runs, each run's row of error quantiles is shifted by its
-forecast value into one (runs x levels) matrix, and that matrix is averaged
-level by level over each valid hour's rows, one block per group of hours
-with the same number of rows.  Stage 3 interpolates every hour's average
-into a full distribution, all hours as one :class:`~probfcast.dist.CDFTable`.
-:func:`run_scenario` returns both stages as one :class:`Horizon`, with a
-row per hour from one hour after the forecast origin out to the horizon;
-hours no current run covers are left out.  A backtest scores the horizon
-with :func:`score_scenario`, which counts the left-out hours; an operator
-forecast writes its products from it.  Scoring, too, works on every hour
-at once: the forecast scores read the table, and the raw comparator's
-scores come from one block of member values per group of hours.
+on columns: one :func:`~probfcast.qrf.predict_quantiles_batch` call takes
+the (lead, label) of every current run in the horizon as they are (the
+forest predicts each distinct pair once, and its lead rule applies), each
+run's row of error quantiles is shifted by its forecast value into one (runs
+x levels) matrix, and that matrix is averaged level by level over each valid
+hour's rows, one block per group of hours with the same number of rows.
+Stage 3 interpolates every hour's average into a full distribution, all
+hours as one :class:`~probfcast.dist.CDFTable`.  :func:`run_scenario`
+returns both stages as one :class:`Horizon`, with a row per hour from one
+hour after the forecast origin out to the horizon; hours no current run
+covers are left out.  A backtest scores the horizon with
+:func:`score_scenario`, which counts the left-out hours; an operator
+forecast writes its products from it.  Scoring, too, works on every hour at
+once: the forecast scores read the table, and the raw comparator's scores
+come from one block of member values per group of hours.
 """
 
 from __future__ import annotations
@@ -248,17 +250,6 @@ def run_scenario(
         timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # (lead, label) pairs in sorted order: codes sort as the labels do
-    n_labels = len(eval_fc.models)
-    pair_keys, pair_of_row = np.unique(
-        eval_fc.lead * n_labels + eval_fc.model, return_inverse=True
-    )
-    matrix = qrf.predict_quantiles_batch(
-        forest,
-        pair_keys // n_labels,
-        [eval_fc.models[c] for c in (pair_keys % n_labels).tolist()],
-        config.levels,
-    )
     # Rows of each horizon hour, in row order: by_valid[first[i]:end[i]] for hours[i]
     by_valid = np.argsort(eval_fc.valid, kind="stable")
     hours = hour_index(origin) + np.arange(1, config.horizon_hours + 1)
@@ -269,7 +260,9 @@ def run_scenario(
     # every row of the horizon's hours, hour after hour (hours are consecutive)
     rows = by_valid[first[0] : end[-1]]
     members = eval_fc.value[rows]
-    shifted = matrix[pair_of_row[rows]] + members[:, None]
+    labels = np.asarray(eval_fc.models)[eval_fc.model[rows]]
+    shifted = qrf.predict_quantiles_batch(forest, eval_fc.lead[rows], labels, config.levels)
+    shifted += members[:, None]
     obs = eval_ds.observations
     observed = np.full(covered.size, np.nan)
     have = np.isin(hours[covered], obs.hour)

@@ -27,25 +27,32 @@ own rows, seeds and table.
 Leaves keep the in-bag rows that reached them, so a query returns a weighted
 empirical distribution of training errors rather than a mean: row weights
 average, over trees, the indicator of sharing the query's leaf divided by the
-leaf size.  Each distinct (lead, label) pair is routed through all trees at
-once, and the leaf rows it reaches are gathered into one stack sorted by error
-(ties in tree, then leaf order).  Routing and the ranking of leaf rows by error
-run once per call; the stacks are then built, summed and searched one block of
-whole pairs at a time, so memory follows the block size, not the number of
-pairs.  One running-sum path serves prediction and out-of-bag coverage: each
-stack's ``np.cumsum`` of weights, taken row-wise over its block's zero-padded
-(pairs x longest stack) matrix, and one binary-lifting search, the kernels
-``dist._padded_cumsum`` and ``dist._count_not_above`` that the CDF table and
-CRPS run too.  A quantile is the smallest error whose running weight reaches
-level x number of trees, or the last past the total.  With cw the running
-weight of the ``kept`` trees where a row is out of bag, q_lo <= its error e
-exactly when cw at the last entry <= e reaches lo x kept; e <= q_hi exactly
-when cw at the last entry < e is below hi x kept and a kept entry follows,
-since a target past the total clamps q_hi to the last kept entry (lo < 0.5
-never passes it).  A row in-bag in no tree reads its pair's full-forest sums,
-which are exact; any other row subtracts its in-bag trees' entries from them,
-and reads exact kept sums when a target lies within ``_SUM_ERROR`` x (n + 1)
-x number of trees (n stack entries) of that estimate.
+leaf size.  Queries may repeat (lead, label) pairs in any order: a call looks
+up each distinct label once, keys each query by the integer ``lead * n_labels
++ code`` and predicts each distinct pair once.  The lead rule: a query lead is
+a whole number (else ``ValueError``), and one outside [0, ``MAX_LEAD_HOURS``]
+is clamped to it, so it routes as the nearest end (training leads lie in that
+range, and so does every lead cut).  Each distinct pair is routed through all
+trees at once, and the leaf rows it reaches are gathered into one stack sorted
+by error (ties in tree, then leaf order).  Routing and the ranking of leaf
+rows by error run once per call; the stacks are then built, summed and
+searched one block of whole pairs at a time, so memory follows the block size,
+not the number of pairs; out-of-bag coverage gathers its rows' in-bag entries
+in batches of at most as many cells.  One running-sum path serves prediction
+and out-of-bag coverage: each stack's ``np.cumsum`` of weights, taken row-wise
+over its block's zero-padded (pairs x longest stack) matrix, and one
+binary-lifting search, the kernels ``dist._padded_cumsum`` and
+``dist._count_not_above`` that the CDF table and CRPS run too.  A quantile is
+the smallest error whose running weight reaches level x number of trees, or
+the last past the total.  With cw the running weight of the ``kept`` trees
+where a row is out of bag, q_lo <= its error e exactly when cw at the last
+entry <= e reaches lo x kept; e <= q_hi exactly when cw at the last entry < e
+is below hi x kept and a kept entry follows, since a target past the total
+clamps q_hi to the last kept entry (lo < 0.5 never passes it).  A row in-bag
+in no tree reads its pair's full-forest sums, which are exact; any other row
+subtracts its in-bag trees' entries from them, and reads exact kept sums when
+a target lies within ``_SUM_ERROR`` x (n + 1) x number of trees (n stack
+entries) of that estimate.
 
 Determinism contract: tree t uses ``numpy.random.default_rng(seed + t)``.
 It draws its in-bag rows with ``rng.choice(n_rows, sample_count, replace)``
@@ -64,7 +71,7 @@ another numpy version may grow another forest.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,6 +81,7 @@ from .combine import QuantileVector, check_levels
 from .dist import _count_not_above, _padded_cumsum
 from .error_model import ErrorTable
 from .exceptions import ConfigError, DataError
+from .ingest import MAX_LEAD_HOURS
 from .scoring import DEFAULT_INTERVALS
 
 __all__ = [
@@ -163,10 +171,6 @@ class Forest:
     arrays: _Tree
     node_counts: np.ndarray  # int64, one entry per tree
     cat_counts: np.ndarray  # int64, one entry per tree
-    _code: Dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._code = {lab: i for i, lab in enumerate(self.table.label_set)}
 
     @property
     def num_trees(self) -> int:
@@ -185,8 +189,8 @@ class Forest:
 
     def label_code(self, label: str) -> int:
         try:
-            return self._code[label]
-        except KeyError:
+            return self.table.label_set.index(label)
+        except ValueError:
             raise KeyError(f"model label {label!r} was not in the training table") from None
 
 
@@ -460,20 +464,25 @@ def _gather(
     """Stack every tree's leaf rows per distinct (lead, code) pair, one block of pairs at a time.
 
     Returns the number of distinct pairs, each input's pair, and the blocks'
-    stacks.  The pairs are routed and the leaf rows ranked by error once, up
-    front; each block then gathers and sorts only its own entries, so the
-    stack-sized arrays, which set the peak memory of a prediction, live one
-    block at a time.  Pairs are taken in order of stack length, and a block
-    takes the next pairs while its padded (pairs x longest stack) matrix
-    holds at most ``_BLOCK_CELLS`` cells; a longer pair is a block of its
-    own.  Out-of-bag coverage asks for each entry's stack position too.
+    stacks.  Leads follow the lead rule (module docstring), and pairs are
+    keyed ``lead * n_labels + code``, so they sort by lead, then code.  They
+    are routed and the leaf rows ranked by error once, up front; each block
+    then gathers and sorts only its own entries, so the stack-sized arrays,
+    which set the peak memory of a prediction, live one block at a time.
+    Pairs are taken in order of stack length, and a block takes the next pairs
+    while its padded (pairs x longest stack) matrix holds at most
+    ``_BLOCK_CELLS`` cells; a longer pair is a block of its own.  Out-of-bag
+    coverage asks for each entry's stack position too.
     """
-    # np.unique orders complex numbers by real part, then imaginary part.
-    pairs, inverse = np.unique(
-        np.asarray(lead, dtype=float) + 1j * np.asarray(code), return_inverse=True
-    )
+    lead = np.asarray(lead, dtype=float)
+    bad = ~np.isfinite(lead) | (lead != np.trunc(lead))
+    if bad.any():
+        raise ValueError(f"lead hours must be whole numbers, got {lead[bad][0]}")
+    n_labels = len(forest.table.label_set)
+    key = np.clip(lead, 0, MAX_LEAD_HOURS).astype(np.int64) * n_labels + code
+    pairs, inverse = np.unique(key, return_inverse=True)
     a, T = forest.arrays, forest.num_trees
-    leaf = _route(forest, pairs.real, pairs.imag.astype(np.int64)).T
+    leaf = _route(forest, *np.divmod(pairs, n_labels)).T
     leaf_off = np.repeat(np.arange(T) * forest.config.sample_count, forest.node_counts)
     first, counts = (a.leaf_start + leaf_off)[leaf], a.leaf_count.astype(np.int64)[leaf]
     # An entry's rank among all leaf rows by (error, tree, leaf order) is
@@ -492,7 +501,7 @@ def _gather(
             yield _block_stack(forest, rank, by_length[i:j], first, counts, positions)
             i = j
 
-    return pairs.size, inverse.reshape(-1), blocks()
+    return pairs.size, inverse, blocks()
 
 
 def _block_stack(
@@ -560,13 +569,14 @@ def predict_quantiles_batch(
     labels: Sequence[str],
     levels: Sequence[float],
 ) -> np.ndarray:
-    """Quantiles for many covariate vectors at once; returns (n_queries, n_levels)."""
+    """Quantiles for many covariate vectors at once; returns (n_queries, n_levels).
+    Each distinct label is looked up once, and each distinct pair predicted once."""
     levels = check_levels(levels)
-    lead_q = np.asarray(lead_hours, dtype=float)
-    code_q = np.array([forest.label_code(lab) for lab in labels], dtype=np.int64)
-    if lead_q.size != code_q.size:
+    names, code = np.unique(np.asarray(labels, dtype=str), return_inverse=True)
+    if np.size(lead_hours) != code.size:
         raise ValueError("lead_hours and labels must have the same length")
-    n_pairs, inverse, blocks = _gather(forest, lead_q, code_q)
+    code = np.array([forest.label_code(name) for name in names.tolist()], dtype=np.int64)[code]
+    n_pairs, inverse, blocks = _gather(forest, lead_hours, code)
     q = np.empty((n_pairs, levels.size))
     # The first entry whose running sum reaches level x trees; past the total, the last one.
     # Sums and targets are finite, so a sum is below a target when not above the float before.
@@ -621,11 +631,18 @@ def oob_coverage(
         block_of[stack.pairs], local[stack.pairs] = b, np.arange(stack.pairs.size)
         mine = np.flatnonzero(block_of[seg] == b)  # the scored rows whose pair is in the block
         dropped = np.flatnonzero(block_of[seg[slot]] == b)
-        hits[mine], n = _oob_hits(
-            stack, err[mine], kept[mine], local[seg[mine]],
-            np.searchsorted(mine, slot[dropped]), drop_tree[dropped], lo, hi,
-        )
-        fallback += n
+        owner = np.searchsorted(mine, slot[dropped])  # ascending
+        g = local[seg[mine[owner]]] * T + drop_tree[dropped]  # the in-bag trees' leaf ranges
+        # Rows i:j gather edge[j] - edge[i] in-bag entries: at most _BLOCK_CELLS, or one row's.
+        edge = np.cumsum(np.bincount(owner + 1, np.diff(stack.leaf_bounds)[g], mine.size + 1))
+        sums, i = _running_sums(stack.bounds, stack.weights), 0
+        while i < mine.size:
+            j = max(i + 1, int(np.searchsorted(edge, edge[i] + _BLOCK_CELLS, side="right")) - 1)
+            rows, (e0, e1) = mine[i:j], np.searchsorted(owner, [i, j])
+            args = err[rows], kept[rows], local[seg[rows]], owner[e0:e1] - i, g[e0:e1]
+            hits[rows], n = _oob_hits(stack, sums, *args, lo, hi)
+            fallback += n
+            i = j
 
     leads, pos, count = np.unique(table.lead_hours[scored], return_inverse=True, return_counts=True)
     # One count per (lead, interval) cell; sums of 0.0 and 1.0 are exact in any order.
@@ -634,18 +651,17 @@ def oob_coverage(
     return OOBCoverage(leads, count, cov, intervals, table.n_rows - scored.size, fallback)
 
 
-def _oob_hits(stack: _Stack, err, kept, seg, slot, tree, lo, hi) -> Tuple[np.ndarray, int]:
-    """Interval hits of the out-of-bag rows whose pairs lie in one block; and their fallback count.
+def _oob_hits(stack: _Stack, sums, err, kept, seg, slot, g, lo, hi) -> Tuple[np.ndarray, int]:
+    """Interval hits of out-of-bag rows whose pairs lie in one block; and their fallback count.
 
-    Row i has error ``err[i]``, is out of bag in ``kept[i]`` trees and reads
-    the block's ``seg[i]``-th stack; it is in-bag in tree ``tree[j]`` for each
-    j with ``slot[j] == i``.
+    ``sums`` are the block's running sums.  Row i has error ``err[i]``, is
+    out of bag in ``kept[i]`` trees and reads the block's ``seg[i]``-th
+    stack; for each j with ``slot[j] == i``, it is in-bag in the tree whose
+    entries for that stack are ``leaf_pos[leaf_bounds[g[j]] : leaf_bounds[g[j] + 1]]``.
     """
     T, n = stack.n_trees, err.size
-    sums = _running_sums(stack.bounds, stack.weights)
     start, length = stack.bounds[seg], np.diff(stack.bounds)[seg]
     # Flat stack positions of the entries of each row's in-bag trees.
-    g = seg[slot] * T + tree
     n_g = stack.leaf_bounds[g + 1] - stack.leaf_bounds[g]
     at, owner = stack.leaf_pos[_gather_ranges(stack.leaf_bounds[g], n_g)], np.repeat(slot, n_g)
 

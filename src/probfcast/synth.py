@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .exceptions import ConfigError
-from .ingest import MAX_LEAD_HOURS, Dataset, Forecasts, Observations, hour_index
+from .ingest import MAX_LEAD_HOURS, Dataset, Forecasts, Observations, hour_index, parse_hour
 
 __all__ = ["ModelSpec", "SynthConfig", "synthesize_dataset", "load_synth_config", "DEFAULT_ROSTER"]
 
@@ -175,18 +175,15 @@ def synthesize_dataset(config: SynthConfig, seed: int) -> Dataset:
 # Flat key/value config files
 # ---------------------------------------------------------------------------
 
-_SYNTH_KEYS = {
-    "span_days",
-    "models",
-    "init_cycle_hours",
-    "max_lead_hours",
-    "bias_amplitude",
-    "noise_growth",
-    "ensemble_members",
-    "seed",
-    "site_id",
-    "start",
+# Per-model keys, each with the ModelSpec field it sets and its type.
+_PER_MODEL_KEYS = {
+    "init_cycle_hours": ("init_cycle_hours", int),
+    "max_lead_hours": ("max_lead_hours", int),
+    "bias_amplitude": ("bias_amplitude", float),
+    "noise_growth": ("noise_growth", float),
+    "ensemble_members": ("members", int),
 }
+_SYNTH_KEYS = {"span_days", "models", "seed", "site_id", "start", *_PER_MODEL_KEYS}
 
 
 def parse_flat_config(path: str | Path) -> Dict[str, str]:
@@ -236,34 +233,19 @@ def load_synth_config(path: str | Path) -> Tuple[SynthConfig, int | None]:
             raise ConfigError("models: empty roster")
     else:
         ids = [m.model_id for m in DEFAULT_ROSTER]
-    n = len(ids)
-
-    def per_model(key: str, cast, fallback):
-        if key in kv:
-            return _split_list(kv[key], n, key, cast)
-        return [
-            getattr(defaults[mid], fallback) if mid in defaults else None for mid in ids
-        ]
-
-    cycles = per_model("init_cycle_hours", int, "init_cycle_hours")
-    max_leads = per_model("max_lead_hours", int, "max_lead_hours")
-    biases = per_model("bias_amplitude", float, "bias_amplitude")
-    growths = per_model("noise_growth", float, "noise_growth")
-    members = per_model("ensemble_members", int, "members")
-    for key, vals in [
-        ("init_cycle_hours", cycles),
-        ("max_lead_hours", max_leads),
-        ("bias_amplitude", biases),
-        ("noise_growth", growths),
-        ("ensemble_members", members),
-    ]:
-        for mid, v in zip(ids, vals):
+    # A key missing from the file takes each default model's own value.
+    fields = {
+        name: _split_list(kv[key], len(ids), key, cast)
+        if key in kv
+        else [getattr(defaults.get(mid), name, None) for mid in ids]
+        for key, (name, cast) in _PER_MODEL_KEYS.items()
+    }
+    for key, (name, _) in _PER_MODEL_KEYS.items():
+        for mid, v in zip(ids, fields[name]):
             if v is None:
                 raise ConfigError(f"{key} required for non-default model {mid!r}")
-
     models = tuple(
-        ModelSpec(mid, cycles[i], max_leads[i], biases[i], growths[i], members[i])
-        for i, mid in enumerate(ids)
+        ModelSpec(mid, **{name: v[i] for name, v in fields.items()}) for i, mid in enumerate(ids)
     )
     try:
         span_days = int(kv.get("span_days", SynthConfig.span_days))
@@ -271,8 +253,6 @@ def load_synth_config(path: str | Path) -> Tuple[SynthConfig, int | None]:
         raise ConfigError(f"span_days: {exc}") from None
     start = SynthConfig.start
     if "start" in kv:
-        from .ingest import parse_hour
-
         start = parse_hour(kv["start"])
     config = SynthConfig(
         span_days=span_days,

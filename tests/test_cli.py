@@ -528,6 +528,30 @@ class TestExitCodes:
         assert f"{forecasts}:3: member 99999999999999999999 has more than 18 digits" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "bad_file, field",
+        [("forecasts.csv", 4), ("forecasts.csv", 0), ("observations.csv", 1)],
+        ids=["forecast_value", "model_id", "observation_value"],
+    )
+    def test_byte_not_utf8_is_data_error_with_line(
+        self, data_dir, tmp_path, capsys, bad_file, field
+    ):
+        # Line 700 lies past the first chunk the text reader decodes, so the
+        # decoder fails ahead of the rows the parser has reached.
+        paths = {name: data_dir / name for name in ("forecasts.csv", "observations.csv")}
+        lines = paths[bad_file].read_bytes().split(b"\n")
+        fields = lines[699].split(b",")
+        fields[field] = fields[field][:1] + b"\xff" + fields[field][1:]
+        lines[699] = b",".join(fields)
+        paths[bad_file] = tmp_path / bad_file
+        paths[bad_file].write_bytes(b"\n".join(lines))
+        argv = ["--forecasts", str(paths["forecasts.csv"])]
+        argv += ["--observations", str(paths["observations.csv"])]
+        assert main(["train", *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{paths[bad_file]}:700: byte 0xff is not valid UTF-8" in err
+        assert "Traceback" not in err
+
 
     @pytest.mark.parametrize("command", ["train", "forecast"])
     @pytest.mark.parametrize(
@@ -705,6 +729,7 @@ GOLDEN = {
 }
 
 
+@pytest.mark.simd
 def test_golden_outputs(tmp_path):
     data = tmp_path / "data"
     assert main(["generate", "--seed", "55", "--span-days", "30", "--out", str(data)]) == 0

@@ -133,6 +133,7 @@ hour_block = st.sampled_from([1, 2, 3, 5, 8, 9, 17]).flatmap(
 )
 
 
+@pytest.mark.simd
 class TestBatchedAgainstReference:
     """vincentize_hours equals the per-hour average bit for bit, hour by hour."""
 

@@ -30,6 +30,8 @@ from probfcast.dist import (
 )
 from probfcast.scoring import crps, crps_batch, crps_mc
 
+pytestmark = pytest.mark.simd
+
 
 def simple_dist():
     return build_cdf(

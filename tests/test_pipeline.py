@@ -260,6 +260,7 @@ def hour_cases(draw):
     return rows, members, y
 
 
+@pytest.mark.simd
 class TestBatchedAgainstReference:
     """Stage 2's averaging and score_scenario, all hours at once, against the
     per-hour oracles bit for bit."""

@@ -143,6 +143,7 @@ class TestTraining:
         out = predict_quantiles(forest, CovariateVector(10, "m0"), LEV)
         assert np.all(np.diff(out.values) >= 0)
 
+    @pytest.mark.simd
     def test_tree_arrays_pinned(self):
         """Every _Tree array, bit for bit, for configs the CLI golden test does not reach."""
         table = random_table(np.random.default_rng(43), n=500, n_labels=6)
@@ -173,6 +174,7 @@ class TestTraining:
                 digests[f.name] = (getattr(trees[0], f.name).dtype.str, h.hexdigest())
             assert digests == TREE_DIGESTS[name], name
 
+    @pytest.mark.simd
     @given(case=forest_cases())
     # Tied costs: catches the label winning ties, the last minimum winning
     # and an unstable partition.
@@ -271,6 +273,7 @@ def train_many_cases(draw):
     return tables, configs, [0, *cuts, len(tables)]
 
 
+@pytest.mark.simd
 class TestTrainMany:
     @given(case=train_many_cases())
     def test_train_many_equals_each_forest_grown_alone(self, case):
@@ -434,8 +437,53 @@ class TestQuantilePrediction:
     def test_unknown_label_rejected(self):
         table = random_table(np.random.default_rng(0), n=50)
         forest = train(table, ForestConfig(num_trees=5, sample_count=20, seed=0))
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="'nope' was not in the training table"):
             predict_quantiles(forest, CovariateVector(5, "nope"), LEV)
+        with pytest.raises(KeyError, match="'nope' was not in the training table"):
+            predict_quantiles_batch(forest, [5, 6, 7], ["m0", "nope", "m0"], LEV)
+
+    def test_lead_must_be_a_whole_number(self):
+        table = random_table(np.random.default_rng(0), n=50)
+        forest = train(table, ForestConfig(num_trees=5, sample_count=20, seed=0))
+        for lead in (3.5, np.nan, np.inf, -0.25):
+            with pytest.raises(ValueError, match="whole numbers"):
+                predict_quantiles_batch(forest, [5, lead], ["m0", "m1"], LEV)
+        with pytest.raises(ValueError, match="whole numbers"):
+            predict_weights(forest, CovariateVector(3.5, "m0"))
+        as_float = predict_quantiles_batch(forest, [5.0, 168.0, -0.0], ["m0", "m1", "m2"], LEV)
+        as_int = predict_quantiles_batch(forest, [5, 168, 0], ["m0", "m1", "m2"], LEV)
+        assert as_float.tobytes() == as_int.tobytes()
+
+    def test_leads_outside_the_range_route_as_the_nearest_end(self):
+        rng = np.random.default_rng(23)
+        table = random_table(rng, n=600)
+        assert table.lead_hours.min() == 0 and table.lead_hours.max() == 168
+        forest = train(table, ForestConfig(num_trees=40, mtry=2, sample_count=200, seed=4))
+        labels = ["m0", "m1", "m2"] * 2
+        outside = predict_quantiles_batch(forest, [-5, -1, -10**6, 169, 1000, 10**9], labels, LEV)
+        ends = predict_quantiles_batch(forest, [0, 0, 0, 168, 168, 168], labels, LEV)
+        assert outside.tobytes() == ends.tobytes()
+        for lead, end in ((-5, 0), (1000, 168)):
+            w = predict_weights(forest, CovariateVector(lead, "m1"))
+            assert w.tobytes() == predict_weights(forest, CovariateVector(end, "m1")).tobytes()
+
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(-3, 171), st.sampled_from(["m0", "m1", "m2"])),
+            min_size=1,
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_repeated_pairs_in_any_order_equal_each_pair_alone(self, picks, data):
+        table = random_table(np.random.default_rng(29), n=300)
+        forest = train(table, ForestConfig(num_trees=30, sample_count=50, seed=8))
+        queries = data.draw(st.permutations(picks + data.draw(st.lists(st.sampled_from(picks)))))
+        leads, labels = [lead for lead, _ in queries], [lab for _, lab in queries]
+        batch = predict_quantiles_batch(forest, leads, labels, LEV)
+        for row, (lead, lab) in zip(batch, queries):
+            alone = predict_quantiles_batch(forest, [lead], [lab], LEV)[0]
+            assert row.tobytes() == alone.tobytes()
 
     def test_more_trees_stabilise_the_median(self):
         rng = np.random.default_rng(19)
@@ -449,6 +497,7 @@ class TestQuantilePrediction:
         assert np.var(meds[250]) < np.var(meds[10])
 
 
+@pytest.mark.simd
 class TestOob:
     def test_iid_errors_recover_nominal_coverage_per_lead(self):
         rng = np.random.default_rng(23)
@@ -495,6 +544,7 @@ class TestOob:
             oob_coverage(forest)
 
 
+@pytest.mark.simd
 class TestKernelAgainstReference:
     """The vectorised kernel against per-query and per-row reference loops."""
 
@@ -640,6 +690,7 @@ def single_leaf_forest(table, num_trees=250):
     return forest
 
 
+@pytest.mark.simd
 class TestBlocks:
     """Prediction and OOB coverage one block of (lead, label) pairs at a time."""
 
@@ -716,19 +767,38 @@ class TestBlocks:
 
     def test_oob_peak_memory_is_bounded_by_the_block(self):
         """40 pairs of 12,800-entry stacks: 512,000 entries.  Gathering every stack at
-        once, as one block, peaked at 74 MB here; blocks of 2**17 cells peak at 20 MB."""
+        once, as one block, peaked at 74 MB here; blocks of 2**17 cells peak at 20 MB.
+
+        A row's in-bag gather takes every entry of its in-bag trees: on these large
+        leaves one block's rows would gather 401,024-416,512 entries at once, so
+        they gather in batches of at most 2**17 entries.
+        """
         leads = np.repeat(np.arange(40), 50)
         errors = np.random.default_rng(0).normal(size=leads.size)
         table = ErrorTable(leads, np.zeros(leads.size, dtype=np.int64), errors, ("a",))
-        forest = single_leaf_forest(table, num_trees=100)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            oob_coverage(forest)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6, peak
+        oob_hits, gathers = qrf._oob_hits, []
+
+        def counted(stack, sums, err, kept, seg, slot, g, lo, hi):
+            gathers.append(int(np.diff(stack.leaf_bounds)[g].sum()))
+            return oob_hits(stack, sums, err, kept, seg, slot, g, lo, hi)
+
+        one_leaf = single_leaf_forest(table, num_trees=100)
+        split = train(table, ForestConfig(num_trees=100, min_node_size=64, seed=1))
+        assert (split.node_counts > 1).any()
+        assert split.arrays.leaf_count[split.arrays.feature < 0].min() >= 64
+        for forest in (one_leaf, split):
+            gathers.clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with mock.patch.object(qrf, "_oob_hits", counted):
+                    oob_coverage(forest)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32e6, peak
+            assert sum(gathers) > 3 * qrf._BLOCK_CELLS  # several batches were needed
+            assert max(gathers) <= qrf._BLOCK_CELLS, max(gathers)
 
 
 class TestSerialisation:
@@ -837,6 +907,7 @@ class TestSerialisation:
         leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
         assert leaks == []
 
+    @pytest.mark.simd
     def test_archive_members_pinned(self, tmp_path):
         """Every archive member's name, dtype, shape and bytes for one fixed forest."""
         forest = train(

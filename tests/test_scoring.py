@@ -386,6 +386,7 @@ def lead_score_tables(draw):
     )
 
 
+@pytest.mark.simd
 class TestBatchedAgainstReference:
     """The batched score kernels and the per-lead aggregation equal the
     per-hour and per-lead references bit for bit."""
