@@ -16,7 +16,6 @@ from .ingest import (
     Dataset,
     Forecasts,
     Observations,
-    ScenarioWindow,
     load_forecasts,
     load_observations,
     slice_scenario,
@@ -41,7 +40,6 @@ from .scoring import (
     crps_ensemble,
     crps_mc,
     interval_coverage,
-    interval_score,
     log_score,
     mae_median,
 )

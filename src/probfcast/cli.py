@@ -28,7 +28,7 @@ import os
 import sys
 import time
 import traceback
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -99,6 +99,15 @@ class _RunConfigFile(argparse.Action):
             if getattr(namespace, dest, None) is None:
                 setattr(namespace, dest, value)
         setattr(namespace, self.dest, path)
+
+
+def _origin(text: str) -> datetime:
+    """``--origin``'s type: an hour-aligned ISO-8601 time, checked as the
+    command's flags are parsed, before any input is read."""
+    try:
+        return parse_hour(text)
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _default_out() -> str:
@@ -198,11 +207,7 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     for p in (fpath, opath):
         if not p.exists():
             raise DataError(f"input file {p} does not exist")
-    return Dataset(
-        forecasts=load_forecasts(fpath),
-        observations=load_observations(opath),
-        site_id=fpath.stem,
-    )
+    return Dataset(load_forecasts(fpath), load_observations(opath))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +249,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     save_path = save_path or out / "forest.npz"
     dataset = _load_dataset(args)
-    if args.origin:
-        origin = parse_hour(args.origin)
+    if args.origin is not None:
+        origin = args.origin
     elif len(dataset.observations):
         origin = hour_time(dataset.observations.hour[-1] + 1)
     else:
@@ -304,9 +309,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     h_probe = args.dump_cdf_hour
     if h_probe is not None and not 1 <= h_probe <= config.horizon_hours:
         raise ConfigError(f"--dump-cdf-hour {h_probe} is outside [1, {config.horizon_hours}]")
-    if not args.origin:
+    origin = args.origin
+    if origin is None:
         raise ConfigError("--origin is required for forecast")
-    origin = parse_hour(args.origin)
     out = _out_dir(args)
     dataset = _load_dataset(args)
     horizon = pipeline.run_scenario(dataset, origin, config)
@@ -462,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a forest and report OOB coverage")
     _add_data_flags(p_train)
     _add_run_flags(p_train)
-    p_train.add_argument("--origin", help="training window end (default: last observation + 1h)")
+    p_train.add_argument(
+        "--origin", type=_origin, help="training window end (default: last observation + 1h)"
+    )
     p_train.add_argument("--save", help="forest output path (default <out>/forest.npz)")
     p_train.add_argument("--dump-errors", help="also write the error table CSV here")
     p_train.set_defaults(func=cmd_train)
@@ -470,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = sub.add_parser("forecast", help="full forecast products for one origin")
     _add_data_flags(p_fc)
     _add_run_flags(p_fc, "--horizon", "--levels", "--threshold", "--draws")
-    p_fc.add_argument("--origin", help="forecast origin timestamp (required)")
+    p_fc.add_argument("--origin", type=_origin, help="forecast origin timestamp (required)")
     p_fc.add_argument(
         "--dump-cdf-hour", type=int, help="also dump (value, cdf) probe pairs at this lead hour"
     )

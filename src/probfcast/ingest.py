@@ -9,8 +9,8 @@ timestamps:
 
 Sub-hourly timestamps are rejected rather than resampled, a model id must
 not be empty, forecast lead times must fall within [0, 168] hours, values
-must be finite, and a (model, member, init, valid) key or an observation
-hour may appear once.
+must be finite and at most ``MAX_ABS_VALUE`` (1e6 degC) in magnitude, and a
+(model, member, init, valid) key or an observation hour may appear once.
 
 ``load_forecasts`` parses a file in the shape :func:`write_forecasts`
 writes (CRLF lines, or all LF lines; unquoted fields; ``YYYY-MM-DDTHH:00Z``
@@ -43,9 +43,9 @@ from .exceptions import DataError
 
 __all__ = [
     "MAX_LEAD_HOURS",
+    "MAX_ABS_VALUE",
     "Forecasts",
     "Observations",
-    "ScenarioWindow",
     "Dataset",
     "hour_index",
     "hour_time",
@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 MAX_LEAD_HOURS = 168
+# Bound on |value_degC|: far above any temperature, and far below where the
+# forest's summed squared errors or a per-lead standard deviation overflow.
+MAX_ABS_VALUE = 1e6
 
 FORECAST_HEADER = ["model_id", "member", "init_time", "valid_time", "value_degC"]
 OBSERVATION_HEADER = ["valid_time", "value_degC"]
@@ -175,34 +178,10 @@ class Observations:
         return Observations(self.hour[rows], self.value[rows])
 
 
-@dataclass(frozen=True)
-class ScenarioWindow:
-    """Training window [origin - train_days, origin) and evaluation horizon."""
-
-    forecast_origin: datetime
-    train_days: int = 14
-    horizon_hours: int = MAX_LEAD_HOURS
-
-    def __post_init__(self) -> None:
-        if self.train_days <= 0:
-            raise ValueError("train_days must be positive")
-        if self.horizon_hours <= 0:
-            raise ValueError("horizon_hours must be positive")
-
-    @property
-    def train_start(self) -> datetime:
-        return self.forecast_origin - timedelta(days=self.train_days)
-
-    @property
-    def eval_end(self) -> datetime:
-        return self.forecast_origin + timedelta(hours=self.horizon_hours)
-
-
 @dataclass(eq=False)
 class Dataset:
     forecasts: Forecasts
     observations: Observations
-    site_id: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +238,9 @@ def _member_at(path, lineno: int, text: str) -> int:
 
 
 def _values(path, texts: List[str], lines: List[int]) -> np.ndarray:
-    """Parse value_degC once for all rows; the first bad row names its line."""
+    """Parse value_degC once for all rows; the first bad row names its line.
+
+    A value must be finite and at most MAX_ABS_VALUE in magnitude."""
     try:
         values = np.array(texts, dtype=float)
     except ValueError:
@@ -269,10 +250,11 @@ def _values(path, texts: List[str], lines: List[int]) -> np.ndarray:
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
         raise
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"{path}:{lines[i]}: value_degC must be finite, got {texts[i]!r}")
+        rule = f"at most {MAX_ABS_VALUE:g} in magnitude" if np.isfinite(values[i]) else "finite"
+        raise DataError(f"{path}:{lines[i]}: value_degC must be {rule}, got {texts[i]!r}")
     return values
 
 
@@ -450,8 +432,9 @@ def _forecast_columns(path):
     ``\\n``; no ``"``, NUL or blank line; four commas per line; an ASCII
     model id of 1-64 bytes; a member empty or of 1-9 digits; both
     times as ``YYYY-MM-DDTHH:00Z``; a value of at most 32 bytes from
-    ``[0-9.eE+-]``.  Lines are found in 4 MiB scans and fields parsed 32,768
-    lines at a time, so no per-file matrix is built.  In a block, each
+    ``[0-9.eE+-]``, finite and at most ``MAX_ABS_VALUE`` in magnitude.
+    Lines are found in 4 MiB scans and fields parsed 32,768 lines at a
+    time, so no per-file matrix is built.  In a block, each
     distinct date is checked and converted once, by ``datetime.date``, and
     each distinct model id decoded once; members are read one digit place
     at a time.  ``models`` maps model ids to the codes of ``model``, as
@@ -535,7 +518,7 @@ def _forecast_columns(path):
             value[rows] = texts.astype(float)
         except ValueError:
             return None
-        if not np.isfinite(value[rows]).all():
+        if not (np.abs(value[rows]) <= MAX_ABS_VALUE).all():
             return None
     return models, model, member, init, valid, value
 
@@ -613,41 +596,47 @@ def write_observations(path: str | Path, observations: Observations) -> None:
     write_csv(path, OBSERVATION_HEADER, hours, float_texts(observations.value))
 
 
-def slice_scenario(dataset: Dataset, window: ScenarioWindow) -> Tuple[Dataset, Dataset]:
-    """Split a dataset into leak-free training and evaluation slices.
+def slice_scenario(
+    dataset: Dataset, origin: datetime, train_days: int = 14, horizon_hours: int = MAX_LEAD_HOURS
+) -> Tuple[Dataset, Dataset]:
+    """Split a dataset into leak-free training and evaluation slices at ``origin``.
 
     Training keeps every forecast/observation with valid_time inside
     [origin - train_days, origin) (forecast init_time < origin as well, which
     the lead-time invariant already implies).  Evaluation keeps, per
     model_id, only the run with the latest init_time <= origin, restricted to
-    valid times in [origin, origin + horizon], plus the observations there.
-    Both slices keep the dataset's row order.
+    valid times in [origin, origin + horizon_hours], plus the observations
+    there.  Both slices keep the dataset's row order.  Both lengths must be
+    positive (ValueError).
     """
-    origin = hour_index(window.forecast_origin)
-    start = hour_index(window.train_start)
-    end = hour_index(window.eval_end)
+    if train_days <= 0:
+        raise ValueError("train_days must be positive")
+    if horizon_hours <= 0:
+        raise ValueError("horizon_hours must be positive")
+    at = hour_index(origin)
+    start, end = at - 24 * train_days, at + horizon_hours
     obs = dataset.observations
     if not len(obs):
         raise DataError("dataset has no observations")
     obs_min, obs_max = int(obs.hour[0]), int(obs.hour[-1])
-    if obs_min > start or origin > obs_max + 1:
+    if obs_min > start or at > obs_max + 1:
         raise DataError(
-            f"window not covered by dataset: training needs observations from "
-            f"{format_hour(window.train_start)} but data spans "
-            f"{format_hour(hour_time(obs_min))}..{format_hour(hour_time(obs_max))}"
+            f"window not covered by dataset: training needs {train_days} days of observations"
+            f" before {format_hour(origin)} but data spans"
+            f" {_hour_text(obs_min)}..{_hour_text(obs_max)}"
         )
 
     fc = dataset.forecasts
-    train_fc = (fc.valid >= start) & (fc.valid < origin) & (fc.init < origin)
-    train_obs = (obs.hour >= start) & (obs.hour < origin)
+    train_fc = (fc.valid >= start) & (fc.valid < at) & (fc.init < at)
+    train_obs = (obs.hour >= start) & (obs.hour < at)
 
-    runs = fc.init <= origin
+    runs = fc.init <= at
     if not runs.any():
         raise DataError("window not covered by dataset: no model run available at origin")
     latest = np.full(len(fc.models), np.iinfo(np.int64).min)
     np.maximum.at(latest, fc.model[runs], fc.init[runs])
-    eval_fc = (fc.init == latest[fc.model]) & (fc.valid >= origin) & (fc.valid <= end)
-    eval_obs = (obs.hour >= origin) & (obs.hour <= end)
-    train = Dataset(fc.take(train_fc), obs.take(train_obs), dataset.site_id)
-    evaluation = Dataset(fc.take(eval_fc), obs.take(eval_obs), dataset.site_id)
+    eval_fc = (fc.init == latest[fc.model]) & (fc.valid >= at) & (fc.valid <= end)
+    eval_obs = (obs.hour >= at) & (obs.hour <= end)
+    train = Dataset(fc.take(train_fc), obs.take(train_obs))
+    evaluation = Dataset(fc.take(eval_fc), obs.take(eval_obs))
     return train, evaluation

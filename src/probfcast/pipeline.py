@@ -39,7 +39,6 @@ from .exceptions import DataError
 from .ingest import (
     Dataset,
     Forecasts,
-    ScenarioWindow,
     format_hour,
     hour_index,
     hour_time,
@@ -180,10 +179,9 @@ def prepare_training(
     Returns the table and the evaluation slice.  A table with fewer than
     ``config.min_training_rows`` rows is a data error.
     """
-    window = ScenarioWindow(origin, config.train_days, config.horizon_hours)
-    train_ds, eval_ds = slice_scenario(dataset, window)
+    train_ds, eval_ds = slice_scenario(dataset, origin, config.train_days, config.horizon_hours)
     labelled = rank_label_members(train_ds.forecasts)
-    table = build_error_table(Dataset(labelled, train_ds.observations, train_ds.site_id))
+    table = build_error_table(Dataset(labelled, train_ds.observations))
     if table.n_rows < config.min_training_rows:
         raise DataError(
             f"insufficient training data: {table.n_rows} rows < {config.min_training_rows}"

@@ -30,7 +30,6 @@ __all__ = [
     "crps_ensemble_batch",
     "log_score",
     "log_score_batch",
-    "interval_score",
     "finite_mean",
     "interval_coverage",
     "mae_median",
@@ -230,21 +229,6 @@ def log_score(d: PiecewiseCDF, y: float) -> float:
     if d.is_degenerate:
         raise DegenerateDistributionError("log score undefined for a point mass")
     return float(log_score_batch(d.table, [y])[0])
-
-
-def interval_score(d: PiecewiseCDF, y: float, width: float) -> float:
-    """Central-interval score at the given width (alpha = 1 - width)."""
-    if not 0.0 < width < 1.0:
-        raise ValueError("interval width must lie in (0, 1)")
-    alpha = 1.0 - width
-    lo = float(d.quantile(alpha / 2.0))
-    hi = float(d.quantile(1.0 - alpha / 2.0))
-    score = hi - lo
-    if y < lo:
-        score += (2.0 / alpha) * (lo - y)
-    elif y > hi:
-        score += (2.0 / alpha) * (y - hi)
-    return score
 
 
 # ---------------------------------------------------------------------------

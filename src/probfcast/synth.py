@@ -91,7 +91,6 @@ DEFAULT_ROSTER: Tuple[ModelSpec, ...] = (
 class SynthConfig:
     span_days: int = 90
     start: datetime = datetime(2020, 1, 1, tzinfo=timezone.utc)
-    site_id: str = "synth-000"
     models: Tuple[ModelSpec, ...] = DEFAULT_ROSTER
 
     def __post_init__(self) -> None:
@@ -168,7 +167,7 @@ def synthesize_dataset(config: SynthConfig, seed: int) -> Dataset:
         )
     model, member, init, valid, value = (np.concatenate(c) for c in zip(*columns))
     forecasts = Forecasts(models, model, member, init, valid, value)
-    return Dataset(forecasts, observations, config.site_id)
+    return Dataset(forecasts, observations)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ _PER_MODEL_KEYS = {
     "noise_growth": ("noise_growth", float),
     "ensemble_members": ("members", int),
 }
-_SYNTH_KEYS = {"span_days", "models", "seed", "site_id", "start", *_PER_MODEL_KEYS}
+_SYNTH_KEYS = {"span_days", "models", "seed", "start", *_PER_MODEL_KEYS}
 
 
 def parse_flat_config(path: str | Path) -> Dict[str, str]:
@@ -254,12 +253,7 @@ def load_synth_config(path: str | Path) -> Tuple[SynthConfig, int | None]:
     start = SynthConfig.start
     if "start" in kv:
         start = parse_hour(kv["start"])
-    config = SynthConfig(
-        span_days=span_days,
-        start=start,
-        site_id=kv.get("site_id", SynthConfig.site_id),
-        models=models,
-    )
+    config = SynthConfig(span_days=span_days, start=start, models=models)
     seed = None
     if "seed" in kv:
         try:

@@ -420,10 +420,8 @@ def observations_from_records(records):
     return Observations([hour_index(r.valid_time) for r in rows], [r.value for r in rows])
 
 
-def dataset_from_records(forecasts, observations, site_id=""):
-    return Dataset(
-        forecasts_from_records(forecasts), observations_from_records(observations), site_id
-    )
+def dataset_from_records(forecasts, observations):
+    return Dataset(forecasts_from_records(forecasts), observations_from_records(observations))
 
 
 def _best_cut(keys, y, mns):
@@ -607,7 +605,7 @@ def reference_oob_coverage(forest, intervals):
     return np.array(leads, dtype=np.int64), n_rows, cov, skipped
 
 
-def reference_slice(forecasts, observations, window):
+def reference_slice(forecasts, observations, origin, train_days, horizon_hours):
     """Per-record loop: (train forecasts, train obs, eval forecasts, eval obs).
 
     Training keeps valid times in [origin - train_days, origin) with init
@@ -616,7 +614,8 @@ def reference_slice(forecasts, observations, window):
     """
     from probfcast.exceptions import DataError
 
-    origin, start, end = window.forecast_origin, window.train_start, window.eval_end
+    start = origin - timedelta(days=train_days)
+    end = origin + timedelta(hours=horizon_hours)
     if not observations:
         raise DataError("dataset has no observations")
     times = [o.valid_time for o in observations]

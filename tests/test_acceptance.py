@@ -24,7 +24,7 @@ from helpers import (
 from probfcast.combine import DEFAULT_LEVELS, QuantileVector, vincentize
 from probfcast.dist import PiecewiseCDF, build_cdf
 from probfcast.error_model import build_error_table, rank_label_members
-from probfcast.ingest import Dataset, ScenarioWindow, slice_scenario
+from probfcast.ingest import Dataset, slice_scenario
 from probfcast.pipeline import RunConfig, admissible_origins, draw_origins, run_scenarios
 from probfcast.qrf import CovariateVector, ForestConfig, predict_quantiles, predict_weights, train
 from probfcast.scoring import Scores, crps, crps_mc, interval_coverage
@@ -55,7 +55,7 @@ def evaluation(dataset):
 @pytest.fixture(scope="module")
 def training_table(dataset):
     origin = admissible_origins(dataset, EVAL_CONFIG)[0]
-    train_ds, _ = slice_scenario(dataset, ScenarioWindow(origin))
+    train_ds, _ = slice_scenario(dataset, origin)
     return build_error_table(
         Dataset(rank_label_members(train_ds.forecasts), train_ds.observations)
     )
@@ -273,7 +273,7 @@ def test_criterion_9_no_leakage(dataset, evaluation):
     origins = draw_origins(dataset, EVAL_CONFIG)
     clean = True
     for origin in origins:
-        train_ds, _ = slice_scenario(dataset, ScenarioWindow(origin, EVAL_CONFIG.train_days))
+        train_ds, _ = slice_scenario(dataset, origin, EVAL_CONFIG.train_days)
         latest_obs = max(o.valid_time for o in observation_records(train_ds.observations))
         latest_fc = max(f.valid_time for f in forecast_records(train_ds.forecasts))
         clean = clean and latest_obs < origin and latest_fc < origin

@@ -1,14 +1,18 @@
 import csv
 import dataclasses
 import filecmp
+import contextlib
 import hashlib
 import io
+import re
 import shutil
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from helpers import (
     forecast_records,
     reference_build_cdf,
@@ -20,6 +24,7 @@ from helpers import (
 from probfcast import cli, pipeline, qrf
 from probfcast.cli import _run_config, build_parser, main
 from probfcast.combine import DEFAULT_LEVELS
+from probfcast.exceptions import DataError
 from probfcast.ingest import (
     Dataset,
     format_hour,
@@ -475,6 +480,50 @@ class TestExitCodes:
         assert "threshold must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("garbage", "bad timestamp 'garbage'"),
+            ("2020-02-05T06:30Z", "timestamp '2020-02-05T06:30Z' is not hour-aligned"),
+            ("", "bad timestamp ''"),
+        ],
+        ids=["garbage", "sub_hourly", "empty"],
+    )
+    def test_malformed_origin_is_config_error(
+        self, tmp_path, capsys, command, via, value, message
+    ):
+        # Neither input exists, so reading a CSV first would exit 2.
+        out = tmp_path / "out"
+        argv = [command, "--forecasts", str(tmp_path / "absent.csv")]
+        argv += ["--observations", str(tmp_path / "absent_obs.csv"), "--out", str(out)]
+        if via == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"origin={value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [f"--origin={value}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument --origin: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    @pytest.mark.parametrize(
+        # before and after the data, and at both ends of the calendar
+        "origin",
+        ["2019-06-01T00:00Z", "2021-06-01T00:00Z", "0001-01-02T00:00Z", "9999-12-31T23:00Z"],
+    )
+    def test_origin_the_data_cannot_cover_is_data_error(
+        self, data_dir, tmp_path, capsys, command, origin
+    ):
+        assert main([command, *run_args(data_dir, tmp_path / "out", ["--origin", origin])]) == 2
+        err = capsys.readouterr().err
+        assert "window not covered by dataset" in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -553,6 +602,28 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("bad_file", ["forecasts.csv", "observations.csv"])
+    def test_value_past_the_bound_is_data_error_with_line(
+        self, data_dir, tmp_path, capsys, bad_file
+    ):
+        # A finite value far past any temperature; its squared errors and
+        # spreads would overflow downstream.
+        paths = {name: data_dir / name for name in ("forecasts.csv", "observations.csv")}
+        lines = paths[bad_file].read_bytes().split(b"\r\n")
+        fields = lines[699].split(b",")
+        fields[-1] = b"1.7e308"
+        lines[699] = b",".join(fields)
+        paths[bad_file] = tmp_path / bad_file
+        paths[bad_file].write_bytes(b"\r\n".join(lines))
+        argv = ["--forecasts", str(paths["forecasts.csv"])]
+        argv += ["--observations", str(paths["observations.csv"])]
+        argv += ["--out", str(tmp_path / "out"), "--origin", "2020-02-05T00:00Z"]
+        assert main(["forecast", *argv]) == 2
+        err = capsys.readouterr().err
+        message = "value_degC must be at most 1e+06 in magnitude, got '1.7e308'"
+        assert f"{paths[bad_file]}:700: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["train", "forecast"])
     @pytest.mark.parametrize(
         "model, new_id, message",
@@ -579,6 +650,118 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message.format(path=path, line=line) in err
         assert "Traceback" not in err
+
+
+# Byte-level fuzzing of both input files.  A mutation is (file, kind, line,
+# field, token): line counts from 1 at the header; field indexes the line's
+# comma-separated fields, modulo their number.
+HOSTILE_TOKENS = (
+    b"\xff",
+    b"\x00",
+    b"nan",
+    b"1e-320",
+    b"1.7e308",
+    b"-1.7e308",
+    b"2020-02-30T00:00Z",
+    b"2020-01-05T06:30Z",
+    b"99999999999999999999",
+    b'"glu"',
+    b"enuk_r1",
+    b"",
+)
+# Kinds that change one data line; a load error they cause must name file:line.
+ROW_KINDS = ("replace", "drop", "add", "cut", "repeat", "stray_cr")
+FUZZ_FILES = {"forecasts.csv": 50121, "observations.csv": 337}  # lines of the 14-day set
+FUZZ_RUNS = {
+    "train": [],
+    "forecast": ["--origin", "2020-01-08T00:00Z", "--horizon", "24", "--draws", "10"],
+    "evaluate": ["--scenarios", "2", "--horizon", "24"],
+}
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    kind = draw(st.sampled_from(ROW_KINDS + ("header", "blank", "prefix")))
+    line = draw(st.integers(2, FUZZ_FILES[name]))
+    return name, kind, line, draw(st.integers(0, 5)), draw(st.sampled_from(HOSTILE_TOKENS))
+
+
+def mutate(data: bytes, kind, line, field, token) -> bytes:
+    lines = data.split(b"\r\n")  # the last item is the empty one after the final CRLF
+    i = line - 1
+    fields = lines[i].split(b",")
+    if kind == "replace":
+        fields[field % len(fields)] = token
+    elif kind == "drop":
+        del fields[field % len(fields)]
+    elif kind == "add":
+        fields.insert(field % (len(fields) + 1), token)
+    elif kind == "stray_cr":
+        fields[field % len(fields)] += b"\r"
+    elif kind == "cut":  # the file ends mid-line
+        lines[i:] = [lines[i][: len(lines[i]) // 2]]
+    elif kind == "prefix":
+        del lines[i:-1]
+    elif kind in ("repeat", "blank"):
+        lines.insert(i, lines[i] if kind == "repeat" else b"")
+    elif kind == "header":
+        lines[0] = b"\xef\xbb\xbf" + lines[0] if field % 2 else lines[0].upper()
+    if kind in ("replace", "drop", "add", "stray_cr"):
+        lines[i] = b",".join(fields)
+    return b"\r\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz_data")
+    assert main(["generate", "--out", str(out), "--seed", "1", "--span-days", "14"]) == 0
+    assert {n: len((out / n).read_bytes().split(b"\r\n")) - 1 for n in FUZZ_FILES} == FUZZ_FILES
+    return out
+
+
+class TestFuzzedInputs:
+    """No mutated input reaches exit 3: every run of train, forecast and
+    evaluate on it exits 0, 1 or 2, with no traceback and no numerical
+    warning, and a load error from a mutated data line names file:line."""
+
+    @settings(max_examples=20, derandomize=True)
+    @given(mutation=mutations())
+    @example(mutation=("forecasts.csv", "replace", 700, 1, b"99999999999999999999"))
+    @example(mutation=("forecasts.csv", "replace", 700, 0, b""))
+    @example(mutation=("forecasts.csv", "replace", 700, 0, b"enuk_r1"))
+    @example(mutation=("forecasts.csv", "replace", 700, 4, b"\xff"))
+    @example(mutation=("observations.csv", "replace", 104, 1, b"1.7e308"))
+    @example(mutation=("forecasts.csv", "replace", 20000, 4, b"-1.7e308"))
+    def test_no_input_reaches_exit_3(self, fuzz_data, tmp_path_factory, mutation):
+        name, kind, *change = mutation
+        data = tmp_path_factory.mktemp("fuzz")
+        for n in FUZZ_FILES:
+            raw = (fuzz_data / n).read_bytes()
+            (data / n).write_bytes(mutate(raw, kind, *change) if n == name else raw)
+        path = data / name
+        load = load_forecasts if name == "forecasts.csv" else load_observations
+        try:
+            load(path)
+            load_error = None
+        except DataError as exc:
+            load_error = str(exc)
+            if kind in ROW_KINDS:
+                assert re.match(rf"{re.escape(str(path))}:\d+: ", load_error), load_error
+        inputs = ["--forecasts", str(data / "forecasts.csv")]
+        inputs += ["--observations", str(data / "observations.csv")]
+        for command, extra in FUZZ_RUNS.items():
+            argv = [command, *inputs, "--trees", "3", "--train-days", "3", *extra]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    rc = main([*argv, "--out", str(data / command)])
+            err = err.getvalue()
+            assert rc in (0, 1, 2), (command, err)
+            assert "Traceback" not in err, (command, err)
+            if load_error is not None:
+                assert rc == 2 and load_error in err, (command, err)
 
 
 # RunConfig field -> (config key, value); every field has a flag on some command.

@@ -22,7 +22,6 @@ from probfcast.error_model import build_error_table, rank_label_members
 from probfcast.exceptions import DataError
 from probfcast.ingest import (
     Dataset,
-    ScenarioWindow,
     load_forecasts,
     load_observations,
     slice_scenario,
@@ -47,6 +46,7 @@ def write(tmp_path, name, text):
 
 FC_HEADER = "model_id,member,init_time,valid_time,value_degC\n"
 OBS_HEADER = "valid_time,value_degC\n"
+HUGE = ("1.7e308", "-1.7e308", "1000000.5", "-2e6", "1e7")  # finite, past MAX_ABS_VALUE
 
 
 class TestLoadForecasts:
@@ -142,6 +142,24 @@ class TestLoadForecasts:
         with pytest.raises(DataError, match=r":3: value_degC must be finite"):
             load_forecasts(p)
 
+    @pytest.mark.parametrize("text", HUGE)
+    def test_value_past_the_bound_rejected_with_line(self, tmp_path, text):
+        # The canonical shape, so the fast path must decline the file for the
+        # row parser to name the line; values of exactly 1e6 in magnitude load.
+        later = GOOD_ROWS[0][:3] + ["2000-02-29T07:00Z", "1.5"]
+        rows = [GOOD_ROWS[1][:4] + ["-1e6"], GOOD_ROWS[0][:4] + [text], later]
+        path = tmp_path / "f.csv"
+        path.write_text(csv_text(rows, "\r\n"), newline="")
+        assert ingest._forecast_columns(path) is None
+        message = f"{path}:3: value_degC must be at most 1e+06 in magnitude, got {text!r}"
+        with pytest.raises(DataError) as info:
+            load_forecasts(path)
+        assert str(info.value) == message
+        rows[1][4] = "1000000"
+        path.write_text(csv_text(rows, "\r\n"), newline="")
+        assert ingest._forecast_columns(path) is not None
+        assert sorted(load_forecasts(path).value.tolist()) == [-1e6, 1.5, 1e6]
+
     def test_negative_member_rejected(self, tmp_path):
         p = write(
             tmp_path,
@@ -194,6 +212,16 @@ class TestLoadObservations:
     def test_empty_file_with_header(self, tmp_path):
         p = write(tmp_path, "o.csv", OBS_HEADER)
         assert len(load_observations(p)) == 0
+
+    @pytest.mark.parametrize("text", HUGE)
+    def test_value_past_the_bound_names_line(self, tmp_path, text):
+        rows = f"2020-01-01T00:00Z,1e6\n2020-01-01T01:00Z,-1e6\n2020-01-01T02:00Z,{text}\n"
+        p = write(tmp_path, "o.csv", OBS_HEADER + rows)
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        assert str(info.value) == (
+            f"{p}:4: value_degC must be at most 1e+06 in magnitude, got {text!r}"
+        )
 
     def test_parses_value(self, tmp_path):
         p = write(tmp_path, "o.csv", OBS_HEADER + "2020-01-01T00:00Z,2.5\n")
@@ -289,14 +317,14 @@ def tiny_dataset():
                     fcs.append(
                         ForecastRecord(model, None, init, init + timedelta(hours=lead), 1.0)
                     )
-    return dataset_from_records(fcs, obs, "tiny")
+    return dataset_from_records(fcs, obs)
 
 
 class TestSliceScenario:
     def test_eval_observations_after_origin(self):
         ds = tiny_dataset()
         origin = ts(3, 12)
-        train, evaluation = slice_scenario(ds, ScenarioWindow(origin, 2, 24))
+        train, evaluation = slice_scenario(ds, origin, 2, 24)
         assert all(o.valid_time >= origin for o in observation_records(evaluation.observations))
         assert all(o.valid_time < origin for o in observation_records(train.observations))
         assert all(f.valid_time < origin for f in forecast_records(train.forecasts))
@@ -305,7 +333,7 @@ class TestSliceScenario:
     def test_latest_run_selected(self):
         ds = tiny_dataset()
         origin = ts(3, 13)  # runs exist at 00:00 and 12:00; 13:00 keeps the 12:00 one
-        _, evaluation = slice_scenario(ds, ScenarioWindow(origin, 2, 24))
+        _, evaluation = slice_scenario(ds, origin, 2, 24)
         rows = forecast_records(evaluation.forecasts)
         inits = {f.init_time for f in rows if f.model_id == "glm"}
         assert inits == {ts(3, 12)}
@@ -313,7 +341,7 @@ class TestSliceScenario:
     def test_window_not_covered(self):
         ds = tiny_dataset()
         with pytest.raises(DataError, match="window not covered"):
-            slice_scenario(ds, ScenarioWindow(ts(2), 14, 24))
+            slice_scenario(ds, ts(2), 14, 24)
 
     def test_no_leakage_over_random_origins(self):
         ds = synthesize_dataset(SynthConfig(span_days=20), seed=9)
@@ -321,14 +349,14 @@ class TestSliceScenario:
         start = observation_records(ds.observations)[0].valid_time
         for _ in range(100):
             origin = start + timedelta(hours=int(rng.integers(3 * 24, 18 * 24)))
-            train, _ = slice_scenario(ds, ScenarioWindow(origin, 3, 24))
+            train, _ = slice_scenario(ds, origin, 3, 24)
             assert max(o.valid_time for o in observation_records(train.observations)) < origin
             assert max(f.valid_time for f in forecast_records(train.forecasts)) < origin
 
     def test_default_window_yields_desk_scale_error_rows(self):
         ds = synthesize_dataset(SynthConfig(span_days=40), seed=1)
         origin = admissible_origins(ds, RunConfig())[0]
-        train, _ = slice_scenario(ds, ScenarioWindow(origin))
+        train, _ = slice_scenario(ds, origin)
         table = build_error_table(
             Dataset(rank_label_members(train.forecasts), train.observations)
         )
@@ -372,8 +400,7 @@ def record_datasets(draw):
     # the covered range, plus its edges and one hour beyond each
     edges = st.sampled_from([earliest - 1, earliest, last + 1, last + 2])
     origin = T0 + draw(st.integers(earliest, last + 1) | edges) * HOUR
-    window = ScenarioWindow(origin, train_days, draw(st.integers(1, 48)))
-    return fcs, obs, window
+    return fcs, obs, (origin, train_days, draw(st.integers(1, 48)))
 
 
 class TestColumnsMatchRecordLoops:
@@ -383,12 +410,12 @@ class TestColumnsMatchRecordLoops:
         ds = dataset_from_records(fcs, obs)
         assert forecast_records(rank_label_members(ds.forecasts)) == reference_rank_label(fcs)
         try:
-            ref = reference_slice(fcs, obs, window)
+            ref = reference_slice(fcs, obs, *window)
         except DataError:
             with pytest.raises(DataError):
-                slice_scenario(ds, window)
+                slice_scenario(ds, *window)
             return
-        train, evaluation = slice_scenario(ds, window)
+        train, evaluation = slice_scenario(ds, *window)
         assert forecast_records(train.forecasts) == ref[0]
         assert observation_records(train.observations) == ref[1]
         assert forecast_records(evaluation.forecasts) == ref[2]
@@ -421,16 +448,13 @@ class TestLeadHours:
 
 
 class TestScenarioWindow:
-    def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError):
-            ScenarioWindow(ts(5), train_days=0)
-        with pytest.raises(ValueError):
-            ScenarioWindow(ts(5), horizon_hours=0)
+    """The training window and horizon lengths slice_scenario takes."""
 
-    def test_intervals_disjoint(self):
-        w = ScenarioWindow(ts(5), 2, 24)
-        assert w.train_start == ts(3)
-        assert w.eval_end == ts(6)
+    def test_rejects_nonpositive_fields(self):
+        ds = tiny_dataset()
+        for days, hours in ((0, 24), (-1, 24), (2, 0), (2, -3)):
+            with pytest.raises(ValueError, match="must be positive"):
+                slice_scenario(ds, ts(3, 12), train_days=days, horizon_hours=hours)
 
 
 # Faults injected into canonically shaped forecasts.csv files.  Each but a
@@ -467,6 +491,7 @@ FAULTS = (
     "bad member",
     "lead outside range",
     "non-finite value",
+    "huge value",
     "duplicate key",
     "quoted model id",
     "empty model id",
@@ -474,8 +499,8 @@ FAULTS = (
     "four fields",
     "six fields",
 )
-VALUE_TEXTS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
-    ["0", "-0", "+1.5", "1.", ".5", "1e3", "1E-3", "-2.50", "007"]
+VALUE_TEXTS = st.floats(-ingest.MAX_ABS_VALUE, ingest.MAX_ABS_VALUE).map(repr) | st.sampled_from(
+    ["0", "-0", "+1.5", "1.", ".5", "1e3", "1E-3", "-2.50", "007", "1e6", "-1000000"]
 )
 MODEL_IDS = st.sampled_from(["glu", "ukv", "enuk", "a b", "m-1"])  # "": the "empty model id" fault
 # Hours since 2000-01-01: around the 2000 leap day and the end of 2000.
@@ -524,6 +549,8 @@ def forecast_files(draw):
         row[3] = stamp(init + draw(st.sampled_from(BAD_LEADS)))
     elif fault == "non-finite value":
         row[4] = draw(st.sampled_from(NON_FINITE))
+    elif fault == "huge value":
+        row[4] = draw(st.sampled_from(HUGE))
     elif fault == "duplicate key":
         rows.insert(draw(st.integers(0, len(rows))), row[:4] + [draw(VALUE_TEXTS)])
     elif fault == "quoted model id":
@@ -554,7 +581,7 @@ def faulty_rows():
         yield ["enuk", k, "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1"]
     for lead in BAD_LEADS:
         yield ["glu", "", stamp(100), stamp(100 + lead), "1"]
-    for x in NON_FINITE:
+    for x in NON_FINITE + HUGE:
         yield ["glu", "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", x]
     yield GOOD_ROWS[0][:4] + ["2.5"]
     yield ['"glu"', "", "2020-01-01T00:00Z", "2020-01-01T03:00Z", "1"]

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from probfcast.combine import vincentize_hours
 from probfcast.dist import CDFTable
 from probfcast.exceptions import DataError
-from probfcast.ingest import Dataset, ScenarioWindow, format_hour, hour_index, slice_scenario
+from probfcast.ingest import Dataset, format_hour, hour_index, slice_scenario
 from probfcast.pipeline import (
     Horizon,
     RunConfig,
@@ -90,7 +90,7 @@ class TestRunScenario:
 
     def test_no_leakage(self, dataset):
         for origin in admissible_origins(dataset, SMALL)[:5]:
-            train, _ = slice_scenario(dataset, ScenarioWindow(origin, SMALL.train_days))
+            train, _ = slice_scenario(dataset, origin, SMALL.train_days)
             assert max(o.valid_time for o in observation_records(train.observations)) < origin
 
     def test_deterministic(self, dataset):
@@ -112,7 +112,7 @@ class TestRunScenario:
         fc = dataset.forecasts
         # eur_uk keeps its runs from the origin on but loses every training row
         gone = (fc.model == fc.models.index("eur_uk")) & (fc.init < hour_index(origin))
-        gapped = Dataset(fc.take(~gone), dataset.observations, dataset.site_id)
+        gapped = Dataset(fc.take(~gone), dataset.observations)
         with pytest.raises(DataError, match=rf"eur_uk .*origin {format_hour(origin)}"):
             run_scenario(gapped, origin, SMALL)
 
@@ -141,7 +141,7 @@ class TestRunScenario:
         origin = admissible_origins(dataset, SMALL)[0]
         obs = dataset.observations
         gone = np.isin(obs.hour, hour_index(origin) + np.array([40, 7, 90]))
-        gapped = Dataset(dataset.forecasts, obs.take(~gone), dataset.site_id)
+        gapped = Dataset(dataset.forecasts, obs.take(~gone))
         horizon = run_scenario(gapped, origin, SMALL)
         assert np.isnan(horizon.observations).sum() == 3
         first = (origin + timedelta(hours=7)).isoformat()

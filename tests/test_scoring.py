@@ -21,7 +21,6 @@ from probfcast.scoring import (
     crps_ensemble_batch,
     crps_mc,
     interval_coverage,
-    interval_score,
     log_score,
     log_score_batch,
     mae_median,
@@ -140,24 +139,6 @@ class TestLogScore:
             for y in (float(d.quantile(0.4)) + 1e-3, float(d.quantile(0.995))):
                 fd = -np.log((d.cdf(y + h) - d.cdf(y - h)) / (2 * h))
                 assert log_score(d, y) == pytest.approx(fd, abs=1e-6)
-
-
-class TestQuantileAndIntervalScores:
-    def test_interval_score_inside_equals_width(self):
-        d = uniform01()
-        lo, hi = d.quantile(0.1), d.quantile(0.9)
-        assert interval_score(d, 0.5, 0.8) == pytest.approx(hi - lo, abs=1e-12)
-
-    def test_interval_score_matches_direct_formula(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            d = random_dist(rng)
-            w = float(rng.choice([0.5, 0.8, 0.9, 0.95]))
-            y = float(rng.uniform(d.values[0] - 4, d.values[-1] + 4))
-            alpha = 1.0 - w
-            lo, hi = float(d.quantile(alpha / 2)), float(d.quantile(1 - alpha / 2))
-            expected = (hi - lo) + (2 / alpha) * max(lo - y, 0.0) + (2 / alpha) * max(y - hi, 0.0)
-            assert interval_score(d, y, w) == pytest.approx(expected, rel=1e-12)
 
 
 def scores(leads, hits=(), crps_vals=1.0, log_vals=0.5, abs_errs=0.7, intervals=(0.5,)):

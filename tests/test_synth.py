@@ -136,9 +136,10 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "synth.cfg"
-        p.write_text("wibble=1\n")
-        with pytest.raises(ConfigError, match="wibble"):
-            load_synth_config(p)
+        for key in ("wibble", "site_id"):
+            p.write_text(f"{key}=1\n")
+            with pytest.raises(ConfigError, match=key):
+                load_synth_config(p)
 
     def test_flat_parser_handles_comments(self, tmp_path):
         p = tmp_path / "c.cfg"
