@@ -1,15 +1,18 @@
 """Command-line entry point: generate, train, forecast, evaluate.
 
-Flags mirror :class:`probfcast.pipeline.RunConfig`, and each command takes
-only the ones it uses: ``--scenarios`` is ``evaluate``'s alone,
-``--threshold`` and ``--draws`` are ``forecast``'s, and ``train`` takes
-neither these nor ``--horizon`` or ``--levels``.  ``train``, ``forecast``
-and ``evaluate`` can also read their flags from a flat ``key=value`` file
-passed with ``--config``:
+``generate``'s flags are the synthesis settings of :mod:`probfcast.synth`.
+The run flags of ``train``, ``forecast`` and ``evaluate`` mirror
+:class:`probfcast.pipeline.RunConfig`, and each command takes only the ones
+it uses: ``--scenarios`` is ``evaluate``'s alone, ``--threshold`` and
+``--draws`` are ``forecast``'s, and ``train`` takes neither these nor
+``--horizon`` or ``--levels``.  Every command can also read its flags from a
+flat ``key=value`` file passed with ``--config``:
 
 - the keys are the command's own flag names written with underscores
   (``sample_count=64`` for ``--sample-count 64``), and each value is parsed
   by that flag's declaration;
+- a list flag (``--levels``, ``--models`` and ``generate``'s per-model
+  flags) takes comma-separated items, and skips empty ones;
 - ``replace`` takes ``1``/``true``/``yes``/``on`` or ``0``/``false``/``no``/``off``;
 - flags given on the command line win over file values;
 - a value the flag rejects, or a key the command has no flag for, exits 1.
@@ -51,7 +54,7 @@ from .ingest import (
     write_forecasts,
     write_observations,
 )
-from .synth import SynthConfig, load_synth_config, parse_flat_config, synthesize_dataset
+from .synth import PER_MODEL_KEYS, SynthConfig, build_roster, synthesize_dataset
 
 __all__ = ["main"]
 
@@ -69,7 +72,26 @@ _REPLACE_WORDS = {
 }
 
 
-class _RunConfigFile(argparse.Action):
+def parse_flat_config(path: str | Path) -> Dict[str, str]:
+    """Parse a flat ``key=value`` text file ('#' starts a comment)."""
+    out: Dict[str, str] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
+    return out
+
+
+class _ConfigFile(argparse.Action):
     """``--config PATH``: the command's own parser parses each ``key=value``
     line as ``--key=value``, and fills only the options no flag has set."""
 
@@ -102,12 +124,25 @@ class _RunConfigFile(argparse.Action):
 
 
 def _origin(text: str) -> datetime:
-    """``--origin``'s type: an hour-aligned ISO-8601 time, checked as the
-    command's flags are parsed, before any input is read."""
+    """``--origin``'s and ``--start``'s type: an hour-aligned ISO-8601 time,
+    checked as the command's flags are parsed, before any input is read."""
     try:
         return parse_hour(text)
     except DataError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _items(cast):
+    """A list flag's type: the comma-separated items of its value, each
+    stripped and converted by ``cast``; empty items are skipped."""
+
+    def parse(text: str) -> list:
+        try:
+            return [cast(item) for item in map(str.strip, text.split(",")) if item]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _default_out() -> str:
@@ -123,7 +158,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 _EXTRA_RUN_FLAGS = {
     "--scenarios": dict(dest="n_scenarios", type=int, help="evaluation scenarios (default 200)"),
     "--horizon": dict(dest="horizon_hours", type=int, help="horizon in hours (default 168)"),
-    "--levels": dict(help="comma-separated quantile levels overriding the built-in grid"),
+    "--levels": dict(type=_items(float), help="comma-separated quantile levels (built-in default)"),
     "--threshold": dict(type=float, help="probability threshold in degC (default 0)"),
     "--draws": dict(type=int, help="simulated values per hour (default 1000)"),
 }
@@ -132,7 +167,7 @@ _EXTRA_RUN_FLAGS = {
 def _add_run_flags(p: argparse.ArgumentParser, *extra: str) -> None:
     """Declare the run flags every command takes, then the named ``extra`` ones."""
     p.add_argument(
-        "--config", action=_RunConfigFile, help="flat key=value file supplying flag defaults"
+        "--config", action=_ConfigFile, help="flat key=value file supplying flag defaults"
     )
     p.add_argument("--out", help="output directory (default $PROBFCAST_OUT or ./probfcast_out)")
     p.add_argument("--trees", dest="num_trees", type=int, help="number of trees (default 250)")
@@ -161,7 +196,7 @@ def _run_config(args: argparse.Namespace) -> pipeline.RunConfig:
     levels = values["levels"]
     if levels:
         try:
-            values["levels"] = check_levels(sorted({float(p) for p in levels.split(",")}))
+            values["levels"] = check_levels(sorted(set(levels)))
         except ValueError as exc:
             raise ConfigError(f"--levels: {exc}") from None
     else:
@@ -216,19 +251,11 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    # Settings left unset keep SynthConfig's defaults.
+    given = {k: getattr(args, k) for k in ("span_days", "start") if getattr(args, k) is not None}
+    config = SynthConfig(models=build_roster(vars(args)), **given)
     out = _out_dir(args)
-    seed = 0
-    if args.config:
-        config, file_seed = load_synth_config(args.config)
-        if file_seed is not None:
-            seed = file_seed
-    else:
-        config = SynthConfig()
-    if args.span_days is not None:
-        config = dataclasses.replace(config, span_days=args.span_days)
-    if args.seed is not None:
-        seed = args.seed
-    dataset = synthesize_dataset(config, seed)
+    dataset = synthesize_dataset(config, 0 if args.seed is None else args.seed)
     write_forecasts(out / "forecasts.csv", dataset.forecasts)
     write_observations(out / "observations.csv", dataset.observations)
     print(f"wrote {len(dataset.forecasts)} forecasts and {len(dataset.observations)} observations")
@@ -458,10 +485,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("generate", help="write a seeded synthetic dataset")
-    p_gen.add_argument("--config", help="flat synthesis config file")
-    p_gen.add_argument("--out", help="output directory")
+    p_gen.add_argument(
+        "--config", action=_ConfigFile, help="flat key=value file supplying flag defaults"
+    )
+    p_gen.add_argument("--out", help="output directory (default $PROBFCAST_OUT or ./probfcast_out)")
     p_gen.add_argument("--seed", type=int, help="generator seed (default 0)")
-    p_gen.add_argument("--span-days", type=int, help="observation span in days")
+    p_gen.add_argument("--span-days", type=int, help="observation span in days (default 90)")
+    p_gen.add_argument("--start", type=_origin, help="first hour (default 2020-01-01T00:00Z)")
+    p_gen.add_argument("--models", type=_items(str), help="comma-separated model ids (built-in 7)")
+    per_model = "one value, or one per model (default: each model's own)"
+    for key, (_, cast) in PER_MODEL_KEYS.items():
+        p_gen.add_argument("--" + key.replace("_", "-"), type=_items(cast), help=per_model)
     p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="train a forest and report OOB coverage")

@@ -192,14 +192,27 @@ class Dataset:
 def _rows(path, header: List[str]):
     """(line number, row) for each non-blank row of a UTF-8 CSV file after a checked header.
 
-    A byte that is not valid UTF-8 is a DataError naming its line.
+    A row's line number is the physical line it starts on, counting ``\n``
+    bytes: the csv module also ends a record at a lone CR, and a quoted
+    field may span lines.  A byte that is not valid UTF-8 is a DataError
+    naming its line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            ends = 0  # newlines the reader has taken
+
+            def lines():
+                nonlocal ends
+                for line in fh:
+                    ends += line.endswith("\n")
+                    yield line
+
+            reader = csv.reader(lines())
             if next(reader, None) != header:
                 raise DataError(f"{path}: expected header {','.join(header)}")
-            for lineno, row in enumerate(reader, start=2):
+            start = ends + 1
+            for row in reader:
+                lineno, start = start, ends + 1
                 if not row:
                     continue
                 if len(row) != len(header):

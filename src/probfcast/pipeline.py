@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +37,7 @@ from .dist import CDFTable
 from .error_model import ErrorTable, build_error_table, rank_label_members
 from .exceptions import DataError
 from .ingest import (
+    MAX_LEAD_HOURS,
     Dataset,
     Forecasts,
     format_hour,
@@ -60,9 +61,25 @@ __all__ = [
 ]
 
 
+# Bounds of RunConfig's options.  A seed below MAX_SEED keeps every seed
+# derived from it (each scenario forest's, each forecast hour's draws') an
+# int64.  No dataset covers a training window longer than the calendar
+# (0001-01-01 to 9999-12-31), and one that long keeps hour arithmetic far
+# inside int64.
+MAX_SEED = 2**62
+MAX_TRAIN_DAYS = (date.max - date.min).days
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a scenario run needs beyond the dataset itself."""
+    """Everything a scenario run needs beyond the dataset itself.
+
+    Each integer option must lie in its range (ValueError): ``num_trees``,
+    ``min_node_size``, ``sample_count``, ``n_scenarios``, ``draws`` and
+    ``jobs`` at least 1; ``mtry`` in [1, 2]; ``train_days`` in [1,
+    MAX_TRAIN_DAYS]; ``horizon_hours`` in [1, MAX_LEAD_HOURS]; ``seed`` in
+    [0, MAX_SEED); ``min_training_rows`` at least 0.
+    """
 
     num_trees: int = 250
     mtry: int = 1
@@ -80,11 +97,20 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_scenarios", "train_days", "horizon_hours", "draws"):
+        for name in ("n_scenarios", "draws", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 1 <= self.train_days <= MAX_TRAIN_DAYS:
+            raise ValueError(f"train_days must lie in [1, {MAX_TRAIN_DAYS}]")
+        if not 1 <= self.horizon_hours <= MAX_LEAD_HOURS:
+            raise ValueError(f"horizon_hours must lie in [1, {MAX_LEAD_HOURS}]")
+        if not 0 <= self.seed < MAX_SEED:
+            raise ValueError("seed must lie in [0, 2**62)")
+        if self.min_training_rows < 0:
+            raise ValueError("min_training_rows must be >= 0")
         if not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, not {self.threshold}")
+        self.forest_config().check()
 
     def forest_config(self, scenario_index: int = 0) -> qrf.ForestConfig:
         # Wide per-scenario seed stride keeps per-tree streams disjoint.

@@ -113,10 +113,8 @@ class ForestConfig:
     seed: int = 0
     replace: bool = False
 
-    def validate(self, n_rows: int) -> None:
-        """Raise unless a forest of this config can grow on a table of ``n_rows`` rows."""
-        if n_rows == 0:
-            raise DataError("cannot train on an empty error table")
+    def check(self) -> None:
+        """Raise ConfigError unless every field lies in its range, whatever the table."""
         if self.num_trees < 1:
             raise ConfigError("num_trees must be >= 1")
         if not 1 <= self.mtry <= _N_COVARIATES:
@@ -125,8 +123,14 @@ class ForestConfig:
             raise ConfigError("min_node_size must be >= 1")
         if self.sample_count < 1:
             raise ConfigError("sample_count must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.seed < 2**63:  # the archive stores it as an int64
+            raise ConfigError("seed must lie in [0, 2**63)")
+
+    def validate(self, n_rows: int) -> None:
+        """Raise unless a forest of this config can grow on a table of ``n_rows`` rows."""
+        if n_rows == 0:
+            raise DataError("cannot train on an empty error table")
+        self.check()
         if not self.replace and self.sample_count > n_rows:
             raise ConfigError(
                 f"sample_count {self.sample_count} exceeds table size {n_rows} "

@@ -15,15 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exceptions import ConfigError
-from .ingest import MAX_LEAD_HOURS, Dataset, Forecasts, Observations, hour_index, parse_hour
+from .ingest import MAX_LEAD_HOURS, Dataset, Forecasts, Observations, hour_index
 
-__all__ = ["ModelSpec", "SynthConfig", "synthesize_dataset", "load_synth_config", "DEFAULT_ROSTER"]
+__all__ = ["ModelSpec", "SynthConfig", "synthesize_dataset", "build_roster", "DEFAULT_ROSTER"]
 
 # Observation residual: slow synoptic-scale wander.
 _OBS_AR_COEF = 0.97
@@ -170,94 +169,36 @@ def synthesize_dataset(config: SynthConfig, seed: int) -> Dataset:
     return Dataset(forecasts, observations)
 
 
-# ---------------------------------------------------------------------------
-# Flat key/value config files
-# ---------------------------------------------------------------------------
-
 # Per-model keys, each with the ModelSpec field it sets and its type.
-_PER_MODEL_KEYS = {
+PER_MODEL_KEYS = {
     "init_cycle_hours": ("init_cycle_hours", int),
     "max_lead_hours": ("max_lead_hours", int),
     "bias_amplitude": ("bias_amplitude", float),
     "noise_growth": ("noise_growth", float),
     "ensemble_members": ("members", int),
 }
-_SYNTH_KEYS = {"span_days", "models", "seed", "start", *_PER_MODEL_KEYS}
 
 
-def parse_flat_config(path: str | Path) -> Dict[str, str]:
-    """Parse a flat ``key=value`` text file ('#' starts a comment)."""
-    out: Dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _split_list(value: str, n: int, key: str, cast) -> list:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) == 1:
-        parts = parts * n
-    if len(parts) != n:
-        raise ConfigError(f"{key}: expected 1 or {n} comma-separated values")
-    try:
-        return [cast(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def load_synth_config(path: str | Path) -> Tuple[SynthConfig, int | None]:
-    """Build a SynthConfig from a flat config file.
-
-    Per-model keys (init_cycle_hours, max_lead_hours, bias_amplitude,
-    noise_growth, ensemble_members) take either one value, broadcast to the
-    whole roster, or one value per listed model.  Returns the config and the
-    file's seed, if any.
-    """
-    kv = parse_flat_config(path)
-    unknown = set(kv) - _SYNTH_KEYS
-    if unknown:
-        raise ConfigError(f"unknown synthesis keys: {', '.join(sorted(unknown))}")
-
+def build_roster(values: Mapping[str, Optional[Sequence]]) -> Tuple[ModelSpec, ...]:
+    """The roster ``values`` set: ``models`` lists the ids (default: DEFAULT_ROSTER's),
+    and each per-model key holds one value, for every model, or one per model.
+    A key absent or None takes each default model's own value, so a model not in
+    DEFAULT_ROSTER needs all five.  Other entries of ``values`` are ignored."""
     defaults = {m.model_id: m for m in DEFAULT_ROSTER}
-    if "models" in kv:
-        ids = [p.strip() for p in kv["models"].split(",") if p.strip()]
-        if not ids:
-            raise ConfigError("models: empty roster")
-    else:
-        ids = [m.model_id for m in DEFAULT_ROSTER]
-    # A key missing from the file takes each default model's own value.
-    fields = {
-        name: _split_list(kv[key], len(ids), key, cast)
-        if key in kv
-        else [getattr(defaults.get(mid), name, None) for mid in ids]
-        for key, (name, cast) in _PER_MODEL_KEYS.items()
-    }
-    for key, (name, _) in _PER_MODEL_KEYS.items():
-        for mid, v in zip(ids, fields[name]):
-            if v is None:
-                raise ConfigError(f"{key} required for non-default model {mid!r}")
-    models = tuple(
+    ids = list(defaults) if values.get("models") is None else list(values["models"])
+    fields = {}
+    for key, (name, _) in PER_MODEL_KEYS.items():
+        given = values.get(key)
+        if given is None:
+            missing = [mid for mid in ids if mid not in defaults]
+            if missing:
+                raise ConfigError(f"{key} required for non-default model {missing[0]!r}")
+            given = [getattr(defaults[mid], name) for mid in ids]
+        elif len(given) == 1:
+            given = list(given) * len(ids)
+        if len(given) != len(ids):
+            raise ConfigError(f"{key}: expected 1 or {len(ids)} comma-separated values")
+        fields[name] = given
+    return tuple(
         ModelSpec(mid, **{name: v[i] for name, v in fields.items()}) for i, mid in enumerate(ids)
     )
-    try:
-        span_days = int(kv.get("span_days", SynthConfig.span_days))
-    except ValueError as exc:
-        raise ConfigError(f"span_days: {exc}") from None
-    start = SynthConfig.start
-    if "start" in kv:
-        start = parse_hour(kv["start"])
-    config = SynthConfig(span_days=span_days, start=start, models=models)
-    seed = None
-    if "seed" in kv:
-        try:
-            seed = int(kv["seed"])
-        except ValueError as exc:
-            raise ConfigError(f"seed: {exc}") from None
-    return config, seed

@@ -29,6 +29,7 @@ from probfcast.ingest import (
     Dataset,
     format_hour,
     hour_index,
+    hour_time,
     load_forecasts,
     load_observations,
     parse_hour,
@@ -260,10 +261,11 @@ class TestForecast:
         assert not out.exists()
 
     def test_uncovered_probe_hour_writes_no_products(self, data_dir, tmp_path, capsys):
-        # No model runs beyond 168 h, so hours 169..200 of this horizon are uncovered.
-        extra = ["--origin", "2020-02-05T00:00Z", "--horizon", "200", "--dump-cdf-hour", "190"]
+        # The latest runs began at 00:00Z and reach 168 h, so from 03:00Z
+        # hours 166..168 of the horizon are uncovered.
+        extra = ["--origin", "2020-02-05T03:00Z", "--dump-cdf-hour", "167"]
         assert main(["forecast", *run_args(data_dir, tmp_path / "out", extra)]) == 2
-        assert "no forecast product at lead hour 190" in capsys.readouterr().err
+        assert "no forecast product at lead hour 167" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_origin_required(self, data_dir, tmp_path):
@@ -442,11 +444,29 @@ class TestExitCodes:
             ("forecast", ["--origin", "2020-02-05T00:00Z", "--horizon", "0"]),
             ("evaluate", ["--scenarios", "1", "--train-days", "0"]),
             ("train", ["--train-days", "0"]),
+            ("evaluate", ["--seed", "-1"]),
+            ("forecast", ["--origin", "2020-01-25T00:00Z", "--seed", "-100"]),
+            ("train", ["--seed", "99999999999999999999"]),
+            ("evaluate", ["--train-days", "1000000000000000000"]),
+            ("forecast", ["--origin", "2020-02-05T00:00Z", "--horizon", "1000000000000000000"]),
+            ("forecast", ["--origin", "2020-02-05T00:00Z", "--horizon", "169"]),
+            ("evaluate", ["--jobs", "0"]),
+            ("evaluate", ["--jobs", "-3"]),
+            ("train", ["--trees", "0"]),
+            ("train", ["--mtry", "5"]),
+            ("train", ["--seed", "-1"]),
+            ("train", ["--min-node-size", "0"]),
+            ("evaluate", ["--sample-count", "0"]),
+            ("train", ["--min-training-rows", "-1"]),
         ],
     )
-    def test_out_of_range_run_option_is_config_error(self, data_dir, tmp_path, command, flags):
-        out = tmp_path / "out"
-        assert main([command, *run_args(data_dir, out, flags)]) == 1
+    def test_out_of_range_run_option_is_config_error(self, tmp_path, capsys, command, flags):
+        # Neither input exists, so reading a CSV first would exit 2.
+        out, absent = tmp_path / "out", str(tmp_path / "absent.csv")
+        argv = [command, "--forecasts", absent, "--observations", absent, "--out", str(out)]
+        assert main([*argv, *flags]) == 1
+        # the message names the option's RunConfig field, which holds its key
+        assert flags[-2][2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "train", "forecast", "evaluate"])
@@ -886,6 +906,104 @@ class TestRunConfigFile:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and text.split("=")[0] in err
+        assert not out.exists()
+
+
+# generate's config key -> a value other than its default; each key has a flag.
+GENERATE_OPTIONS = {
+    "seed": "7",
+    "span_days": "3",
+    "start": "2021-06-01T12:00Z",
+    "models": "ukv,pvrn",
+    "init_cycle_hours": "12",
+    "max_lead_hours": "24",
+    "bias_amplitude": "0.1,0.2,0.3,0.4,0.5,0.6,0.7",
+    "noise_growth": "0.3",
+    "ensemble_members": "1,1,1,1,3,5,2",
+}
+# A non-default roster: per-model lists, one value for both models, start and seed.
+ROSTER_FILE = (
+    "models=alpha,beta\n"
+    "init_cycle_hours=6,12\n"
+    "max_lead_hours=48,96\n"
+    "bias_amplitude=0.2,0.4\n"
+    "noise_growth=0.5  # both models\n"
+    "ensemble_members=1,4\n"
+    "start=2021-03-04T05:00Z\n"
+    "seed=17\n"
+    "span_days=4\n"
+)
+
+
+def flags_of(text):
+    """The flags that say what a config file's ``key=value`` lines say."""
+    pairs = (line.split("#")[0].strip().split("=", 1) for line in text.splitlines())
+    return [arg for key, value in pairs for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+def same_files(a, b):
+    names = ("forecasts.csv", "observations.csv")
+    return all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
+
+
+class TestGenerateConfigFile:
+    def test_every_setting_is_listed(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in sub.choices["generate"]._actions}
+        assert dests - {"help", "config", "out"} == set(GENERATE_OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(GENERATE_OPTIONS))
+    def test_file_value_equals_flag(self, tmp_path, key):
+        value = GENERATE_OPTIONS[key]
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        short = [] if key == "span_days" else ["--span-days", "2"]
+        runs = {"default": ["--span-days", "2"], "flag": [*short, *flags_of(cfg.read_text())]}
+        runs["file"] = [*short, "--config", str(cfg)]
+        for name, argv in runs.items():
+            assert main(["generate", "--out", str(tmp_path / name), *argv]) == 0
+        assert same_files(tmp_path / "flag", tmp_path / "file")
+        assert not same_files(tmp_path / "flag", tmp_path / "default")
+
+    def test_roster_file_equals_flags(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(ROSTER_FILE)
+        assert main(["generate", "--out", str(tmp_path / "file"), "--config", str(cfg)]) == 0
+        assert main(["generate", "--out", str(tmp_path / "flag"), *flags_of(ROSTER_FILE)]) == 0
+        assert same_files(tmp_path / "flag", tmp_path / "file")
+        fc = load_forecasts(tmp_path / "file" / "forecasts.csv")
+        assert fc.models == ("alpha", "beta") and fc.member.max() == 3
+        assert format_hour(hour_time(fc.init[0])) == "2021-03-04T05:00Z"
+
+    def test_flag_wins_in_either_order(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(ROSTER_FILE)
+        wins = ["--seed", "3", "--noise-growth", "0.1,0.9", "--span-days", "2"]
+        expected = flags_of(ROSTER_FILE) + wins  # the later flag wins
+        assert main(["generate", "--out", str(tmp_path / "flags"), *expected]) == 0
+        for i, argv in enumerate((["--config", str(cfg), *wins], [*wins, "--config", str(cfg)])):
+            assert main(["generate", "--out", str(tmp_path / str(i)), *argv]) == 0
+            assert same_files(tmp_path / "flags", tmp_path / str(i))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("site_id=3\n", "unknown config key 'site_id' for probfcast generate"),
+            ("origin=2020-01-01T00:00Z\n", "unknown config key 'origin' for probfcast generate"),
+            ("seed=x\n", "argument --seed: invalid int value: 'x'"),
+            ("start=2020-01-01T00:30Z\n", "argument --start: timestamp '2020-01-01T00:30Z' is"),
+            ("span_days=0\n", "span_days must be positive"),
+            ("models=,\n", "model roster must not be empty"),
+            ("models=glm,x\n", "init_cycle_hours required for non-default model 'x'"),
+            ("models=glm,ukv\nmax_lead_hours=1,2,3\n", "max_lead_hours: expected 1 or 2"),
+        ],
+    )
+    def test_bad_file_is_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out), "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

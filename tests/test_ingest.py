@@ -230,6 +230,32 @@ class TestLoadObservations:
         assert rec.valid_time == ts(1)
 
 
+class TestPhysicalLineNumbers:
+    """The row parser names a bad row by the physical line it starts on: a
+    stray CR starts no line, and a quoted newline is one."""
+
+    @pytest.mark.parametrize("kind", ["stray_cr", "quoted_newline"])
+    @pytest.mark.parametrize("name", ["forecasts.csv", "observations.csv"])
+    def test_error_names_the_physical_line(self, tmp_path, name, kind):
+        if name == "forecasts.csv":
+            header, load, prefix = FC_HEADER, load_forecasts, "glm,,2020-01-01T00:00Z,"
+        else:
+            header, load, prefix = OBS_HEADER, load_observations, ""
+        rows = [f"{prefix}2020-01-01T{h:02d}:00Z,{h}.5" for h in range(12)]
+        if kind == "stray_cr":  # on line 4
+            rows[2] += "\r"
+        else:  # a value field "2.5\n" spanning lines 4 and 5
+            rows[2] = rows[2].replace(",2.5", ',"2.5\n"')
+        p = tmp_path / name
+        p.write_bytes("".join(f"{r}\r\n" for r in [header.strip(), *rows]).encode())
+        assert len(load(p)) == 12
+        rows[7] = rows[7].replace(".5", "x")
+        p.write_bytes("".join(f"{r}\r\n" for r in [header.strip(), *rows]).encode())
+        line = 9 if kind == "stray_cr" else 10
+        with pytest.raises(DataError, match=f"{re.escape(str(p))}:{line}: could not convert"):
+            load(p)
+
+
 class TestRoundTrip:
     def test_dataset_round_trips_exactly(self, tmp_path):
         ds = synthesize_dataset(SynthConfig(span_days=3), seed=4)

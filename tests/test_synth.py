@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import forecast_records, observation_records
 
+from probfcast.cli import build_parser, parse_flat_config
 from probfcast.exceptions import ConfigError
 from probfcast.ingest import write_forecasts, write_observations
 from probfcast.pipeline import RunConfig, admissible_origins
@@ -11,8 +12,7 @@ from probfcast.synth import (
     DEFAULT_ROSTER,
     ModelSpec,
     SynthConfig,
-    load_synth_config,
-    parse_flat_config,
+    build_roster,
     synthesize_dataset,
 )
 
@@ -116,30 +116,41 @@ class TestConfigFile:
             "init_cycle_hours=6,12\n"
             "max_lead_hours=48,96\n"
             "bias_amplitude=0.2,0.4\n"
-            "noise_growth=0.5\n"  # broadcast to both
+            "noise_growth=0.5\n"  # set for both
             "ensemble_members=1,4\n"
             "seed=17\n"
         )
-        config, seed = load_synth_config(p)
-        assert seed == 17
-        assert config.span_days == 10
-        assert [m.model_id for m in config.models] == ["alpha", "beta"]
-        assert config.models[1].members == 4
-        assert config.models[0].noise_growth == 0.5
+        args = build_parser().parse_args(["generate", "--config", str(p)])
+        assert (args.seed, args.span_days) == (17, 10)
+        models = build_roster(vars(args))
+        assert [m.model_id for m in models] == ["alpha", "beta"]
+        assert [m.init_cycle_hours for m in models] == [6, 12]
+        assert [m.members for m in models] == [1, 4]
+        assert [m.noise_growth for m in models] == [0.5, 0.5]
 
-    def test_defaults_for_known_models(self, tmp_path):
-        p = tmp_path / "synth.cfg"
-        p.write_text("models=glm,enuk\n")
-        config, seed = load_synth_config(p)
-        assert seed is None
-        assert config.models[1].members == 12
+    def test_defaults_for_known_models(self):
+        models = build_roster({"models": ["glm", "enuk"]})
+        assert models == (DEFAULT_ROSTER[1], DEFAULT_ROSTER[5])
+        assert build_roster({}) == DEFAULT_ROSTER
+        assert build_roster({"noise_growth": [0.0]})[5].members == 12
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"models": ["glm", "x"]}, "init_cycle_hours required for non-default model 'x'"),
+            ({"models": ["glm", "ukv"], "max_lead_hours": [1, 2, 3]}, "expected 1 or 2"),
+        ],
+    )
+    def test_roster_rule_rejects(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            build_roster(values)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "synth.cfg"
         for key in ("wibble", "site_id"):
             p.write_text(f"{key}=1\n")
-            with pytest.raises(ConfigError, match=key):
-                load_synth_config(p)
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                build_parser().parse_args(["generate", "--config", str(p)])
 
     def test_flat_parser_handles_comments(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -150,4 +161,12 @@ class TestConfigFile:
         p = tmp_path / "c.cfg"
         p.write_text("just-some-text\n")
         with pytest.raises(ConfigError):
+            parse_flat_config(p)
+
+    @pytest.mark.parametrize("content", [None, b"span_days=\xff\n"], ids=["absent", "not_utf8"])
+    def test_flat_parser_unreadable_file_is_config_error(self, tmp_path, content):
+        p = tmp_path / "c.cfg"
+        if content is not None:
+            p.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"config file {p} cannot be read"):
             parse_flat_config(p)
