@@ -341,7 +341,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         raise ConfigError("--origin is required for forecast")
     out = _out_dir(args)
     dataset = _load_dataset(args)
-    horizon = pipeline.run_scenario(dataset, origin, config)
+    table, eval_ds = pipeline.prepare_training(dataset, origin, config)
+    forest = qrf.train(table, config.forest_config())
+    horizon = pipeline.run_scenario(origin, eval_ds, forest, config)
     cdfs = horizon.cdfs
     leads = horizon.lead_hours.tolist()
     if h_probe is not None and h_probe not in leads:
@@ -463,8 +465,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             fh.write(f"{key}={value}\n")
     with open(out / "timings.txt", "w") as fh:
         fh.write(f"wall_seconds={wall:.3f}\n")
-        for stage in ("prepare", "train", "predict", "score"):
-            total = sum(r.timings.get(stage, 0.0) for r in results)
+        for stage in ("prepare", "train", "predict", "combine", "score"):
+            total = sum(r.timings[stage] for r in results)
             fh.write(f"{stage}_seconds={total:.3f}\n")
     print(f"evaluated {len(results)} scenarios in {wall:.1f}s")
     for w in scoring.DEFAULT_INTERVALS:

@@ -12,9 +12,12 @@ x levels) matrix, and that matrix is averaged level by level over each valid
 hour's rows, one block per group of hours with the same number of rows.
 Stage 3 interpolates every hour's average into a full distribution, all
 hours as one :class:`~probfcast.dist.CDFTable`.  :func:`run_scenario`
-returns both stages as one :class:`Horizon`, with a row per hour from one
-hour after the forecast origin out to the horizon; hours no current run
-covers are left out.  A backtest scores the horizon with
+runs both stages on the forest it is given and returns them as one
+:class:`Horizon`, with a row per hour from one hour after the forecast
+origin out to the horizon; hours no current run covers are left out.  A
+backtest and an operator forecast run the same steps to get there:
+:func:`prepare_training`, then the forest's training, then
+:func:`run_scenario`.  A backtest scores the horizon with
 :func:`score_scenario`, which counts the left-out hours; an operator
 forecast writes its products from it.  Scoring, too, works on every hour at
 once: the forecast scores read the table, and the raw comparator's scores
@@ -39,7 +42,6 @@ from .exceptions import DataError
 from .ingest import (
     MAX_LEAD_HOURS,
     Dataset,
-    Forecasts,
     format_hour,
     hour_index,
     hour_time,
@@ -53,8 +55,6 @@ __all__ = [
     "admissible_origins",
     "draw_origins",
     "prepare_training",
-    "Prepared",
-    "prepare_scenario",
     "run_scenario",
     "run_scenarios",
     "score_scenario",
@@ -68,17 +68,25 @@ __all__ = [
 # inside int64.
 MAX_SEED = 2**62
 MAX_TRAIN_DAYS = (date.max - date.min).days
+# Far past any useful run, so that a size which could only end in an
+# allocation failure is a usage error: a million scenarios is days of
+# backtest at about a quarter second each, and a million draws resolve a
+# threshold probability to 1e-6 and fill a samples.csv of several GB.
+MAX_SCENARIOS = 1_000_000
+MAX_DRAWS = 1_000_000
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a scenario run needs beyond the dataset itself.
 
-    Each integer option must lie in its range (ValueError): ``num_trees``,
-    ``min_node_size``, ``sample_count``, ``n_scenarios``, ``draws`` and
-    ``jobs`` at least 1; ``mtry`` in [1, 2]; ``train_days`` in [1,
-    MAX_TRAIN_DAYS]; ``horizon_hours`` in [1, MAX_LEAD_HOURS]; ``seed`` in
-    [0, MAX_SEED); ``min_training_rows`` at least 0.
+    Each integer option must lie in its range (ValueError): ``num_trees`` in
+    [1, qrf.MAX_TREES]; ``sample_count`` in [1, qrf.MAX_SAMPLE_COUNT];
+    ``n_scenarios`` in [1, MAX_SCENARIOS]; ``draws`` in [1, MAX_DRAWS];
+    ``min_node_size`` and ``jobs`` at least 1; ``mtry`` in [1, 2];
+    ``train_days`` in [1, MAX_TRAIN_DAYS]; ``horizon_hours`` in [1,
+    MAX_LEAD_HOURS]; ``seed`` in [0, MAX_SEED); ``min_training_rows`` at
+    least 0.
     """
 
     num_trees: int = 250
@@ -97,9 +105,11 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_scenarios", "draws", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, top in (("n_scenarios", MAX_SCENARIOS), ("draws", MAX_DRAWS)):
+            if not 1 <= getattr(self, name) <= top:
+                raise ValueError(f"{name} must lie in [1, {top}]")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if not 1 <= self.train_days <= MAX_TRAIN_DAYS:
             raise ValueError(f"train_days must lie in [1, {MAX_TRAIN_DAYS}]")
         if not 1 <= self.horizon_hours <= MAX_LEAD_HOURS:
@@ -133,9 +143,9 @@ class Horizon:
     ``members`` holds the current-run values, which the raw comparator
     scores: hour after hour, ``contributors[i]`` values for hour i.
     ``observations`` holds each hour's observation (NaN where there is
-    none).  ``timings`` holds the seconds of each stage: ``prepare``,
-    ``train``, ``predict`` and ``score`` (combine and build;
-    :func:`score_scenario` adds the scoring time).
+    none).  ``train_rows`` and ``skipped_rows`` are the forest table's.
+    ``timings`` holds the seconds of ``predict`` (ranking the runs, querying
+    the forest and shifting) and ``combine`` (averaging and the CDF build).
     """
 
     origin: datetime
@@ -218,62 +228,25 @@ def prepare_training(
     return table, eval_ds
 
 
-@dataclass(eq=False)
-class Prepared:
-    """A scenario's training table and evaluation slice, ready for its forest.
+def run_scenario(
+    origin: datetime, eval_ds: Dataset, forest: qrf.Forest, config: RunConfig
+) -> Horizon:
+    """Stages 2 and 3 at ``origin``: every covered hour's averaged quantiles and
+    distribution, from ``forest`` and the runs of the evaluation slice
+    ``eval_ds``.  Hours no current run covers are left out.
 
-    ``timings`` holds the ``prepare`` seconds, and ``train`` once a forest
-    has grown on ``table``.
-    """
-
-    table: ErrorTable
-    eval_ds: Dataset
-    eval_fc: Forecasts
-    timings: Dict[str, float]
-
-
-def prepare_scenario(dataset: Dataset, origin: datetime, config: RunConfig) -> Prepared:
-    """:func:`prepare_training`, and the evaluation runs rank-labelled.
-
-    A label with a run at ``origin`` but no training rows is a data error.
+    The runs are rank-labelled here; a label with a run at ``origin`` but no
+    rows in the forest's table is a data error.
     """
     t0 = time.perf_counter()
-    table, eval_ds = prepare_training(dataset, origin, config)
     eval_fc = rank_label_members(eval_ds.forecasts)
     eval_labels = {eval_fc.models[c] for c in np.unique(eval_fc.model).tolist()}
-    unseen = sorted(eval_labels - set(table.label_set))
+    unseen = sorted(eval_labels - set(forest.table.label_set))
     if unseen:
         raise DataError(
             f"model label(s) {', '.join(unseen)} have a run at origin {format_hour(origin)}"
             " but no training rows in its window"
         )
-    return Prepared(table, eval_ds, eval_fc, {"prepare": time.perf_counter() - t0})
-
-
-def run_scenario(
-    dataset: Dataset,
-    origin: datetime,
-    config: RunConfig,
-    scenario_index: int = 0,
-    prepared: Optional[Prepared] = None,
-    forest: Optional[qrf.Forest] = None,
-) -> Horizon:
-    """Train the scenario's forest at ``origin`` and build every covered hour's
-    averaged quantiles and distribution.  Hours no current run covers are left out.
-
-    A backtest passes the scenario's ``prepared`` slice and the ``forest`` it
-    grew with other scenarios' forests; without them both are made here.
-    """
-    if prepared is None:
-        prepared = prepare_scenario(dataset, origin, config)
-    table, eval_ds, eval_fc = prepared.table, prepared.eval_ds, prepared.eval_fc
-    timings = dict(prepared.timings)
-    if forest is None:
-        t0 = time.perf_counter()
-        forest = qrf.train(table, config.forest_config(scenario_index))
-        timings["train"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     # Rows of each horizon hour, in row order: by_valid[first[i]:end[i]] for hours[i]
     by_valid = np.argsort(eval_fc.valid, kind="stable")
     hours = hour_index(origin) + np.arange(1, config.horizon_hours + 1)
@@ -291,12 +264,12 @@ def run_scenario(
     observed = np.full(covered.size, np.nan)
     have = np.isin(hours[covered], obs.hour)
     observed[have] = obs.value[np.searchsorted(obs.hour, hours[covered][have])]
-    timings["predict"] = time.perf_counter() - t0
+    timings = {"predict": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
     quantiles = vincentize_hours(shifted, counts)
     cdfs = CDFTable.from_quantiles(config.levels, quantiles)
-    timings["score"] = time.perf_counter() - t0
+    timings["combine"] = time.perf_counter() - t0
 
     return Horizon(
         origin=origin,
@@ -305,8 +278,8 @@ def run_scenario(
         cdfs=cdfs,
         members=members,
         observations=observed,
-        train_rows=table.n_rows,
-        skipped_rows=table.skipped,
+        train_rows=forest.table.n_rows,
+        skipped_rows=forest.table.skipped,
         timings=timings,
     )
 
@@ -347,8 +320,7 @@ def score_scenario(horizon: Horizon, config: RunConfig, index: int) -> ScenarioR
     raw_log = scoring.log_score_batch(CDFTable.from_quantiles(config.levels, raw_q), y_all)
     raw_abs_err = np.abs(y_all - raw_median)
     valid_hours = hour_index(horizon.origin) + horizon.lead_hours
-    timings = dict(horizon.timings)
-    timings["score"] += time.perf_counter() - t0
+    timings = {**horizon.timings, "score": time.perf_counter() - t0}
     return ScenarioResult(
         index=index,
         origin=horizon.origin,
@@ -388,35 +360,37 @@ def _run_chunk(args) -> Tuple[List[ScenarioResult], Optional[Exception]]:
     Returns the results up to the first failure in scenario order, and that
     failure or None.  A scenario whose preparation fails lets the scenarios
     before it in its chunk finish first, as when each forest grows alone.
+    Each result's timings add the scenario's ``prepare`` and ``train`` seconds.
     """
     dataset, origins_with_index, config = args
     results: List[ScenarioResult] = []
     try:
         for at in range(0, len(origins_with_index), _CHUNK):
             chunk = origins_with_index[at : at + _CHUNK]
-            prepared: list = []
+            ready: list = []  # (table, evaluation slice, prepare seconds) per scenario
             failure: Optional[Exception] = None
             for i, origin in chunk:
+                t0 = time.perf_counter()
                 try:
-                    ready = prepare_scenario(dataset, origin, config)
-                    config.forest_config(i).validate(ready.table.n_rows)
+                    table, eval_ds = prepare_training(dataset, origin, config)
+                    config.forest_config(i).validate(table.n_rows)
                 except Exception as exc:  # raised once the scenarios before it are scored
                     failure = exc
                     break
-                prepared.append(ready)
-            chunk = chunk[: len(prepared)]
+                ready.append((table, eval_ds, time.perf_counter() - t0))
+            chunk = chunk[: len(ready)]
             if chunk:
                 t0 = time.perf_counter()
                 forests: list = qrf.train_many(
-                    [p.table for p in prepared], [config.forest_config(i) for i, _ in chunk]
+                    [r[0] for r in ready], [config.forest_config(i) for i, _ in chunk]
                 )
                 share = (time.perf_counter() - t0) / len(chunk)  # the pass's time, split evenly
-                for p in prepared:
-                    p.timings["train"] = share
             for j, (i, origin) in enumerate(chunk):
-                horizon = run_scenario(dataset, origin, config, i, prepared[j], forests[j])
-                prepared[j] = forests[j] = None  # free each forest and table once it has served
+                _, eval_ds, prepare = ready[j]
+                horizon = run_scenario(origin, eval_ds, forests[j], config)
+                ready[j] = forests[j] = None  # free each forest and table once it has served
                 results.append(score_scenario(horizon, config, i))
+                results[-1].timings.update(prepare=prepare, train=share)
             if failure is not None:
                 raise failure
     except Exception as exc:

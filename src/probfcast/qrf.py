@@ -103,6 +103,14 @@ _N_COVARIATES = 2  # lead_hours (0), model_label (1)
 
 FOREST_FORMAT_VERSION = 1
 
+# Upper bounds of a forest's size, far past any useful forest (the defaults
+# are 250 trees of 128 sampled rows), so that a size which could only end in
+# an allocation failure is a usage error before any input is read.
+# Training's arrays grow with trees x sampled rows, so a forest near both
+# bounds at once still needs more memory than a host has.
+MAX_TREES = 10_000
+MAX_SAMPLE_COUNT = 2**16
+
 
 @dataclass(frozen=True)
 class ForestConfig:
@@ -115,14 +123,14 @@ class ForestConfig:
 
     def check(self) -> None:
         """Raise ConfigError unless every field lies in its range, whatever the table."""
-        if self.num_trees < 1:
-            raise ConfigError("num_trees must be >= 1")
+        if not 1 <= self.num_trees <= MAX_TREES:
+            raise ConfigError(f"num_trees must lie in [1, {MAX_TREES}]")
         if not 1 <= self.mtry <= _N_COVARIATES:
             raise ConfigError(f"mtry must lie in [1, {_N_COVARIATES}]")
         if self.min_node_size < 1:
             raise ConfigError("min_node_size must be >= 1")
-        if self.sample_count < 1:
-            raise ConfigError("sample_count must be >= 1")
+        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise ConfigError(f"sample_count must lie in [1, {MAX_SAMPLE_COUNT}]")
         if not 0 <= self.seed < 2**63:  # the archive stores it as an int64
             raise ConfigError("seed must lie in [0, 2**63)")
 

@@ -714,10 +714,20 @@ def table_samples(table):
     ]
 
 
+def run_horizon(dataset, origin, config, scenario_index=0):
+    """Stages 1-3 at ``origin`` as ``forecast`` runs them: table, forest, run_scenario."""
+    from probfcast import qrf
+    from probfcast.pipeline import prepare_training, run_scenario
+
+    table, eval_ds = prepare_training(dataset, origin, config)
+    forest = qrf.train(table, config.forest_config(scenario_index))
+    return run_scenario(origin, eval_ds, forest, config)
+
+
 def reference_combined(dataset, origin, config, scenario_index=0):
     """Per-record stage 2: {lead hour: (combined quantile values, contributor count)}.
 
-    Trains the scenario's forest as run_scenario does, then shifts each
+    Trains the scenario's forest as run_horizon does, then shifts each
     evaluation record's error quantiles into its own QuantileVector and
     averages each covered horizon hour's vectors level by level.
     """

@@ -19,6 +19,7 @@ from helpers import (
     reference_prob_below,
     reference_quantile,
     reference_sample,
+    run_horizon,
 )
 
 from probfcast import cli, pipeline, qrf
@@ -33,6 +34,7 @@ from probfcast.ingest import (
     load_forecasts,
     load_observations,
     parse_hour,
+    slice_scenario,
     write_forecasts,
     write_observations,
 )
@@ -202,7 +204,7 @@ class TestForecast:
             load_observations(data_dir / "observations.csv"),
         )
         origin = parse_hour("2020-02-05T00:00Z")
-        horizon = pipeline.run_scenario(dataset, origin, config)
+        horizon = run_horizon(dataset, origin, config)
         rows = read_csv(tmp_path / "quantiles.csv")
         values = np.array([float(r["value_degC"]) for r in rows])
         assert values.tobytes() == horizon.cdfs.values.ravel().tobytes()
@@ -211,6 +213,27 @@ class TestForecast:
         times = [r["valid_time"] for r in rows[:: config.levels.size]]
         leads = horizon.lead_hours.tolist()
         assert times == [format_hour(origin + timedelta(hours=h)) for h in leads]
+
+    def test_saved_forest_drives_stages_two_and_three(self, data_dir, tmp_path):
+        # A forest saved by train and loaded back gives forecast's quantiles,
+        # bit for bit, through run_scenario on the origin's evaluation slice.
+        origin = "2020-02-05T00:00Z"
+        forest_path = tmp_path / "forest.npz"
+        extra = ["--origin", origin, "--save", str(forest_path)]
+        assert main(["train", *run_args(data_dir, tmp_path / "train", extra)]) == 0
+        args = run_args(data_dir, tmp_path / "forecast", ["--origin", origin, "--draws", "10"])
+        assert main(["forecast", *args]) == 0
+        config = _run_config(build_parser().parse_args(["forecast", *args]))
+        dataset = Dataset(
+            load_forecasts(data_dir / "forecasts.csv"),
+            load_observations(data_dir / "observations.csv"),
+        )
+        at = parse_hour(origin)
+        _, eval_ds = slice_scenario(dataset, at, config.train_days, config.horizon_hours)
+        horizon = pipeline.run_scenario(at, eval_ds, qrf.load_forest(forest_path), config)
+        rows = read_csv(tmp_path / "forecast" / "quantiles.csv")
+        values = np.array([float(r["value_degC"]) for r in rows])
+        assert values.tobytes() == horizon.cdfs.values.ravel().tobytes()
 
     @pytest.mark.parametrize("draws, hours, block", [(1000, 168, None), (300, 24, 256)])
     def test_products_equal_per_hour_reference(
@@ -321,6 +344,9 @@ class TestEvaluate:
         assert (tmp_path / "scenarios" / "scenario_000_scores.csv").exists()
         assert (tmp_path / "scenarios" / "scenario_001_raw.csv").exists()
         assert (tmp_path / "points.csv").exists()
+        timings = [line.split("=")[0] for line in (tmp_path / "timings.txt").read_text().split()]
+        stages = ("wall", "prepare", "train", "predict", "combine", "score")
+        assert timings == [f"{stage}_seconds" for stage in stages]
 
     def test_byte_identical_reports(self, data_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -346,8 +372,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_first_failing_scenario_is_reported(self, data_dir, tmp_path, capsys, jobs):
-        """Scenario 0 fails in scoring and scenario 1 in preparation: the report
-        names scenario 0's failure, as when each scenario runs alone in turn."""
+        """Scenario 0 fails in scoring and scenario 1 in its label check: the
+        report names scenario 0's failure, as when each scenario runs alone in
+        turn."""
         extra = ["--scenarios", "2", "--min-training-rows", "500", "--jobs", jobs]
         args = build_parser().parse_args(["evaluate", *run_args(data_dir, "", extra)])
         config = _run_config(args)
@@ -458,6 +485,10 @@ class TestExitCodes:
             ("train", ["--min-node-size", "0"]),
             ("evaluate", ["--sample-count", "0"]),
             ("train", ["--min-training-rows", "-1"]),
+            ("evaluate", ["--trees", "3", "--scenarios", "1000000000000000000"]),
+            ("train", ["--trees", "1000000000000000000"]),
+            ("train", ["--replace", "--trees", "3", "--sample-count", "1000000000000000000"]),
+            ("forecast", ["--origin", "2020-02-05T00:00Z", "--draws", "1000000000000000000"]),
         ],
     )
     def test_out_of_range_run_option_is_config_error(self, tmp_path, capsys, command, flags):

@@ -12,19 +12,19 @@ from helpers import (
     reference_log_score,
     reference_quantile,
     reference_vincentize,
+    run_horizon,
 )
 from hypothesis import given, strategies as st
 
 from probfcast.combine import vincentize_hours
 from probfcast.dist import CDFTable
 from probfcast.exceptions import DataError
-from probfcast.ingest import Dataset, format_hour, hour_index, slice_scenario
+from probfcast.ingest import Dataset, format_hour, hour_index, hour_time, slice_scenario
 from probfcast.pipeline import (
     Horizon,
     RunConfig,
     admissible_origins,
     draw_origins,
-    run_scenario,
     run_scenarios,
     score_scenario,
 )
@@ -81,9 +81,10 @@ class TestOrigins:
 class TestRunScenario:
     def test_every_hour_scored_exactly_once(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
-        res = score_scenario(run_scenario(dataset, origin, SMALL), SMALL, 0)
+        res = score_scenario(run_horizon(dataset, origin, SMALL), SMALL, 0)
         assert sorted(res.scores.lead_hours.tolist()) == list(range(1, 169))
         assert res.unscored_hours == 0
+        assert set(res.timings) == {"predict", "combine", "score"}
         assert len(res.raw_scores) == len(res.scores)
         np.testing.assert_array_equal(res.raw_scores.valid_hours, res.scores.valid_hours)
         assert res.scores.valid_hours[0] == hour_index(origin) + 1
@@ -95,8 +96,8 @@ class TestRunScenario:
 
     def test_deterministic(self, dataset):
         origin = admissible_origins(dataset, SMALL)[1]
-        a = score_scenario(run_scenario(dataset, origin, SMALL, scenario_index=1), SMALL, 1)
-        b = score_scenario(run_scenario(dataset, origin, SMALL, scenario_index=1), SMALL, 1)
+        a = score_scenario(run_horizon(dataset, origin, SMALL, scenario_index=1), SMALL, 1)
+        b = score_scenario(run_horizon(dataset, origin, SMALL, scenario_index=1), SMALL, 1)
         np.testing.assert_array_equal(a.scores.crps, b.scores.crps)
 
     def test_insufficient_training_rows(self, dataset):
@@ -105,7 +106,7 @@ class TestRunScenario:
         )
         origin = admissible_origins(dataset, strict)[0]
         with pytest.raises(DataError, match="insufficient training data"):
-            run_scenario(dataset, origin, strict)
+            run_horizon(dataset, origin, strict)
 
     def test_model_missing_from_training_window_is_data_error(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
@@ -114,11 +115,11 @@ class TestRunScenario:
         gone = (fc.model == fc.models.index("eur_uk")) & (fc.init < hour_index(origin))
         gapped = Dataset(fc.take(~gone), dataset.observations)
         with pytest.raises(DataError, match=rf"eur_uk .*origin {format_hour(origin)}"):
-            run_scenario(gapped, origin, SMALL)
+            run_horizon(gapped, origin, SMALL)
 
     def test_horizon_without_scoring(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
-        horizon = run_scenario(dataset, origin, SMALL)
+        horizon = run_horizon(dataset, origin, SMALL)
         assert horizon.origin == origin
         assert horizon.lead_hours.tolist() == list(range(1, 169))
         assert horizon.cdfs.values.shape == (168, SMALL.levels.size)
@@ -126,13 +127,13 @@ class TestRunScenario:
         assert horizon.members.shape == (horizon.contributors.sum(),)
         assert np.all(horizon.contributors >= 1)
         assert np.all(np.isfinite(horizon.observations))
-        assert set(horizon.timings) == {"prepare", "train", "predict", "score"}
+        assert set(horizon.timings) == {"predict", "combine"}
         levels = np.tile(SMALL.levels, (168, 1))
         np.testing.assert_array_equal(horizon.cdfs.quantile(levels), horizon.cdfs.values)
 
     def test_contributor_counts_fall_with_lead(self, dataset):
         origin = admissible_origins(dataset, SMALL)[0]
-        horizon = run_scenario(dataset, origin, SMALL)
+        horizon = run_horizon(dataset, origin, SMALL)
         counts = dict(zip(horizon.lead_hours.tolist(), horizon.contributors.tolist()))
         assert counts[3] > counts[100]
         assert counts[168] >= 1
@@ -142,7 +143,7 @@ class TestRunScenario:
         obs = dataset.observations
         gone = np.isin(obs.hour, hour_index(origin) + np.array([40, 7, 90]))
         gapped = Dataset(dataset.forecasts, obs.take(~gone))
-        horizon = run_scenario(gapped, origin, SMALL)
+        horizon = run_horizon(gapped, origin, SMALL)
         assert np.isnan(horizon.observations).sum() == 3
         first = (origin + timedelta(hours=7)).isoformat()
         with pytest.raises(DataError, match=re.escape(f"no observation to score at {first}")):
@@ -154,7 +155,7 @@ class TestStageTwo:
 
     @staticmethod
     def check(ds, cfg, origin):
-        horizon = run_scenario(ds, origin, cfg)
+        horizon = run_horizon(ds, origin, cfg)
         expected = reference_combined(ds, origin, cfg)
         assert horizon.lead_hours.tolist() == sorted(expected)
         for lead, values, count in zip(
@@ -181,6 +182,8 @@ class TestRunScenarios:
         rows = list(zip(*aggregate_by_lead(Scores.concat([res.scores for res in results]))))
         assert sorted({row[0] for row in rows}) == list(range(1, 169))
         assert all(row[4] == SMALL.n_scenarios for row in rows if row[1] == "crps")
+        stages = {"prepare", "train", "predict", "combine", "score"}
+        assert all(set(res.timings) == stages for res in results)
 
     def test_parallel_matches_serial(self, dataset):
         serial = run_scenarios(dataset, SMALL)
@@ -207,17 +210,22 @@ class TestRunScenarios:
         near = raw.log_score[(raw.lead_hours >= 2) & (raw.lead_hours <= 40)]
         assert np.any(np.isfinite(near))
 
+    @staticmethod
+    def without_early_eur_uk(dataset, middle):
+        """eur_uk keeps its runs from ``middle`` on, so it has a run there but
+        no training rows; an origin before ``middle`` has no eur_uk run at all."""
+        fc = dataset.forecasts
+        return fc.take((fc.model != fc.models.index("eur_uk")) | (fc.init >= hour_index(middle)))
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_failure_in_scenario_order_at_any_jobs(self, dataset, jobs):
-        """Scenario 1 fails in preparation and scenario 2 in scoring.  At two
-        jobs, scenarios 0 and 2 share a worker, whose failure comes back first;
-        scenario 1's is still the one raised."""
+        """Scenario 1 fails in stage 2 (its label check, once its chunk's forests
+        have grown) and scenario 2 in scoring.  At two jobs, scenarios 0 and 2
+        share a worker, whose failure comes back first; scenario 1's is still
+        the one raised."""
         origins = admissible_origins(dataset, SMALL)
         first, middle, last = origins[0], origins[len(origins) // 2], origins[-1]
-        fc, obs = dataset.forecasts, dataset.observations
-        # eur_uk keeps its runs from the middle origin on, so it has a run there
-        # but no training rows; the first origin has no eur_uk run at all.
-        fc = fc.take((fc.model != fc.models.index("eur_uk")) | (fc.init >= hour_index(middle)))
+        fc, obs = self.without_early_eur_uk(dataset, middle), dataset.observations
         # An hour of the last origin's horizon, after the middle one's, loses its observation.
         missing = last + timedelta(hours=5)
         assert missing > middle + timedelta(hours=SMALL.horizon_hours)
@@ -225,6 +233,23 @@ class TestRunScenarios:
         config = RunConfig(num_trees=20, sample_count=64, min_training_rows=500, jobs=jobs)
         with pytest.raises(DataError, match=r"eur_uk.*no training rows"):
             run_scenarios(Dataset(fc, obs), config, [first, middle, last])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_label_check_fails_before_a_later_preparation_in_its_chunk(self, dataset, jobs):
+        """Scenario 0, the first of its chunk at one job and at two, has a label
+        with no training rows; scenario 2, in the same chunk either way, fails
+        in preparation.  Scenario 0's failure comes after its chunk's forests
+        have grown but is still the one raised."""
+        origins = admissible_origins(dataset, SMALL)
+        first, middle = origins[0], origins[len(origins) // 2]
+        fc = self.without_early_eur_uk(dataset, middle)
+        # Its training window starts before the first observation.
+        early = hour_time(int(dataset.observations.hour[0]) + 24)
+        config = RunConfig(num_trees=20, sample_count=64, min_training_rows=500, jobs=jobs)
+        with pytest.raises(DataError, match=r"eur_uk.*no training rows"):
+            run_scenarios(Dataset(fc, dataset.observations), config, [middle, first, early])
+        with pytest.raises(DataError, match="not covered"):
+            run_scenarios(Dataset(fc, dataset.observations), config, [first, early])
 
 
 LEVELS7 = np.array([0.025, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975])
@@ -286,7 +311,7 @@ class TestBatchedAgainstReference:
             observations=y,
             train_rows=0,
             skipped_rows=0,
-            timings={"score": 0.0},
+            timings={},
         )
         res = score_scenario(horizon, config, 0)
 
